@@ -178,8 +178,8 @@ def cmd_minima(alpha, beta, a_, b_, width, samples, xs, y_, seed, gap, p_, eps,
 @main.command("enumerate")
 @click.option("--target", "target_file", required=True, type=click.Path())
 @click.option("--dedup", type=RATIONAL, default=1e-8, show_default=True)
-@click.option("--grid", "grid_n", type=int, default=256, show_default=True,
-              help="Samples per realization in the CSV export.")
+@click.option("--grid", "grid_n", type=click.IntRange(min=2), default=256,
+              show_default=True, help="Samples per realization in the CSV export.")
 @click.option("--out", "out_dir", default=".", show_default=True)
 @click.option("--force", is_flag=True)
 def cmd_enumerate(target_file, dedup, grid_n, out_dir, force):
@@ -190,7 +190,8 @@ def cmd_enumerate(target_file, dedup, grid_n, out_dir, force):
         catalog = enumerate_all(t, dedup=dedup)
     except FinitenessError as exc:
         raise click.UsageError(str(exc)) from exc
-    oracle_ok = oracle_check(t)
+    reports = (grid_oracle(t), grid_oracle(t, orientation="decreasing"))
+    oracle_ok = oracle_check(t, reports=reports)
     entries = []
     ok = oracle_ok
     for e in catalog.entries:
@@ -201,9 +202,8 @@ def cmd_enumerate(target_file, dedup, grid_n, out_dir, force):
             "class": None if e.crit_class is None else e.crit_class.value,
         })
     doc = {"kind": "catalog", "entries": entries, "oracle_check": oracle_ok,
-           "brackets_increasing": [list(b) for b in grid_oracle(t).brackets],
-           "brackets_decreasing": [list(b) for b in
-                                   grid_oracle(t, orientation="decreasing").brackets],
+           "brackets_increasing": [list(b) for b in reports[0].brackets],
+           "brackets_decreasing": [list(b) for b in reports[1].brackets],
            "pass": ok}
     _write_json(_out_path(out_dir, "catalog.json", force), doc)
     for i, e in enumerate(catalog.entries):
@@ -229,16 +229,14 @@ def _default_benchmark() -> BenchmarkTarget:
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--runs", type=int, default=50, show_default=True)
 @click.option("--dedup", type=RATIONAL, default=1e-4, show_default=True)
-@click.option("--grid", "grid_n", type=int, default=256, show_default=True,
-              help="Samples per realization in the CSV export.")
+@click.option("--grid", "grid_n", type=click.IntRange(min=2), default=256,
+              show_default=True, help="Samples per realization in the CSV export.")
 @click.option("--svg", is_flag=True, help="Also plot target + clusters.")
 @click.option("--out", "out_dir", default=".", show_default=True)
 @click.option("--force", is_flag=True)
 def cmd_train(target_file, width, lr, grad_tol, max_iters, seed, runs, dedup,
               grid_n, svg, out_dir, force):
     """Run the GD ensemble and report deduplicated realization clusters."""
-    if lr <= 0:
-        raise click.UsageError("learning rate must be positive")
     t = _load_target(target_file) if target_file else _default_benchmark()
     try:
         cfg = TrainConfig(H=width, lr=lr, grad_tol=grad_tol, max_iters=max_iters,

@@ -361,6 +361,13 @@ class GridOracleReport:
     resolution: float
 
 
+def _kink_residual(f01: PiecewisePolynomial, q: float) -> float:
+    """D(q) evaluated directly from target moments (see _kink_poly)."""
+    return ((1.0 - q) ** 2 * f01.moment(0, 0.0, q)
+            - 2.0 * q * ((q + 2.0) * f01.moment(0, q, 1.0)
+                         - 3.0 * f01.moment(1, q, 1.0)))
+
+
 def grid_oracle(t: Target, resolution: float = 1e-3,
                 orientation: str = "increasing") -> GridOracleReport:
     """Independent bracketing oracle for the kink equation.
@@ -379,14 +386,9 @@ def grid_oracle(t: Target, resolution: float = 1e-3,
     elif orientation != "increasing":
         raise ValueError("orientation must be 'increasing' or 'decreasing'")
 
-    def D(q: float) -> float:
-        return ((1.0 - q) ** 2 * f01.moment(0, 0.0, q)
-                - 2.0 * q * ((q + 2.0) * f01.moment(0, q, 1.0)
-                             - 3.0 * f01.moment(1, q, 1.0)))
-
     m = int(round(1.0 / resolution))
     qs = [k / m for k in range(1, m)]
-    vals = [D(q) for q in qs]
+    vals = [_kink_residual(f01, q) for q in qs]
     scale = max(1.0, f01.coeff_scale())
     if max(abs(v) for v in vals) <= 1e-12 * scale:
         return GridOracleReport(brackets=(), degenerate_everywhere=True,
@@ -401,16 +403,23 @@ def grid_oracle(t: Target, resolution: float = 1e-3,
                             resolution=resolution)
 
 
-def oracle_check(t: Target, resolution: float = 1e-3) -> bool:
+def oracle_check(t: Target, resolution: float = 1e-3,
+                 reports: tuple[GridOracleReport, GridOracleReport] | None = None) -> bool:
     """True iff enumeration roots and grid-oracle brackets are in bijection
-    (after zero-slope exclusions) for both kink orientations."""
+    (after zero-slope exclusions) for both kink orientations.
+
+    ``reports`` are the increasing and decreasing ``grid_oracle`` reports
+    of t when the caller already has them; they carry their resolution.
+    """
+    if reports is None:
+        reports = (grid_oracle(t, resolution, "increasing"),
+                   grid_oracle(t, resolution, "decreasing"))
     f01 = _normalized01(t)
-    for orientation, pp in (("increasing", f01), ("decreasing", _reflect01(f01))):
-        report = grid_oracle(t, resolution, orientation)
+    for report, pp in zip(reports, (f01, _reflect01(f01))):
+        resolution = report.resolution
         if report.degenerate_everywhere:
-            roots, excluded = [], []
             try:
-                roots, excluded = _kink_roots(pp)
+                roots, _ = _kink_roots(pp)
             except DegenerateEnumerationError:
                 return False
             if roots:
@@ -425,11 +434,6 @@ def oracle_check(t: Target, resolution: float = 1e-3) -> bool:
             if not inside:
                 return False
             used[inside[0]] = True
-        def residual(x: float) -> float:
-            return ((1.0 - x) ** 2 * pp.moment(0, 0.0, x)
-                    - 2.0 * x * ((x + 2.0) * pp.moment(0, x, 1.0)
-                                 - 3.0 * pp.moment(1, x, 1.0)))
-
         for i, q in enumerate(candidates):
             if used[i]:
                 continue
@@ -438,6 +442,6 @@ def oracle_check(t: Target, resolution: float = 1e-3) -> bool:
             if q in roots and resolution < q < 1.0 - resolution:
                 lo = max(q - resolution, 1e-9)
                 hi = min(q + resolution, 1.0 - 1e-9)
-                if residual(lo) * residual(hi) < 0.0:
+                if _kink_residual(pp, lo) * _kink_residual(pp, hi) < 0.0:
                     return False
     return True

@@ -65,11 +65,14 @@ class GradientVector:
 class _Geometry:
     """Piecewise-linear geometry of the network plus target antiderivatives.
 
-    Supplies S0(l, r) = int_l^r (N - f) and S1(l, r) = int_l^r x (N - f)
-    exactly, which is all the gradient and risk formulas need.
+    ``nodes`` are a, the distinct kinks inside (a, b), and b.  At every
+    node the running integrals from a of N and x*N (``net0``, ``net1``)
+    and of f and x*f (``F``, ``G``) are evaluated once, so that
+    S0 = int (N - f) and S1 = int x (N - f) between two nodes, which is all
+    the gradient and risk formulas need, are differences of node values.
     """
 
-    __slots__ = ("a", "b", "nodes", "vals", "slopes", "pre0", "pre1", "t")
+    __slots__ = ("a", "b", "nodes", "vals", "slopes", "net0", "net1", "F", "G", "t")
 
     def __init__(self, theta: Sequence[float], H: int, t: Target):
         a, b = t.domain
@@ -77,24 +80,12 @@ class _Geometry:
         self.b = b
         self.t = t
         c = theta[3 * H]
-        base = 0.0
+        neurons = list(zip(theta[:H], theta[H:2 * H], theta[2 * H:3 * H]))
         events = []
-        for j in range(H):
-            w = theta[j]
-            bj = theta[H + j]
-            vw = theta[2 * H + j] * w
-            if w == 0.0:
-                continue
-            q = -bj / w
-            if w > 0.0:
-                if q <= a:
-                    base += vw
-                elif q < b:
-                    events.append(q)
-            else:
-                if q >= b:
-                    base += vw
-                elif q > a:
+        for w, bj, _ in neurons:
+            if w != 0.0:
+                q = -bj / w
+                if a < q < b:
                     events.append(q)
         events.sort()
         nodes = [a]
@@ -105,52 +96,57 @@ class _Geometry:
         vals = []
         for x in nodes:
             acc = c
-            for j in range(H):
-                z = theta[H + j] + theta[j] * x
+            for w, bj, v in neurons:
+                z = bj + w * x
                 if z > 0.0:
-                    acc += theta[2 * H + j] * z
+                    acc += v * z
             vals.append(acc)
         slopes = []
         for i in range(len(nodes) - 1):
             slopes.append((vals[i + 1] - vals[i]) / (nodes[i + 1] - nodes[i]))
-        pre0 = [0.0]
-        pre1 = [0.0]
-        for i in range(len(nodes) - 1):
+        # At an interior node x the running-integral formula of _net_cum
+        # adds exactly +-0.0 to the prefix sums, so these are its values
+        # there; b ends a segment and takes the formula itself.
+        net0 = [0.0]
+        net1 = [0.0]
+        for i in range(len(nodes) - 2):
             x0, x1 = nodes[i], nodes[i + 1]
             y0, y1 = vals[i], vals[i + 1]
             m = slopes[i]
             k = y0 - m * x0
-            pre0.append(pre0[-1] + (x1 - x0) * (y0 + y1) * 0.5)
-            pre1.append(pre1[-1] + m * (x1 ** 3 - x0 ** 3) / 3.0 + k * (x1 ** 2 - x0 ** 2) * 0.5)
+            net0.append(net0[-1] + (x1 - x0) * (y0 + y1) * 0.5)
+            net1.append(net1[-1] + m * (x1 ** 3 - x0 ** 3) / 3.0 + k * (x1 ** 2 - x0 ** 2) * 0.5)
         self.nodes = nodes
         self.vals = vals
         self.slopes = slopes
-        self.pre0 = pre0
-        self.pre1 = pre1
+        self.net0 = net0
+        self.net1 = net1
+        n0, n1 = self._net_cum(len(slopes) - 1, b)
+        net0.append(n0)
+        net1.append(n1)
+        self.F, self.G = zip(*map(t.cum_int_xint, nodes))
 
-    def _locate(self, x: float) -> int:
-        i = bisect.bisect_right(self.nodes, x) - 1
-        return min(max(i, 0), len(self.slopes) - 1)
-
-    def net_cum0(self, x: float) -> float:
-        i = self._locate(x)
+    def _net_cum(self, i: int, x: float) -> tuple[float, float]:
+        """Running integrals of N and x*N up to x on segment i."""
         x0 = self.nodes[i]
         y0 = self.vals[i]
-        y = y0 + self.slopes[i] * (x - x0)
-        return self.pre0[i] + (x - x0) * (y0 + y) * 0.5
-
-    def net_cum1(self, x: float) -> float:
-        i = self._locate(x)
-        x0 = self.nodes[i]
         m = self.slopes[i]
-        k = self.vals[i] - m * x0
-        return self.pre1[i] + m * (x ** 3 - x0 ** 3) / 3.0 + k * (x ** 2 - x0 ** 2) * 0.5
+        y = y0 + m * (x - x0)
+        k = y0 - m * x0
+        return (self.net0[i] + (x - x0) * (y0 + y) * 0.5,
+                self.net1[i] + m * (x ** 3 - x0 ** 3) / 3.0 + k * (x ** 2 - x0 ** 2) * 0.5)
 
-    def s0(self, lo: float, hi: float) -> float:
-        return (self.net_cum0(hi) - self.net_cum0(lo)) - (self.t.cum_int(hi) - self.t.cum_int(lo))
+    def _net_cum_at(self, x: float) -> tuple[float, float]:
+        i = bisect.bisect_right(self.nodes, x) - 1
+        return self._net_cum(min(max(i, 0), len(self.slopes) - 1), x)
 
-    def s1(self, lo: float, hi: float) -> float:
-        return (self.net_cum1(hi) - self.net_cum1(lo)) - (self.t.cum_xint(hi) - self.t.cum_xint(lo))
+    def span_integrals(self, lo: float, hi: float) -> tuple[float, float]:
+        """(S0, S1) between arbitrary points lo <= hi of [a, b]."""
+        n0l, n1l = self._net_cum_at(lo)
+        n0h, n1h = self._net_cum_at(hi)
+        fl, gl = self.t.cum_int_xint(lo)
+        fh, gh = self.t.cum_int_xint(hi)
+        return (n0h - n0l) - (fh - fl), (n1h - n1l) - (gh - gl)
 
     def net_sq_int(self) -> float:
         total = 0.0
@@ -162,53 +158,53 @@ class _Geometry:
 
     def net_f_int(self) -> float:
         total = 0.0
-        F0 = self.t.cum_int(self.nodes[0])
-        G0 = self.t.cum_xint(self.nodes[0])
+        F, G = self.F, self.G
         for i in range(len(self.slopes)):
-            x0, x1 = self.nodes[i], self.nodes[i + 1]
             m = self.slopes[i]
-            k = self.vals[i] - m * x0
-            F1 = self.t.cum_int(x1)
-            G1 = self.t.cum_xint(x1)
-            total += m * (G1 - G0) + k * (F1 - F0)
-            F0, G0 = F1, G1
+            k = self.vals[i] - m * self.nodes[i]
+            total += m * (G[i + 1] - G[i]) + k * (F[i + 1] - F[i])
         return total
 
 
-def _active_interval(w: float, bj: float, a: float, b: float):
-    """Intersection of {x : bj + w x > 0} with [a, b], or None."""
-    if w > 0.0:
-        q = -bj / w
-        if q >= b:
-            return None
-        return (max(a, q), b)
-    if w < 0.0:
-        q = -bj / w
-        if q <= a:
-            return None
-        return (a, min(b, q))
-    return (a, b) if bj > 0.0 else None
-
-
 def grad_theta(theta: Sequence[float], H: int, t: Target) -> list[float]:
-    """Generalized gradient as a plain list (hot path for training loops)."""
+    """Generalized gradient as a plain list (hot path for training loops).
+
+    Neuron j is active on I_j = {x in [a, b] : b_j + w_j x > 0}, whose
+    ends are geometry nodes: a, b or its own kink.
+    """
     geo = _Geometry(theta, H, t)
     a, b = geo.a, geo.b
+    nodes = geo.nodes
+    last = len(nodes) - 1
+    at = dict(zip(nodes, range(len(nodes))))
+    net0, net1, F, G = geo.net0, geo.net1, geo.F, geo.G
     g = [0.0] * (3 * H + 1)
     for j in range(H):
         w = theta[j]
         bj = theta[H + j]
-        v = theta[2 * H + j]
-        span = _active_interval(w, bj, a, b)
-        if span is None:
+        if w > 0.0:
+            q = -bj / w
+            if q >= b:
+                continue
+            lo = at[q] if q > a else 0
+            hi = last
+        elif w < 0.0:
+            q = -bj / w
+            if q <= a:
+                continue
+            lo = 0
+            hi = at[q] if q < b else last
+        elif bj > 0.0:
+            lo, hi = 0, last
+        else:
             continue
-        lo, hi = span
-        s0 = geo.s0(lo, hi)
-        s1 = geo.s1(lo, hi)
+        s0 = (net0[hi] - net0[lo]) - (F[hi] - F[lo])
+        s1 = (net1[hi] - net1[lo]) - (G[hi] - G[lo])
+        v = theta[2 * H + j]
         g[j] = 2.0 * v * s1
         g[H + j] = 2.0 * v * s0
         g[2 * H + j] = 2.0 * (bj * s0 + w * s1)
-    g[3 * H] = 2.0 * geo.s0(a, b)
+    g[3 * H] = 2.0 * ((net0[last] - net0[0]) - (F[last] - F[0]))
     return g
 
 

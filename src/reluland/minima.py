@@ -108,7 +108,9 @@ def verify_zero_integrals(t: BenchmarkTarget, q: float) -> tuple[float, float, f
     sample = sample_M(t, 1, q, 1.0, seed=0)
     geo = _Geometry(sample.theta.theta, 1, t)
     qq = t.a + q * (t.b - t.a)
-    return (geo.s0(t.a, qq), geo.s0(qq, t.b), geo.s1(qq, t.b))
+    left0, _ = geo.span_integrals(t.a, qq)
+    right0, right1 = geo.span_integrals(qq, t.b)
+    return (left0, right0, right1)
 
 
 def two_kink_witness(t: BenchmarkTarget, H: int, p: float, eps: float,

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
-from .polyalg import PiecewisePolynomial, Polynomial
 
 __all__ = [
     "Params",
@@ -165,10 +164,6 @@ class Realization:
         object.__setattr__(self, "_nodes", nodes)
         object.__setattr__(self, "_values", tuple(vals))
 
-    def nodes(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """(node positions, node values), endpoints included."""
-        return self._nodes, self._values
-
     def eval(self, x: float) -> float:
         if x < self.a or x > self.b:
             raise DomainError(f"{x!r} outside [{self.a!r}, {self.b!r}]")
@@ -177,15 +172,10 @@ class Realization:
 
     __call__ = eval
 
-    def to_piecewise(self) -> PiecewisePolynomial:
-        pieces = []
-        for i, s in enumerate(self.slopes):
-            x0 = self._nodes[i]
-            y0 = self._values[i]
-            pieces.append(Polynomial([y0 - s * x0, s]))
-        return PiecewisePolynomial(self._nodes, pieces, continuous=True)
-
     def sample(self, n: int) -> list[tuple[float, float]]:
+        """n equally spaced (x, value) pairs from a to b, n >= 2."""
+        if n < 2:
+            raise ValueError("need n >= 2 sample points")
         step = (self.b - self.a) / (n - 1)
         out = []
         for i in range(n):

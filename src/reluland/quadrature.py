@@ -120,12 +120,12 @@ def _adaptive_simpson_rec(f, a, fa, b, fb, m, fm, whole, tol, depth):
     left = _simpson(a, fa, m, fm, flm)
     right = _simpson(m, fm, b, fb, frm)
     delta = left + right - whole
+    if abs(delta) <= 15.0 * tol:
+        return left + right + delta / 15.0
     if depth <= 0:
         raise AccuracyError("Simpson recursion depth exhausted",
                             estimate=left + right + delta / 15.0,
                             error=abs(delta) / 15.0)
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
     return (_adaptive_simpson_rec(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1)
             + _adaptive_simpson_rec(f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1))
 

@@ -9,8 +9,9 @@ Two kinds are supported and share one duck-typed interface:
   (beta, 1]) rescaled to [a, b].  Its running integrals of f and x*f have
   closed forms; only the integral of f**2 needs quadrature.
 
-Both carry cumulative antiderivatives ``cum_int`` / ``cum_xint`` so that
-risk and gradient evaluations stay closed-form and fast.
+Both carry cumulative antiderivatives ``cum_int`` / ``cum_xint``, and
+``cum_int_xint`` for both at once, so that risk and gradient evaluations
+stay closed-form and fast.
 """
 
 from __future__ import annotations
@@ -49,12 +50,15 @@ class PolyTarget:
         # prefix antiderivative values at breakpoints, for O(log n) cum_int
         self._anti0 = [p.antiderivative() for p in pp.pieces]
         self._anti1 = [p.shift_up(1).antiderivative() for p in pp.pieces]
+        # antiderivatives at the left end of each piece
+        self._start0 = [a0(x0) for a0, x0 in zip(self._anti0, pp.breakpoints)]
+        self._start1 = [a1(x0) for a1, x0 in zip(self._anti1, pp.breakpoints)]
         self._prefix0 = [0.0]
         self._prefix1 = [0.0]
         for i, (a0, a1) in enumerate(zip(self._anti0, self._anti1)):
-            x0, x1 = pp.breakpoints[i], pp.breakpoints[i + 1]
-            self._prefix0.append(self._prefix0[-1] + a0(x1) - a0(x0))
-            self._prefix1.append(self._prefix1[-1] + a1(x1) - a1(x0))
+            x1 = pp.breakpoints[i + 1]
+            self._prefix0.append(self._prefix0[-1] + a0(x1) - self._start0[i])
+            self._prefix1.append(self._prefix1[-1] + a1(x1) - self._start1[i])
 
     @property
     def kind(self) -> str:
@@ -74,15 +78,18 @@ class PolyTarget:
     def eval(self, x: float) -> float:
         return self.pp.eval(x)
 
-    def cum_int(self, x: float) -> float:
+    def cum_int_xint(self, x: float) -> tuple[float, float]:
+        """(cum_int(x), cum_xint(x)) from one domain check and piece lookup."""
         self._check(x)
         i = self.pp._piece_index(x)
-        return self._prefix0[i] + self._anti0[i](x) - self._anti0[i](self.pp.breakpoints[i])
+        return (self._prefix0[i] + self._anti0[i](x) - self._start0[i],
+                self._prefix1[i] + self._anti1[i](x) - self._start1[i])
+
+    def cum_int(self, x: float) -> float:
+        return self.cum_int_xint(x)[0]
 
     def cum_xint(self, x: float) -> float:
-        self._check(x)
-        i = self.pp._piece_index(x)
-        return self._prefix1[i] + self._anti1[i](x) - self._anti1[i](self.pp.breakpoints[i])
+        return self.cum_int_xint(x)[1]
 
     def integral(self, lo: float, hi: float) -> float:
         return self.cum_int(hi) - self.cum_int(lo)
@@ -166,6 +173,10 @@ class BenchmarkTarget:
         ra1 = self._right.shift_up(1).antiderivative()
         self._left_anti = (la0, la1)
         self._right_anti = (ra0, ra1)
+        # antiderivatives at the left end of each piece, for _cum01
+        self._left_start = (la0(0.0), la1(0.0))
+        self._mid_start = (_mid_anti(al), _mid_xanti(al))
+        self._right_start = (ra0(be), ra1(be))
         # running integrals of f and u*f up to alpha and beta (unscaled)
         self._F_alpha = la0(al) - la0(0.0)
         self._G_alpha = la1(al) - la1(0.0)
@@ -202,32 +213,31 @@ class BenchmarkTarget:
     def eval(self, x: float) -> float:
         return self.scale * self.eval_normalized(self._to_u(x))
 
-    def _cum01(self, u: float) -> float:
+    def _cum01(self, u: float) -> tuple[float, float]:
+        """Unscaled running integrals of f and u*f over [0, u]."""
         if u <= self.alpha:
-            a0 = self._left_anti[0]
-            return a0(u) - a0(0.0)
+            a0, a1 = self._left_anti
+            s0, s1 = self._left_start
+            return a0(u) - s0, a1(u) - s1
         if u <= self.beta:
-            return self._F_alpha + _mid_anti(u) - _mid_anti(self.alpha)
-        a0 = self._right_anti[0]
-        return self._F_beta + a0(u) - a0(self.beta)
+            s0, s1 = self._mid_start
+            return (self._F_alpha + _mid_anti(u) - s0,
+                    self._G_alpha + _mid_xanti(u) - s1)
+        a0, a1 = self._right_anti
+        s0, s1 = self._right_start
+        return self._F_beta + a0(u) - s0, self._G_beta + a1(u) - s1
 
-    def _cum01_x(self, u: float) -> float:
-        if u <= self.alpha:
-            a1 = self._left_anti[1]
-            return a1(u) - a1(0.0)
-        if u <= self.beta:
-            return self._G_alpha + _mid_xanti(u) - _mid_xanti(self.alpha)
-        a1 = self._right_anti[1]
-        return self._G_beta + a1(u) - a1(self.beta)
+    def cum_int_xint(self, x: float) -> tuple[float, float]:
+        """(cum_int(x), cum_xint(x)) from one normalization and piece choice."""
+        w = self.b - self.a
+        F, G = self._cum01(self._to_u(x))
+        return self.scale * w * F, self.scale * (self.a * w * F + w * w * G)
 
     def cum_int(self, x: float) -> float:
-        w = self.b - self.a
-        return self.scale * w * self._cum01(self._to_u(x))
+        return self.cum_int_xint(x)[0]
 
     def cum_xint(self, x: float) -> float:
-        w = self.b - self.a
-        u = self._to_u(x)
-        return self.scale * (self.a * w * self._cum01(u) + w * w * self._cum01_x(u))
+        return self.cum_int_xint(x)[1]
 
     def integral(self, lo: float, hi: float) -> float:
         return self.cum_int(hi) - self.cum_int(lo)

@@ -48,12 +48,14 @@ class TrainConfig:
     runs: int = 50
 
     def __post_init__(self):
-        if self.H < 1 or self.lr <= 0 or self.grad_tol <= 0 or self.max_iters <= 0:
-            raise DomainError("H, lr, grad_tol, max_iters must be positive")
-        if self.runs < 1 or self.dedup_l2 <= 0:
-            raise DomainError("runs and dedup_l2 must be positive")
-        if self.weight_var is not None and self.weight_var <= 0:
-            raise DomainError("weight_var must be positive")
+        if self.H < 1 or self.max_iters <= 0 or self.runs < 1:
+            raise DomainError("H, max_iters and runs must be positive")
+        # 0 < x < inf is false for NaN as well
+        for name in ("lr", "grad_tol", "dedup_l2"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite")
+        if self.weight_var is not None and not 0.0 < self.weight_var < math.inf:
+            raise DomainError("weight_var must be positive and finite")
 
     @property
     def effective_weight_var(self) -> float:

@@ -87,6 +87,24 @@ def test_train_bad_lr_exits_2(tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_non_finite_lr_exits_2(tmp_path, lr):
+    res = run_cli(["train", "--lr", lr, "--runs", "1", "--h", "1", "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert not (tmp_path / "ensemble_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["enumerate", "train"])
+def test_grid_below_two_exits_2(tmp_path, command):
+    args = [command, "--grid", "1", "--out", str(tmp_path)]
+    if command == "enumerate":
+        args += ["--target", str(write_xsq(tmp_path))]
+    res = run_cli(args)
+    assert res.exit_code == 2
+    assert "--grid" in res.output
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_train_small_deterministic_with_svg(tmp_path):
     args = ["train", "--h", "2", "--runs", "2", "--seed", "7",
             "--grad-tol", "1e-3", "--svg", "--out", str(tmp_path), "--force"]

@@ -1,13 +1,16 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reluland import (BenchmarkTarget, CritClass, Params, classify,
                       closed_hessian_M, fd_gradient, grad, grad_smooth,
                       hessian_fd, risk, risk_smooth, sample_M, scale_target)
 from reluland.errors import DomainError, NonsmoothPointError, NotCriticalError
-from reluland.landscape import HessianReport, _report_from_matrix
+from reluland.landscape import (HessianReport, _Geometry, _report_from_matrix,
+                                grad_theta, risk_theta)
 
 from conftest import poly_target, rng_for
 
@@ -221,3 +224,171 @@ def test_hessian_report_json(bench):
     assert doc["numerical_rank"] == rep.numerical_rank
     assert len(doc["matrix"]) == 4
     assert doc["eigenvalues"] == sorted(doc["eigenvalues"])
+
+
+# ---------------------------------------------------------------------------
+# bit-identity of the node-indexed kernel with the per-interval formula
+# ---------------------------------------------------------------------------
+
+class _RefIntegrals:
+    """Per-interval reference: S0(lo, hi) and S1(lo, hi) from closed-form
+    network running integrals located by bisection at each endpoint and
+    the target's cum_int / cum_xint at each endpoint."""
+
+    def __init__(self, theta, H, t):
+        a, b = t.domain
+        self.t = t
+        events = []
+        for j in range(H):
+            w = theta[j]
+            if w != 0.0 and a < -theta[H + j] / w < b:
+                events.append(-theta[H + j] / w)
+        nodes = [a]
+        for q in sorted(events):
+            if q > nodes[-1]:
+                nodes.append(q)
+        nodes.append(b)
+        vals = []
+        for x in nodes:
+            acc = theta[3 * H]
+            for j in range(H):
+                z = theta[H + j] + theta[j] * x
+                if z > 0.0:
+                    acc += theta[2 * H + j] * z
+            vals.append(acc)
+        slopes = [(vals[i + 1] - vals[i]) / (nodes[i + 1] - nodes[i])
+                  for i in range(len(nodes) - 1)]
+        pre0, pre1 = [0.0], [0.0]
+        for i, m in enumerate(slopes):
+            x0, x1 = nodes[i], nodes[i + 1]
+            k = vals[i] - m * x0
+            pre0.append(pre0[-1] + (x1 - x0) * (vals[i] + vals[i + 1]) * 0.5)
+            pre1.append(pre1[-1] + m * (x1 ** 3 - x0 ** 3) / 3.0 + k * (x1 ** 2 - x0 ** 2) * 0.5)
+        self.nodes, self.vals, self.slopes, self.pre0, self.pre1 = nodes, vals, slopes, pre0, pre1
+
+    def _locate(self, x):
+        i = bisect.bisect_right(self.nodes, x) - 1
+        return min(max(i, 0), len(self.slopes) - 1)
+
+    def net_cum0(self, x):
+        i = self._locate(x)
+        x0, y0 = self.nodes[i], self.vals[i]
+        y = y0 + self.slopes[i] * (x - x0)
+        return self.pre0[i] + (x - x0) * (y0 + y) * 0.5
+
+    def net_cum1(self, x):
+        i = self._locate(x)
+        x0, m = self.nodes[i], self.slopes[i]
+        k = self.vals[i] - m * x0
+        return self.pre1[i] + m * (x ** 3 - x0 ** 3) / 3.0 + k * (x ** 2 - x0 ** 2) * 0.5
+
+    def s0(self, lo, hi):
+        return (self.net_cum0(hi) - self.net_cum0(lo)) - (self.t.cum_int(hi) - self.t.cum_int(lo))
+
+    def s1(self, lo, hi):
+        return (self.net_cum1(hi) - self.net_cum1(lo)) - (self.t.cum_xint(hi) - self.t.cum_xint(lo))
+
+
+def _ref_grad(theta, H, t):
+    a, b = t.domain
+    ref = _RefIntegrals(theta, H, t)
+    g = [0.0] * (3 * H + 1)
+    for j in range(H):
+        w, bj, v = theta[j], theta[H + j], theta[2 * H + j]
+        if w > 0.0:
+            q = -bj / w
+            if q >= b:
+                continue
+            lo, hi = max(a, q), b
+        elif w < 0.0:
+            q = -bj / w
+            if q <= a:
+                continue
+            lo, hi = a, min(b, q)
+        elif bj > 0.0:
+            lo, hi = a, b
+        else:
+            continue
+        s0, s1 = ref.s0(lo, hi), ref.s1(lo, hi)
+        g[j] = 2.0 * v * s1
+        g[H + j] = 2.0 * v * s0
+        g[2 * H + j] = 2.0 * (bj * s0 + w * s1)
+    g[3 * H] = 2.0 * ref.s0(a, b)
+    return g
+
+
+def _ref_risk(theta, H, t):
+    ref = _RefIntegrals(theta, H, t)
+    sq = cross = 0.0
+    for i, m in enumerate(ref.slopes):
+        x0, x1 = ref.nodes[i], ref.nodes[i + 1]
+        y0, y1 = ref.vals[i], ref.vals[i + 1]
+        sq += (x1 - x0) * (y0 * y0 + y0 * y1 + y1 * y1) / 3.0
+        k = y0 - m * x0
+        cross += (m * (t.cum_xint(x1) - t.cum_xint(x0))
+                  + k * (t.cum_int(x1) - t.cum_int(x0)))
+    a, b = t.domain
+    return max(sq - 2.0 * cross + t.sq_integral(a, b, 1e-12, "gauss_kronrod"), 0.0)
+
+
+BIT_TARGETS = (
+    BenchmarkTarget(1 / 3, 2 / 3, 0.0, 1.0),
+    BenchmarkTarget(0.25, 0.6, -0.5, 1.5, scale=1.3),
+    poly_target([-1.0, -0.25, 0.5, 1.0],
+                [[0.5, 1.0, -2.0], [0.140625, 0.0, 0.0, 1.0], [0.203125, 0.0, 0.0, 0.0, 1.0]]),
+)
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def _bit_case(draw):
+    t = draw(st.sampled_from(BIT_TARGETS))
+    H = draw(st.sampled_from((1, 2, 4, 7)))
+    a, b = t.domain
+    w, bias, kinks = [], [], []
+    for j in range(H):
+        # power-of-two weights make -(-w q) / w == q exactly
+        mode = draw(st.sampled_from(("random", "at_a", "at_b", "shared", "w0",
+                                     "nowhere")))
+        sign = draw(st.sampled_from((-1.0, 1.0)))
+        w2 = sign * 2.0 ** draw(st.integers(-3, 3))
+        if mode == "at_a" or mode == "at_b":
+            q = a if mode == "at_a" else b
+            w.append(w2)
+            bias.append(-w2 * q)
+        elif mode == "shared" and kinks:
+            i = draw(st.sampled_from(kinks))
+            s = draw(st.sampled_from((-2.0, -1.0, 0.5, 2.0)))
+            w.append(s * w[i])
+            bias.append(s * bias[i])
+        elif mode == "w0":
+            w.append(draw(st.sampled_from((0.0, -0.0))))
+            bias.append(draw(st.sampled_from((-0.5, 0.0, -0.0, 0.25))) * (b - a))
+        elif mode == "nowhere":  # kink outside [a, b] on the inactive side
+            q = draw(st.floats(0.0, 1.0)) * (b - a)
+            w.append(w2)
+            bias.append(-w2 * (b + q if w2 > 0.0 else a - q))
+        else:
+            q = a + (b - a) * draw(st.floats(-0.2, 1.2))
+            wr = draw(_unit)
+            w.append(wr if wr != 0.0 else w2)
+            bias.append(-w[-1] * q)
+        if w[-1] != 0.0:
+            kinks.append(j)
+    v = [draw(_unit) * 2.0 for _ in range(H)]
+    c = draw(_unit)
+    lo, hi = sorted(a + (b - a) * draw(st.floats(0.0, 1.0)) for _ in range(2))
+    return t, H, w + bias + v + [c], (lo, hi)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_bit_case())
+def test_node_kernel_bit_identical_to_per_interval_formula(case):
+    t, H, theta, (lo, hi) = case
+    got = [x.hex() for x in grad_theta(theta, H, t)]
+    assert got == [x.hex() for x in _ref_grad(theta, H, t)]
+    assert risk_theta(theta, H, t).hex() == _ref_risk(theta, H, t).hex()
+    ref = _RefIntegrals(theta, H, t)
+    s0, s1 = _Geometry(theta, H, t).span_integrals(lo, hi)
+    assert (s0.hex(), s1.hex()) == (ref.s0(lo, hi).hex(), ref.s1(lo, hi).hex())

@@ -128,6 +128,14 @@ def test_realization_invariants():
         Realization(0.0, 1.0, (1.5,), (0.0, 1.0), 0.0)
 
 
+def test_realization_sample_needs_two_points():
+    r = Realization(0.0, 1.0, (), (1.0,), 0.0)
+    assert r.sample(2) == [(0.0, 0.0), (1.0, 1.0)]
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError):
+            r.sample(n)
+
+
 def test_l2_distance_examples():
     zero = Realization(0.0, 1.0, (), (0.0,), 0.0)
     one = Realization(0.0, 1.0, (), (0.0,), 1.0)

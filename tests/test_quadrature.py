@@ -48,3 +48,16 @@ def test_vector_simpson_matches_scalar():
     out = adaptive_simpson_vec(f, 0.0, 1.0, 2, 1e-12)
     assert out[0] == pytest.approx(1.0 / 3.0, abs=1e-11)
     assert out[1] == pytest.approx(1.0 - math.cos(1.0), abs=1e-11)
+
+
+def test_simpson_depth_zero_returns_converged_level():
+    # Simpson is exact on x**2, so the first level has converged
+    sq = lambda x: x * x
+    assert adaptive_simpson(sq, 0.0, 1.0, 1e-3, max_depth=0) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    vec = adaptive_simpson_vec(lambda x: [x * x], 0.0, 1.0, 1, 1e-3, max_depth=0)
+    assert vec[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    spiky = lambda x: math.sqrt(abs(x - 1.0 / 3.0))
+    with pytest.raises(AccuracyError) as err:
+        adaptive_simpson(spiky, 0.0, 1.0, 1e-6, max_depth=0)
+    assert math.isfinite(err.value.estimate)
+    assert err.value.error > 0.0

@@ -43,6 +43,10 @@ def test_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(DomainError):
         TrainConfig(runs=0)
+    for field in ("lr", "grad_tol", "dedup_l2", "weight_var"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                TrainConfig(**{field: bad})
 
 
 def test_gd_zero_start_zero_target():
