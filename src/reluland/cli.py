@@ -14,7 +14,7 @@ polyline overlay plot.
 from __future__ import annotations
 
 import json
-import os
+import math
 import sys
 from pathlib import Path
 
@@ -24,10 +24,10 @@ from . import __version__
 from .errors import DomainError, FinitenessError, WitnessError
 from .landscape import closed_hessian_M, grad, hessian_fd, risk
 from .minima import certify_gap, minima_risk, sample_M, verify_zero_integrals
-from .network import Params, write_realization_csv
+from .network import params_from_json, write_realization_csv
 from .enumeration import enumerate_all, grid_oracle, oracle_check
 from .target import BenchmarkTarget, parse_target_json
-from .train import TrainConfig, ensemble, gf_run, xavier_init
+from .train import TrainConfig, _worker_count, ensemble, gf_run, xavier_init
 
 SCHEMA_VERSION = 1
 
@@ -43,10 +43,14 @@ class Rational(click.ParamType):
         try:
             if "/" in str(value):
                 num, den = str(value).split("/", 1)
-                return float(num) / float(den)
-            return float(value)
+                out = float(num) / float(den)
+            else:
+                out = float(value)
         except (ValueError, ZeroDivisionError):
             self.fail(f"{value!r} is not a number or fraction", param, ctx)
+        if not math.isfinite(out):
+            self.fail(f"{value!r} is not finite", param, ctx)
+        return out
 
 
 RATIONAL = Rational()
@@ -85,7 +89,8 @@ def main():
 @click.option("--beta", type=RATIONAL, default=2 / 3, show_default="2/3")
 @click.option("--a", "a_", type=RATIONAL, default=0.0, show_default=True)
 @click.option("--b", "b_", type=RATIONAL, default=1.0, show_default=True)
-@click.option("--h", "--H", "width", type=int, default=4, show_default=True)
+@click.option("--h", "--H", "width", type=click.IntRange(min=1), default=4,
+              show_default=True)
 @click.option("--samples", type=int, default=10, show_default=True,
               help="Evenly spaced kink positions inside (alpha, beta).")
 @click.option("--x", "xs", type=RATIONAL, multiple=True,
@@ -106,6 +111,8 @@ def cmd_minima(alpha, beta, a_, b_, width, samples, xs, y_, seed, gap, p_, eps,
         t = BenchmarkTarget(alpha, beta, a_, b_)
     except DomainError as exc:
         raise click.UsageError(str(exc)) from exc
+    if not y_ > 0.0:
+        raise click.UsageError("--y must be positive")
     if xs:
         positions = list(xs)
     else:
@@ -222,7 +229,8 @@ def _default_benchmark() -> BenchmarkTarget:
 @main.command("train")
 @click.option("--target", "target_file", type=click.Path(), default=None,
               help="Target spec JSON; defaults to the benchmark target.")
-@click.option("--h", "--H", "width", type=int, default=4, show_default=True)
+@click.option("--h", "--H", "width", type=click.IntRange(min=1), default=4,
+              show_default=True)
 @click.option("--lr", type=RATIONAL, default=1 / 20, show_default="1/20")
 @click.option("--grad-tol", type=RATIONAL, default=1e-4, show_default=True)
 @click.option("--max-iters", type=int, default=10_000_000, show_default=True)
@@ -241,9 +249,9 @@ def cmd_train(target_file, width, lr, grad_tol, max_iters, seed, runs, dedup,
     try:
         cfg = TrainConfig(H=width, lr=lr, grad_tol=grad_tol, max_iters=max_iters,
                           master_seed=seed, runs=runs, dedup_l2=dedup)
+        threads = _worker_count(runs)
     except DomainError as exc:
         raise click.UsageError(str(exc)) from exc
-    threads = int(os.environ.get("RELULAND_THREADS", "1") or 1)
     report = ensemble(t, cfg, threads=threads)
     ok = all(r.converged for r in report.runs) and not any(r.diverged for r in report.runs)
     doc = {
@@ -282,7 +290,8 @@ def cmd_train(target_file, width, lr, grad_tol, max_iters, seed, runs, dedup,
 
 @main.command("gf")
 @click.option("--target", "target_file", type=click.Path(), default=None)
-@click.option("--h", "--H", "width", type=int, default=1, show_default=True)
+@click.option("--h", "--H", "width", type=click.IntRange(min=1), default=1,
+              show_default=True)
 @click.option("--theta0", "theta_file", type=click.Path(), default=None,
               help="Initial Params JSON; defaults to a seeded Xavier draw.")
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -296,8 +305,12 @@ def cmd_gf(target_file, width, theta_file, seed, t_end, rtol, out_dir, force):
         raise click.UsageError("t-end and rtol must be positive")
     t = _load_target(target_file) if target_file else _default_benchmark()
     if theta_file:
-        from .network import params_from_json
-        p0 = params_from_json(Path(theta_file).read_text())
+        try:
+            p0 = params_from_json(Path(theta_file).read_text())
+        except OSError as exc:
+            raise click.UsageError(f"cannot read --theta0 file: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise click.UsageError(f"bad --theta0 file: {exc}") from exc
     else:
         p0 = xavier_init(width, seed)
     run = gf_run(p0, t, t_end, rtol)

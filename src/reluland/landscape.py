@@ -7,11 +7,14 @@ integrals of f and x*f, so every gradient component is a finite closed
 form.  The gradient formula is defined everywhere, including configurations
 where the risk is not classically differentiable; it agrees with the
 classical gradient wherever the latter exists.
+
+Risk and gradient read the network's geometry from the shared kernel
+``network._geometry_nodes`` (the same node list that ``canonical`` and
+``l2_distance`` use), through ``_Geometry``.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NonsmoothPointError, NotCriticalError
-from .network import Params
+from .network import Params, _geometry_nodes, _pl_sq_integral
 from .target import BenchmarkTarget, Target
 
 __all__ = [
@@ -65,55 +68,36 @@ class GradientVector:
 class _Geometry:
     """Piecewise-linear geometry of the network plus target antiderivatives.
 
-    ``nodes`` are a, the distinct kinks inside (a, b), and b.  At every
-    node the running integrals from a of N and x*N (``net0``, ``net1``)
-    and of f and x*f (``F``, ``G``) are evaluated once, so that
-    S0 = int (N - f) and S1 = int x (N - f) between two nodes, which is all
-    the gradient and risk formulas need, are differences of node values.
+    ``nodes`` and ``vals`` come from the shared kernel
+    ``network._geometry_nodes``: a, the distinct kinks inside (a, b), b and
+    N there.  At every node the running integrals from a of N and x*N
+    (``net0``, ``net1``) and of f and x*f (``F``, ``G``) are evaluated once,
+    so that S0 = int (N - f) and S1 = int x (N - f) between two nodes,
+    which is all the gradient and risk formulas need, are differences of
+    node values.
     """
 
-    __slots__ = ("a", "b", "nodes", "vals", "slopes", "net0", "net1", "F", "G", "t")
+    __slots__ = ("a", "b", "nodes", "vals", "slopes", "net0", "net1", "F", "G")
 
     def __init__(self, theta: Sequence[float], H: int, t: Target):
         a, b = t.domain
         self.a = a
         self.b = b
-        self.t = t
-        c = theta[3 * H]
-        neurons = list(zip(theta[:H], theta[H:2 * H], theta[2 * H:3 * H]))
-        events = []
-        for w, bj, _ in neurons:
-            if w != 0.0:
-                q = -bj / w
-                if a < q < b:
-                    events.append(q)
-        events.sort()
-        nodes = [a]
-        for q in events:
-            if q > nodes[-1]:
-                nodes.append(q)
-        nodes.append(b)
-        vals = []
-        for x in nodes:
-            acc = c
-            for w, bj, v in neurons:
-                z = bj + w * x
-                if z > 0.0:
-                    acc += v * z
-            vals.append(acc)
+        nodes, vals = _geometry_nodes(theta, H, a, b)
+        last = len(nodes) - 2  # the segment that ends at b
         slopes = []
-        for i in range(len(nodes) - 1):
-            slopes.append((vals[i + 1] - vals[i]) / (nodes[i + 1] - nodes[i]))
-        # At an interior node x the running-integral formula of _net_cum
-        # adds exactly +-0.0 to the prefix sums, so these are its values
-        # there; b ends a segment and takes the formula itself.
         net0 = [0.0]
         net1 = [0.0]
-        for i in range(len(nodes) - 2):
+        for i in range(last + 1):
             x0, x1 = nodes[i], nodes[i + 1]
-            y0, y1 = vals[i], vals[i + 1]
-            m = slopes[i]
+            y0 = vals[i]
+            m = (vals[i + 1] - y0) / (x1 - x0)
             k = y0 - m * x0
+            # b ends the last segment, where the running integral takes N
+            # from the slope; at an interior node that formula adds exactly
+            # +-0.0 to these prefix sums, so they are its values there.
+            y1 = vals[i + 1] if i < last else y0 + m * (x1 - x0)
+            slopes.append(m)
             net0.append(net0[-1] + (x1 - x0) * (y0 + y1) * 0.5)
             net1.append(net1[-1] + m * (x1 ** 3 - x0 ** 3) / 3.0 + k * (x1 ** 2 - x0 ** 2) * 0.5)
         self.nodes = nodes
@@ -121,40 +105,10 @@ class _Geometry:
         self.slopes = slopes
         self.net0 = net0
         self.net1 = net1
-        n0, n1 = self._net_cum(len(slopes) - 1, b)
-        net0.append(n0)
-        net1.append(n1)
         self.F, self.G = zip(*map(t.cum_int_xint, nodes))
 
-    def _net_cum(self, i: int, x: float) -> tuple[float, float]:
-        """Running integrals of N and x*N up to x on segment i."""
-        x0 = self.nodes[i]
-        y0 = self.vals[i]
-        m = self.slopes[i]
-        y = y0 + m * (x - x0)
-        k = y0 - m * x0
-        return (self.net0[i] + (x - x0) * (y0 + y) * 0.5,
-                self.net1[i] + m * (x ** 3 - x0 ** 3) / 3.0 + k * (x ** 2 - x0 ** 2) * 0.5)
-
-    def _net_cum_at(self, x: float) -> tuple[float, float]:
-        i = bisect.bisect_right(self.nodes, x) - 1
-        return self._net_cum(min(max(i, 0), len(self.slopes) - 1), x)
-
-    def span_integrals(self, lo: float, hi: float) -> tuple[float, float]:
-        """(S0, S1) between arbitrary points lo <= hi of [a, b]."""
-        n0l, n1l = self._net_cum_at(lo)
-        n0h, n1h = self._net_cum_at(hi)
-        fl, gl = self.t.cum_int_xint(lo)
-        fh, gh = self.t.cum_int_xint(hi)
-        return (n0h - n0l) - (fh - fl), (n1h - n1l) - (gh - gl)
-
     def net_sq_int(self) -> float:
-        total = 0.0
-        for i in range(len(self.slopes)):
-            x0, x1 = self.nodes[i], self.nodes[i + 1]
-            y0, y1 = self.vals[i], self.vals[i + 1]
-            total += (x1 - x0) * (y0 * y0 + y0 * y1 + y1 * y1) / 3.0
-        return total
+        return _pl_sq_integral(self.nodes, self.vals)
 
     def net_f_int(self) -> float:
         total = 0.0
@@ -237,14 +191,7 @@ def risk(p: Params, t: Target, tol: float = 1e-12, method: str = "gauss_kronrod"
 
 def _smooth_breakpoints(theta, H, t):
     a, b = t.domain
-    pts = list(t.breakpoints())
-    for j in range(H):
-        w = theta[j]
-        if w != 0.0:
-            q = -theta[H + j] / w
-            if a < q < b:
-                pts.append(q)
-    return pts
+    return list(t.breakpoints()) + _geometry_nodes(theta, H, a, b)[0][1:-1]
 
 
 def risk_smooth(p: Params, t: Target, r: int, tol: float = 1e-10) -> float:

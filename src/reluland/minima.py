@@ -105,12 +105,11 @@ def verify_zero_integrals(t: BenchmarkTarget, q: float) -> tuple[float, float, f
     kink and of x(N - f) right of it.  All should vanish."""
     if not (t.alpha < q < t.beta):
         raise DomainError(f"q={q!r} outside (alpha, beta)")
-    sample = sample_M(t, 1, q, 1.0, seed=0)
-    geo = _Geometry(sample.theta.theta, 1, t)
-    qq = t.a + q * (t.b - t.a)
-    left0, _ = geo.span_integrals(t.a, qq)
-    right0, right1 = geo.span_integrals(qq, t.b)
-    return (left0, right0, right1)
+    geo = _Geometry(sample_M(t, 1, q, 1.0, seed=0).theta.theta, 1, t)
+    n0, n1, F, G = geo.net0, geo.net1, geo.F, geo.G  # nodes a, the kink, b
+    return ((n0[1] - n0[0]) - (F[1] - F[0]),
+            (n0[2] - n0[1]) - (F[2] - F[1]),
+            (n1[2] - n1[1]) - (G[2] - G[1]))
 
 
 def two_kink_witness(t: BenchmarkTarget, H: int, p: float, eps: float,

@@ -4,6 +4,13 @@ Parameter layout for width H (vector length 3H+1, 0-based index j):
 inner weights ``theta[j]``, inner biases ``theta[H+j]``, outer weights
 ``theta[2H+j]`` for j = 0..H-1, and the output offset ``theta[3H]``.
 
+``_geometry_nodes`` is the one piecewise-linear geometry kernel: it sorts
+the network's kinks and evaluates N_theta at the nodes (a, the distinct
+kinks inside (a, b), b).  Risk and gradient (through
+``landscape._Geometry``) and ``canonical`` read it, and
+``_pl_sq_integral``, the exact integral of a squared piecewise-linear
+function, serves both the risk and ``l2_distance``.
+
 ``canonical`` reduces a parameter vector to its realization: a continuous
 piecewise-linear function given by sorted interior kinks, per-segment
 slopes and the value at the left endpoint.  Distinct parameter vectors
@@ -52,6 +59,8 @@ class Params:
             raise ValueError(f"theta must have length {3 * self.H + 1}, "
                              f"got {len(self.theta)}")
         object.__setattr__(self, "theta", tuple(float(x) for x in self.theta))
+        if not all(map(math.isfinite, self.theta)):
+            raise DomainError("theta must be finite")
 
     @classmethod
     def from_parts(cls, w: Sequence[float], b: Sequence[float],
@@ -184,76 +193,101 @@ class Realization:
         return out
 
 
+def _geometry_nodes(theta: Sequence[float], H: int, a: float,
+                    b: float) -> tuple[list[float], list[float]]:
+    """Nodes a, the distinct kinks -b_j/w_j inside (a, b) in increasing
+    order, and b, with N_theta evaluated at each node."""
+    c = theta[3 * H]
+    neurons = list(zip(theta[:H], theta[H:2 * H], theta[2 * H:3 * H]))
+    events = []
+    for w, bj, _ in neurons:
+        if w != 0.0:
+            q = -bj / w
+            if a < q < b:
+                events.append(q)
+    events.sort()
+    nodes = [a]
+    for q in events:
+        if q > nodes[-1]:
+            nodes.append(q)
+    nodes.append(b)
+    vals = []
+    for x in nodes:
+        acc = c
+        for w, bj, v in neurons:
+            z = bj + w * x
+            if z > 0.0:
+                acc += v * z
+        vals.append(acc)
+    return nodes, vals
+
+
+def _pl_sq_integral(nodes: Sequence[float], vals: Sequence[float]) -> float:
+    """Exact integral of the square of the linear interpolant of
+    (nodes, vals)."""
+    total = 0.0
+    for i in range(len(nodes) - 1):
+        x0, x1 = nodes[i], nodes[i + 1]
+        y0, y1 = vals[i], vals[i + 1]
+        total += (x1 - x0) * (y0 * y0 + y0 * y1 + y1 * y1) / 3.0
+    return total
+
+
 def canonical(p: Params, a: float, b: float) -> Realization:
     """Canonical piecewise-linear form of the realization on [a, b].
 
-    Sorts the active kinks -b_j/w_j that fall inside (a, b), accumulates
-    slope contributions v_j*w_j on the active sides, merges kinks that
-    coincide within 1e-12 and drops neurons with no effect on [a, b].
+    Adds each neuron's slope contribution v_j*w_j on its active side, at
+    its kink's geometry node, merges kinks that coincide within 1e-12 and
+    drops kinks with no slope change.
     """
     if not b > a:
         raise DomainError("need b > a")
     H = p.H
     th = p.theta
+    nodes, vals = _geometry_nodes(th, H, a, b)
+    at = dict(zip(nodes, range(len(nodes))))
+    node_deltas = [0.0] * len(nodes)
     base_slope = 0.0
-    events: list[tuple[float, float]] = []
     slope_scale = 1.0
     for j in range(H):
         w = th[j]
-        bj = th[H + j]
-        v = th[2 * H + j]
-        vw = v * w
+        vw = th[2 * H + j] * w
         slope_scale += abs(vw)
         if w == 0.0:
             continue
-        q = -bj / w
+        q = -th[H + j] / w
         if w > 0.0:
             if q <= a:
                 base_slope += vw
             elif q < b:
-                events.append((q, vw))
-        else:
-            if q >= b:
-                base_slope += vw
-            elif q > a:
-                base_slope += vw
-                events.append((q, -vw))
-    events.sort()
+                node_deltas[at[q]] += vw
+        elif q > a:
+            base_slope += vw
+            if q < b:
+                node_deltas[at[q]] -= vw
     kinks: list[float] = []
     deltas: list[float] = []
-    for q, d in events:
+    for q, d in zip(nodes[1:-1], node_deltas[1:-1]):
         if kinks and q - kinks[-1] <= KINK_MERGE_TOL:
             deltas[-1] += d
         else:
             kinks.append(q)
             deltas.append(d)
     # drop kinks with no slope change, merging the adjacent segments
-    keep_k: list[float] = []
-    keep_d: list[float] = []
-    for q, d in zip(kinks, deltas):
-        if abs(d) <= 1e-12 * slope_scale:
-            continue
-        keep_k.append(q)
-        keep_d.append(d)
+    keep = [(q, d) for q, d in zip(kinks, deltas) if abs(d) > 1e-12 * slope_scale]
     slopes = [base_slope]
-    for d in keep_d:
+    for _, d in keep:
         slopes.append(slopes[-1] + d)
-    return Realization(a, b, tuple(keep_k), tuple(slopes), realize(p, a))
+    return Realization(a, b, tuple(q for q, _ in keep), tuple(slopes), vals[0])
 
 
 def l2_distance(u: Realization, v: Realization) -> float:
     """Exact L2([a,b]) distance between two piecewise-linear functions."""
     if u.a != v.a or u.b != v.b:
         raise DomainError("realizations live on different domains")
-    grid = sorted(set(u.kinks) | set(v.kinks))
-    nodes = [u.a] + grid + [u.b]
-    total = 0.0
-    d0 = u.eval(nodes[0]) - v.eval(nodes[0])
-    for x0, x1 in zip(nodes, nodes[1:]):
-        d1 = u.eval(x1) - v.eval(x1)
-        total += (x1 - x0) * (d0 * d0 + d0 * d1 + d1 * d1) / 3.0
-        d0 = d1
-    return math.sqrt(max(total, 0.0))
+    nodes = [u.a, *sorted(set(u.kinks) | set(v.kinks)), u.b]
+    diffs = [u.eval(x) - v.eval(x) for x in nodes]
+    return math.sqrt(max(_pl_sq_integral(nodes, diffs), 0.0))
 
 
 def params_to_json(p: Params) -> str:

@@ -337,6 +337,8 @@ def parse_target_json(text: str) -> Target:
             pieces = [Polynomial([float(c) for c in cs]) for cs in doc["pieces"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad piecewise_poly spec: {exc}") from exc
+        if not all(map(math.isfinite, bps + [c for p in pieces for c in p.coeffs])):
+            raise DomainError("breakpoints and coefficients must be finite")
         if any(x >= y for x, y in zip(bps, bps[1:])):
             raise DomainError("breakpoints must be strictly increasing")
         try:
@@ -345,13 +347,13 @@ def parse_target_json(text: str) -> Target:
             raise DomainError(str(exc)) from exc
     if kind == "benchmark":
         try:
-            return BenchmarkTarget(float(doc["alpha"]), float(doc["beta"]),
-                                   float(doc.get("a", 0.0)), float(doc.get("b", 1.0)),
-                                   float(doc.get("scale", 1.0)))
+            fields = [float(doc["alpha"]), float(doc["beta"]), float(doc.get("a", 0.0)),
+                      float(doc.get("b", 1.0)), float(doc.get("scale", 1.0))]
         except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, DomainError):
-                raise
             raise DomainError(f"bad benchmark spec: {exc}") from exc
+        if not all(map(math.isfinite, fields)):
+            raise DomainError("benchmark fields must be finite")
+        return BenchmarkTarget(*fields)
     raise DomainError(f"unknown target kind {kind!r}")
 
 

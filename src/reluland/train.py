@@ -173,6 +173,25 @@ def _one_seeded_run(args) -> TrainRun:
     return gd_run(xavier_init(cfg.H, seed, cfg.effective_weight_var), t, cfg, seed=seed)
 
 
+def _worker_count(runs: int, threads: int | None = None) -> int:
+    """Worker processes for an ensemble of ``runs`` seeds.
+
+    ``threads`` defaults to the RELULAND_THREADS environment variable,
+    where unset or empty means 1 and anything else must be a positive
+    integer (DomainError otherwise).  The count is capped at ``runs`` and
+    the CPU count.
+    """
+    if threads is None:
+        raw = os.environ.get("RELULAND_THREADS") or "1"
+        try:
+            threads = int(raw)
+        except ValueError:
+            threads = 0
+        if threads < 1:
+            raise DomainError(f"RELULAND_THREADS must be a positive integer, got {raw!r}")
+    return min(threads, runs, os.cpu_count() or 1)
+
+
 def ensemble(t: Target, cfg: TrainConfig, threads: int | None = None) -> EnsembleReport:
     """Train runs seeds master_seed..master_seed+runs-1, then greedily
     deduplicate realizations in run order at L2 distance dedup_l2.
@@ -181,8 +200,7 @@ def ensemble(t: Target, cfg: TrainConfig, threads: int | None = None) -> Ensembl
     merged in seed order whatever the execution order, so the report is a
     pure function of (target, config).
     """
-    if threads is None:
-        threads = int(os.environ.get("RELULAND_THREADS", "1") or 1)
+    threads = _worker_count(cfg.runs, threads)
     seeds = list(range(cfg.master_seed, cfg.master_seed + cfg.runs))
     jobs = [(t, cfg, s) for s in seeds]
     if threads > 1:
@@ -235,8 +253,8 @@ def gf_run(p0: Params, t: Target, t_end: float, rtol: float = 1e-8,
     the next step size.  Steps shrinking below 1e-12 abort with a partial
     result flagged ``step_underflow``.
     """
-    if t_end <= 0 or rtol <= 0:
-        raise DomainError("t_end and rtol must be positive")
+    if not (0.0 < t_end < math.inf and 0.0 < rtol < math.inf):
+        raise DomainError("t_end and rtol must be positive and finite")
     H = p0.H
     n = len(p0.theta)
 

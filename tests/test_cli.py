@@ -15,8 +15,8 @@ def load_schema(name):
     return json.loads((SCHEMA_DIR / name).read_text())
 
 
-def run_cli(args):
-    return CliRunner().invoke(main, args, catch_exceptions=False)
+def run_cli(args, env=None):
+    return CliRunner().invoke(main, args, env=env, catch_exceptions=False)
 
 
 def write_xsq(tmp_path):
@@ -156,3 +156,43 @@ def test_minima_failed_gap_certificate_exits_1(tmp_path):
     jsonschema.validate(doc, load_schema("minima_report.schema.json"))
     assert doc["gap"]["pass"] is False
     assert doc["pass"] is False
+
+
+# each case: command line (file names resolve in tmp_path) and its report
+INPUT_ERRORS = {
+    "gf-theta0-nan": (["gf", "--theta0", "nan_theta.json", "--t-end", "1"], "gf_report.json"),
+    "gf-theta0-missing": (["gf", "--theta0", "missing.json"], "gf_report.json"),
+    "gf-theta0-malformed": (["gf", "--theta0", "bad_theta.json"], "gf_report.json"),
+    "gf-t-end-inf": (["gf", "--t-end", "inf"], "gf_report.json"),
+    "gf-rtol-nan": (["gf", "--rtol", "nan"], "gf_report.json"),
+    "gf-h-0": (["gf", "--h", "0"], "gf_report.json"),
+    "enumerate-nan-coefficient": (["enumerate", "--target", "nan_target.json"], "catalog.json"),
+    "minima-h-0": (["minima", "--h", "0"], "minima_report.json"),
+    "minima-y-0": (["minima", "--y", "0"], "minima_report.json"),
+    "minima-y-inf": (["minima", "--y", "1e400"], "minima_report.json"),
+    "train-h-0": (["train", "--h", "0"], "ensemble_report.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_error_exits_2_without_report(tmp_path, case):
+    (tmp_path / "nan_theta.json").write_text('{"H": 1, "theta": [NaN, 0.0, 1.0, 0.0]}')
+    (tmp_path / "bad_theta.json").write_text('{"H": 1, "theta": [1.0]}')
+    (tmp_path / "nan_target.json").write_text(
+        '{"kind": "piecewise_poly", "breakpoints": [0, 1], "pieces": [[0, NaN, 1]]}')
+    args, report = INPUT_ERRORS[case]
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    res = run_cli(args + ["--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert sum(line.startswith("Error:") for line in res.output.splitlines()) == 1
+    assert not (tmp_path / "out" / report).exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-3"])
+def test_train_bad_threads_env_exits_2(tmp_path, threads):
+    res = run_cli(["train", "--runs", "1", "--h", "1", "--out", str(tmp_path)],
+                  env={"RELULAND_THREADS": threads})
+    assert res.exit_code == 2, res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and "RELULAND_THREADS" in errors[0]
+    assert not (tmp_path / "ensemble_report.json").exists()

@@ -9,8 +9,8 @@ from reluland import (BenchmarkTarget, CritClass, Params, classify,
                       closed_hessian_M, fd_gradient, grad, grad_smooth,
                       hessian_fd, risk, risk_smooth, sample_M, scale_target)
 from reluland.errors import DomainError, NonsmoothPointError, NotCriticalError
-from reluland.landscape import (HessianReport, _Geometry, _report_from_matrix,
-                                grad_theta, risk_theta)
+from reluland.landscape import (HessianReport, _report_from_matrix, grad_theta,
+                                risk_theta)
 
 from conftest import poly_target, rng_for
 
@@ -378,17 +378,13 @@ def _bit_case(draw):
             kinks.append(j)
     v = [draw(_unit) * 2.0 for _ in range(H)]
     c = draw(_unit)
-    lo, hi = sorted(a + (b - a) * draw(st.floats(0.0, 1.0)) for _ in range(2))
-    return t, H, w + bias + v + [c], (lo, hi)
+    return t, H, w + bias + v + [c]
 
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(_bit_case())
 def test_node_kernel_bit_identical_to_per_interval_formula(case):
-    t, H, theta, (lo, hi) = case
+    t, H, theta = case
     got = [x.hex() for x in grad_theta(theta, H, t)]
     assert got == [x.hex() for x in _ref_grad(theta, H, t)]
     assert risk_theta(theta, H, t).hex() == _ref_risk(theta, H, t).hex()
-    ref = _RefIntegrals(theta, H, t)
-    s0, s1 = _Geometry(theta, H, t).span_integrals(lo, hi)
-    assert (s0.hex(), s1.hex()) == (ref.s0(lo, hi).hex(), ref.s1(lo, hi).hex())

@@ -1,12 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reluland import (Params, SmoothActivation, canonical, l2_distance,
                       params_from_json, params_to_json, realize, realize_smooth,
                       sample_M, write_realization_csv)
 from reluland.errors import DomainError
-from reluland.network import Realization
+from reluland.network import KINK_MERGE_TOL, Realization
 
 from conftest import rng_for
 
@@ -40,6 +41,11 @@ def test_params_validation():
         Params(2, (1.0, 2.0, 3.0))
     with pytest.raises(ValueError):
         Params(0, (1.0,))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            Params(1, (1.0, bad, 1.0, 0.0))
+    with pytest.raises(DomainError):
+        params_from_json('{"H": 1, "theta": [NaN, 0.0, 1.0, 0.0]}')
 
 
 def test_smooth_activation_values():
@@ -166,3 +172,137 @@ def test_realization_csv(tmp_path):
     assert len(lines) == 12
     x, y = (float(s) for s in lines[-1].split(","))
     assert (x, y) == (1.0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# canonical form and L2 distance on the shared geometry kernel, against
+# the per-neuron event-sort formulas they replaced
+# ---------------------------------------------------------------------------
+
+def _ref_canonical(p, a, b):
+    H = p.H
+    th = p.theta
+    base_slope = 0.0
+    events = []
+    slope_scale = 1.0
+    for j in range(H):
+        w, bj, v = th[j], th[H + j], th[2 * H + j]
+        vw = v * w
+        slope_scale += abs(vw)
+        if w == 0.0:
+            continue
+        q = -bj / w
+        if w > 0.0:
+            if q <= a:
+                base_slope += vw
+            elif q < b:
+                events.append((q, vw))
+        else:
+            if q >= b:
+                base_slope += vw
+            elif q > a:
+                base_slope += vw
+                events.append((q, -vw))
+    events.sort()
+    kinks, deltas = [], []
+    for q, d in events:
+        if kinks and q - kinks[-1] <= KINK_MERGE_TOL:
+            deltas[-1] += d
+        else:
+            kinks.append(q)
+            deltas.append(d)
+    keep_k, keep_d = [], []
+    for q, d in zip(kinks, deltas):
+        if abs(d) <= 1e-12 * slope_scale:
+            continue
+        keep_k.append(q)
+        keep_d.append(d)
+    slopes = [base_slope]
+    for d in keep_d:
+        slopes.append(slopes[-1] + d)
+    return Realization(a, b, tuple(keep_k), tuple(slopes), realize(p, a))
+
+
+def _ref_l2_distance(u, v):
+    grid = sorted(set(u.kinks) | set(v.kinks))
+    nodes = [u.a] + grid + [u.b]
+    total = 0.0
+    d0 = u.eval(nodes[0]) - v.eval(nodes[0])
+    for x0, x1 in zip(nodes, nodes[1:]):
+        d1 = u.eval(x1) - v.eval(x1)
+        total += (x1 - x0) * (d0 * d0 + d0 * d1 + d1 * d1) / 3.0
+        d0 = d1
+    return math.sqrt(max(total, 0.0))
+
+
+_DOMAINS = ((0.0, 1.0), (-1.0, 1.0), (-0.5, 1.5))
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+def _draw_params(draw, H, a, b, pool):
+    """Width-H parameters whose kinks come from, or land within 1e-12 of,
+    the shared kink pool; power-of-two weights make -(-w q) / w == q."""
+    w, bias, v = [], [], []
+    for _ in range(H):
+        mode = draw(st.sampled_from(("random", "at_a", "at_b", "shared", "close",
+                                     "w0", "v0")))
+        w2 = draw(st.sampled_from((-1.0, 1.0))) * 2.0 ** draw(st.integers(-3, 3))
+        if mode == "w0":
+            w.append(draw(st.sampled_from((0.0, -0.0))))
+            bias.append(draw(st.sampled_from((-0.5, 0.0, -0.0, 0.25))))
+        elif mode == "random":
+            q = a + (b - a) * draw(st.floats(-0.2, 1.2))
+            wr = draw(_unit)
+            w.append(wr if wr != 0.0 else w2)
+            bias.append(-w[-1] * q)
+        else:
+            if mode in ("at_a", "at_b") or not pool:
+                q = a if mode == "at_a" else b
+            else:
+                q = draw(st.sampled_from(pool))
+            if mode == "close":
+                q += draw(st.floats(-1e-12, 1e-12))
+            w.append(w2)
+            bias.append(-w2 * q)
+        if w[-1] != 0.0:
+            pool.append(-bias[-1] / w[-1])
+        v.append(0.0 if mode == "v0" else 2.0 * draw(_unit))
+    return Params.from_parts(w, bias, v, draw(_unit))
+
+
+@st.composite
+def _pair_case(draw):
+    a, b = draw(st.sampled_from(_DOMAINS))
+    pool = []
+    p1 = _draw_params(draw, draw(st.integers(1, 6)), a, b, pool)
+    p2 = _draw_params(draw, draw(st.integers(1, 6)), a, b, pool)
+    xs = [a + (b - a) * draw(st.floats(0.0, 1.0)) for _ in range(4)]
+    return a, b, p1, p2, xs
+
+
+def _close_triple(p, a, b):
+    """Whether three or more kinks inside (a, b) lie within 1e-12."""
+    qs = sorted(-p.b(j) / p.w(j) for j in range(p.H)
+                if p.w(j) != 0.0 and a < -p.b(j) / p.w(j) < b)
+    return any(hi - lo <= KINK_MERGE_TOL for lo, hi in zip(qs, qs[2:]))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_pair_case())
+def test_canonical_and_l2_match_reference(case):
+    a, b, p1, p2, xs = case
+    refs = [_ref_canonical(p, a, b) for p in (p1, p2)]
+    assert (l2_distance(*refs).hex() == _ref_l2_distance(*refs).hex())
+    for p, ref in zip((p1, p2), refs):
+        got = canonical(p, a, b)
+        if _close_triple(p, a, b):
+            # the slope deltas of one merged kink are summed in another order
+            scale = 1.0 + sum(abs(p.v(j) * p.w(j)) for j in range(p.H))
+            assert (got.kinks, got.offset) == (ref.kinks, ref.offset)
+            assert got.slopes == pytest.approx(ref.slopes, rel=0.0, abs=1e-12 * scale)
+        else:
+            assert got == ref
+        size = 1.0 + abs(p.c) + sum(abs(p.v(j)) * (abs(p.w(j)) * max(abs(a), abs(b))
+                                                   + abs(p.b(j))) for j in range(p.H))
+        for x in xs + [a, b, *got.kinks]:
+            assert got.eval(x) == pytest.approx(realize(p, x), rel=0.0, abs=1e-10 * size)

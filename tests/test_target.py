@@ -163,3 +163,17 @@ def test_parser_rejects_bad_input():
         parse_target_json('{"kind":"piecewise_poly","breakpoints":[0,0],"pieces":[[1]]}')
     with pytest.raises(DomainError):
         parse_target_json('{"kind":"benchmark","alpha":0.9,"beta":0.1}')
+
+
+@pytest.mark.parametrize("spec", [
+    '{"kind":"piecewise_poly","breakpoints":[0,NaN],"pieces":[[1]]}',
+    '{"kind":"piecewise_poly","breakpoints":[0,Infinity],"pieces":[[1]]}',
+    '{"kind":"piecewise_poly","breakpoints":[0,1],"pieces":[[0,NaN,1]]}',
+    '{"kind":"piecewise_poly","breakpoints":[0,1],"pieces":[[-Infinity]]}',
+    '{"kind":"benchmark","alpha":0.25,"beta":0.5,"scale":NaN}',
+    '{"kind":"benchmark","alpha":0.25,"beta":0.5,"a":-Infinity,"b":1}',
+    '{"kind":"benchmark","alpha":0.25,"beta":0.5,"a":0,"b":Infinity}',
+])
+def test_parser_rejects_non_finite(spec):
+    with pytest.raises(DomainError, match="finite"):
+        parse_target_json(spec)
