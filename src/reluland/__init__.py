@@ -12,8 +12,7 @@ from .errors import (AccuracyError, DegenerateEnumerationError, DomainError,
                      NotCriticalError, WitnessError)
 from .polyalg import PiecewisePolynomial, Polynomial, reparametrize, roots_in
 from .target import (BenchmarkTarget, PolyTarget, Target, parse_target_json,
-                     scale_target, target_eval, target_int, target_sq_int,
-                     target_to_json, target_xint)
+                     scale_target, target_to_json)
 from .network import (Params, Realization, SmoothActivation, canonical,
                       l2_distance, params_from_json, params_to_json, realize,
                       realize_smooth, write_realization_csv)

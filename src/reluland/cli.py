@@ -21,7 +21,8 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .errors import DomainError, FinitenessError, WitnessError
+from .errors import (DegenerateEnumerationError, DomainError, FinitenessError,
+                     WitnessError)
 from .landscape import closed_hessian_M, grad, hessian_fd, risk
 from .minima import certify_gap, minima_risk, sample_M, verify_zero_integrals
 from .network import params_from_json, write_realization_csv
@@ -66,7 +67,7 @@ def _out_path(out_dir: str, name: str, force: bool) -> Path:
 
 def _write_json(path: Path, doc: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION, **doc}
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _load_target(target_file: str):
@@ -195,7 +196,7 @@ def cmd_enumerate(target_file, dedup, grid_n, out_dir, force):
     t = _load_target(target_file)
     try:
         catalog = enumerate_all(t, dedup=dedup)
-    except FinitenessError as exc:
+    except (FinitenessError, DegenerateEnumerationError) as exc:
         raise click.UsageError(str(exc)) from exc
     reports = (grid_oracle(t), grid_oracle(t, orientation="decreasing"))
     oracle_ok = oracle_check(t, reports=reports)

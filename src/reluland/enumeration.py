@@ -38,6 +38,7 @@ __all__ = [
 RESIDUAL_TOL = 1e-9
 VW_EXCLUSION_TOL = 1e-12
 ROOT_TOL = 1e-12
+BREAKPOINT_MARGIN = 1e-9
 DEDUP_DEFAULT = 1e-8
 
 
@@ -99,17 +100,11 @@ def _kink_poly(f01: PiecewisePolynomial, j: int) -> Polynomial:
     """The defining polynomial D_j(q) on piece j of the normalized target:
     D(q) = (1-q)^2 * int_0^q f  -  2q * int_q^1 (q + 2 - 3x) f(x) dx,
     expanded coefficient-exactly in q."""
-    x_lo = f01.breakpoints[j]
-    piece = f01.pieces[j]
-    C0 = f01.moment(0, 0.0, x_lo)
-    C1 = f01.moment(1, 0.0, x_lo)
     T0 = f01.moment(0, 0.0, 1.0)
     T1 = f01.moment(1, 0.0, 1.0)
-    anti0 = piece.antiderivative()
-    anti1 = piece.shift_up(1).antiderivative()
     # int_0^q f and int_0^q x f as polynomials in q, valid on the piece
-    p0 = anti0 + Polynomial([C0 - anti0(x_lo)])
-    p1 = anti1 + Polynomial([C1 - anti1(x_lo)])
+    p0 = f01.running_poly(0, j)
+    p1 = f01.running_poly(1, j)
     int_q1 = Polynomial([T0]) - p0
     int_q1_x = Polynomial([T1]) - p1
     one_minus_q_sq = Polynomial([1.0, -2.0, 1.0])
@@ -121,12 +116,8 @@ def _kink_poly(f01: PiecewisePolynomial, j: int) -> Polynomial:
 def _vw_numerator(f01: PiecewisePolynomial, j: int) -> Polynomial:
     """q * (int_0^1 f - (1/q) int_0^q f) as a polynomial in q on piece j;
     its zeros are the kink positions with vanishing active-side slope."""
-    x_lo = f01.breakpoints[j]
-    piece = f01.pieces[j]
-    C0 = f01.moment(0, 0.0, x_lo)
     T0 = f01.moment(0, 0.0, 1.0)
-    anti0 = piece.antiderivative()
-    p0 = anti0 + Polynomial([C0 - anti0(x_lo)])
+    p0 = f01.running_poly(0, j)
     return Polynomial([0.0, T0]) - p0
 
 
@@ -149,8 +140,8 @@ def _kink_roots(f01: PiecewisePolynomial):
     positions and those excluded by a vanishing slope."""
     T0 = f01.moment(0, 0.0, 1.0)
     scale_ref = max(1.0, f01.coeff_scale())
-    admissible: list[float] = []
-    excluded: list[float] = []
+    found: list[float] = []
+    spilled: list[float] = []
     for j in range(len(f01.pieces)):
         D = _kink_poly(f01, j)
         if D.coeff_scale() <= 1e-11 * scale_ref:
@@ -172,14 +163,24 @@ def _kink_roots(f01: PiecewisePolynomial):
             continue
         lo = f01.breakpoints[j]
         hi = f01.breakpoints[j + 1]
-        for q in roots_in(D, lo, hi, ROOT_TOL):
-            if not (1e-9 < q < 1.0 - 1e-9):
-                continue  # boundary kinks reduce to the affine/constant cases
-            int0q = f01.moment(0, 0.0, q)
-            if abs(T0 - int0q / q) <= VW_EXCLUSION_TOL:
-                excluded.append(q)
-            else:
-                admissible.append(q)
+        found += roots_in(D, lo, hi, ROOT_TOL)
+        # rounding can push a root on a breakpoint just outside both adjacent
+        # pieces; D is C^1 there, so D_j holds to O(margin^2) past its piece
+        for a, b in ((lo - BREAKPOINT_MARGIN, lo), (hi, hi + BREAKPOINT_MARGIN)):
+            if D(a) * D(b) < 0.0:
+                spilled += roots_in(D, a, b, ROOT_TOL)
+    found += [q for q in spilled if all(abs(q - r) >= 1e-9 for r in found)]
+
+    admissible: list[float] = []
+    excluded: list[float] = []
+    for q in found:
+        if not (1e-9 < q < 1.0 - 1e-9):
+            continue  # boundary kinks reduce to the affine/constant cases
+        int0q = f01.moment(0, 0.0, q)
+        if abs(T0 - int0q / q) <= VW_EXCLUSION_TOL:
+            excluded.append(q)
+        else:
+            admissible.append(q)
 
     def dedup(xs):
         xs = sorted(xs)

@@ -3,8 +3,11 @@
 Coefficients are plain doubles in ascending order (``coeffs[k]`` multiplies
 ``x**k``).  Everything here is closed-form: evaluation is Horner, integrals
 go through antiderivatives, and real-root isolation uses a Sturm sequence
-with bisection followed by Newton polishing.  All values are immutable and
-the operations are pure.
+with bisection followed by Newton polishing.  Every integral of a piecewise
+polynomial p reads one running-integral table per power k, the single
+implementation of the running integral of x**k * p (``cum_moment``).
+All values are immutable and the operations are pure; the tables are
+caches built on first use.
 """
 
 from __future__ import annotations
@@ -92,10 +95,6 @@ class Polynomial:
         """Antiderivative with zero constant term."""
         return Polynomial([0.0] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
 
-    def definite(self, lo: float, hi: float) -> float:
-        anti = self.antiderivative()
-        return anti(hi) - anti(lo)
-
     def compose_affine(self, s: float, t: float) -> "Polynomial":
         """Return the polynomial x -> p(s*x + t)."""
         lin = Polynomial([t, s])
@@ -121,9 +120,13 @@ class PiecewisePolynomial:
     the last piece also owns the right endpoint.  With ``continuous=True``
     adjacent pieces must agree at interior breakpoints within 1e-12
     relative.
+
+    Integrals read one running-integral table per power k, built on first
+    use: for each piece i, the antiderivative A_i of x**k * p_i, A_i at the
+    piece's left end x_i, and the integral from ``lo`` up to x_i.
     """
 
-    __slots__ = ("breakpoints", "pieces", "continuous")
+    __slots__ = ("breakpoints", "pieces", "continuous", "_tables")
 
     def __init__(self, breakpoints: Sequence[float], pieces: Sequence[Polynomial],
                  continuous: bool = False):
@@ -142,6 +145,7 @@ class PiecewisePolynomial:
         self.breakpoints = bps
         self.pieces = ps
         self.continuous = continuous
+        self._tables: dict = {}  # k -> running-integral table, see _table
 
     @property
     def lo(self) -> float:
@@ -164,6 +168,29 @@ class PiecewisePolynomial:
             raise DomainError(f"{x!r} outside domain [{self.lo!r}, {self.hi!r}]")
         return self.pieces[self._piece_index(x)](x)
 
+    def _table(self, k: int) -> tuple[list[Polynomial], list[float], list[float]]:
+        """(A_i, A_i(x_i), integral of x**k * p over [lo, x_i]) per piece i."""
+        table = self._tables.get(k)
+        if table is None:
+            antis = [p.shift_up(k).antiderivative() for p in self.pieces]
+            starts = [anti(x0) for anti, x0 in zip(antis, self.breakpoints)]
+            prefix = [0.0]
+            for anti, start, x1 in zip(antis, starts, self.breakpoints[1:]):
+                prefix.append(prefix[-1] + anti(x1) - start)
+            table = self._tables[k] = (antis, starts, prefix)
+        return table
+
+    def cum_moment(self, k: int, x: float) -> float:
+        """Integral of t**k * p(t) over [lo, x], for x in the domain (unchecked)."""
+        antis, starts, prefix = self._table(k)
+        i = self._piece_index(x)
+        return prefix[i] + antis[i](x) - starts[i]
+
+    def running_poly(self, k: int, i: int) -> Polynomial:
+        """The polynomial equal to ``cum_moment(k, x)`` for x on piece i."""
+        antis, starts, prefix = self._table(k)
+        return antis[i] + Polynomial([prefix[i] - starts[i]])
+
     def moment(self, k: int, lo: float, hi: float) -> float:
         """Exact value of the integral of x**k * p(x) over [lo, hi]."""
         if lo > hi:
@@ -172,19 +199,7 @@ class PiecewisePolynomial:
             raise DomainError(f"[{lo!r}, {hi!r}] outside domain [{self.lo!r}, {self.hi!r}]")
         lo = min(max(lo, self.lo), self.hi)
         hi = min(max(hi, self.lo), self.hi)
-        total = 0.0
-        for i, piece in enumerate(self.pieces):
-            a = max(lo, self.breakpoints[i])
-            b = min(hi, self.breakpoints[i + 1])
-            if a < b:
-                total += piece.shift_up(k).definite(a, b)
-        return total
-
-    def integral(self, lo: float, hi: float) -> float:
-        return self.moment(0, lo, hi)
-
-    def x_integral(self, lo: float, hi: float) -> float:
-        return self.moment(1, lo, hi)
+        return self.cum_moment(k, hi) - self.cum_moment(k, lo)
 
     def scale(self, c: float) -> "PiecewisePolynomial":
         return PiecewisePolynomial(self.breakpoints,
@@ -204,6 +219,8 @@ def reparametrize(pp: PiecewisePolynomial, s: float, t: float) -> PiecewisePolyn
 
     Used for the change of variables between [a, b] and [0, 1] and, with
     s = -1, t = 1, for reflecting a target about the midpoint of [0, 1].
+    Rounding can map adjacent breakpoints to one double; the piece between
+    them then has zero width and is dropped.
     """
     if s == 0.0:
         raise ValueError("s must be nonzero")
@@ -212,7 +229,9 @@ def reparametrize(pp: PiecewisePolynomial, s: float, t: float) -> PiecewisePolyn
     if s < 0:
         new_bps.reverse()
         new_pieces.reverse()
-    return PiecewisePolynomial(new_bps, new_pieces, continuous=pp.continuous)
+    keep = [i for i in range(len(new_pieces)) if new_bps[i] < new_bps[i + 1]]
+    return PiecewisePolynomial([new_bps[0]] + [new_bps[i + 1] for i in keep],
+                               [new_pieces[i] for i in keep], continuous=pp.continuous)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +263,9 @@ def _poly_rem(num: list[float], den: list[float], scale: float) -> list[float]:
 
 def _sturm_chain(coeffs: list[float]) -> list[list[float]]:
     scale = max(abs(c) for c in coeffs)
-    f = [c / scale for c in coeffs]
+    # a negligible leading coefficient puts a root near infinity, and the
+    # remainder sequence then loses roots inside the interval
+    f = _strip_tiny([c / scale for c in coeffs], 1.0)
     chain = [f]
     d = [k * c for k, c in enumerate(f)][1:]
     d = _strip_tiny(d, 1.0)

@@ -3,7 +3,9 @@
 Two kinds are supported and share one duck-typed interface:
 
 * ``PolyTarget`` wraps a continuous piecewise polynomial; every integral
-  is exact through ``polyalg``.
+  is exact, read from the running-integral tables of ``polyalg``'s
+  ``PiecewisePolynomial`` (of f for ``cum_int``/``cum_xint``, of f**2 for
+  ``sq_integral``).
 * ``BenchmarkTarget`` is the Lipschitz three-piece function on [0, 1]
   (affine / algebraic / quadratic across [0, alpha], (alpha, beta],
   (beta, 1]) rescaled to [a, b].  Its running integrals of f and x*f have
@@ -28,10 +30,6 @@ __all__ = [
     "BenchmarkTarget",
     "PolyTarget",
     "Target",
-    "target_eval",
-    "target_int",
-    "target_xint",
-    "target_sq_int",
     "scale_target",
     "parse_target_json",
     "target_to_json",
@@ -47,18 +45,7 @@ class PolyTarget:
         if not pp.continuous:
             pp = PiecewisePolynomial(pp.breakpoints, pp.pieces, continuous=True)
         self.pp = pp
-        # prefix antiderivative values at breakpoints, for O(log n) cum_int
-        self._anti0 = [p.antiderivative() for p in pp.pieces]
-        self._anti1 = [p.shift_up(1).antiderivative() for p in pp.pieces]
-        # antiderivatives at the left end of each piece
-        self._start0 = [a0(x0) for a0, x0 in zip(self._anti0, pp.breakpoints)]
-        self._start1 = [a1(x0) for a1, x0 in zip(self._anti1, pp.breakpoints)]
-        self._prefix0 = [0.0]
-        self._prefix1 = [0.0]
-        for i, (a0, a1) in enumerate(zip(self._anti0, self._anti1)):
-            x1 = pp.breakpoints[i + 1]
-            self._prefix0.append(self._prefix0[-1] + a0(x1) - self._start0[i])
-            self._prefix1.append(self._prefix1[-1] + a1(x1) - self._start1[i])
+        self._sq = PiecewisePolynomial(pp.breakpoints, [p * p for p in pp.pieces])
 
     @property
     def kind(self) -> str:
@@ -79,11 +66,9 @@ class PolyTarget:
         return self.pp.eval(x)
 
     def cum_int_xint(self, x: float) -> tuple[float, float]:
-        """(cum_int(x), cum_xint(x)) from one domain check and piece lookup."""
+        """(cum_int(x), cum_xint(x)) from one domain check."""
         self._check(x)
-        i = self.pp._piece_index(x)
-        return (self._prefix0[i] + self._anti0[i](x) - self._start0[i],
-                self._prefix1[i] + self._anti1[i](x) - self._start1[i])
+        return self.pp.cum_moment(0, x), self.pp.cum_moment(1, x)
 
     def cum_int(self, x: float) -> float:
         return self.cum_int_xint(x)[0]
@@ -99,18 +84,10 @@ class PolyTarget:
 
     def sq_integral(self, lo: float, hi: float, tol: float = DEFAULT_SQ_TOL,
                     method: str = "exact") -> float:
-        # square each piece and integrate; exact regardless of method
+        # exact regardless of tol and method
         self._check(lo)
         self._check(hi)
-        if lo > hi:
-            raise DomainError("lo > hi")
-        total = 0.0
-        for i, p in enumerate(self.pp.pieces):
-            a = max(lo, self.pp.breakpoints[i])
-            b = min(hi, self.pp.breakpoints[i + 1])
-            if a < b:
-                total += (p * p).definite(a, b)
-        return total
+        return self._sq.moment(0, lo, hi)
 
     def scaled(self, c: float) -> "PolyTarget":
         return PolyTarget(self.pp.scale(c))
@@ -253,6 +230,8 @@ class BenchmarkTarget:
         form here, so this is the one quadrature-backed quantity.  Results
         for the full domain are cached per (tol, method).
         """
+        if not tol > 0:
+            raise ValueError("tol must be positive")
         ulo, uhi = self._to_u(lo), self._to_u(hi)
         full = ulo == 0.0 and uhi == 1.0
         key = (tol, method)
@@ -293,24 +272,6 @@ class BenchmarkTarget:
 Target = Union[PolyTarget, BenchmarkTarget]
 
 
-def target_eval(t: Target, x: float) -> float:
-    return t.eval(x)
-
-
-def target_int(t: Target, lo: float, hi: float) -> float:
-    return t.integral(lo, hi)
-
-
-def target_xint(t: Target, lo: float, hi: float) -> float:
-    return t.x_integral(lo, hi)
-
-
-def target_sq_int(t: Target, lo: float, hi: float, tol: float = DEFAULT_SQ_TOL) -> float:
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return t.sq_integral(lo, hi, tol)
-
-
 def scale_target(t: Target, c: float) -> Target:
     if not math.isfinite(c):
         raise ValueError("scale factor must be finite")
@@ -342,9 +303,13 @@ def parse_target_json(text: str) -> Target:
         if any(x >= y for x, y in zip(bps, bps[1:])):
             raise DomainError("breakpoints must be strictly increasing")
         try:
-            return PolyTarget(PiecewisePolynomial(bps, pieces, continuous=True))
+            t = PolyTarget(PiecewisePolynomial(bps, pieces, continuous=True))
         except ValueError as exc:
             raise DomainError(str(exc)) from exc
+        # finite coefficients can still overflow every risk evaluation
+        if not math.isfinite(t.sq_integral(*t.domain)):
+            raise DomainError("the integral of f**2 over the domain is not finite")
+        return t
     if kind == "benchmark":
         try:
             fields = [float(doc["alpha"]), float(doc["beta"]), float(doc.get("a", 0.0)),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from reluland import BenchmarkTarget, PolyTarget
 from reluland.polyalg import PiecewisePolynomial, Polynomial
@@ -39,3 +40,35 @@ def random_continuous_piecewise(rng, max_pieces=4, max_degree=4, lo=0.0, hi=1.0)
         level = p(bps[i + 1])
         pieces.append(p)
     return PiecewisePolynomial(bps, pieces, continuous=True)
+
+
+_coef = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def piecewise_polys(draw, max_pieces=5, max_degree=6):
+    """Continuous piecewise polynomial on [lo, lo + width], both ends dyadic
+    (so lo + hi - x is exact at the ends), with |x| <= 2."""
+    lo = draw(st.sampled_from((-1.0, -0.5, 0.0)))
+    hi = lo + draw(st.sampled_from((0.5, 1.0, 2.0)))
+    cuts = draw(st.lists(st.floats(0.01, 0.99), max_size=max_pieces - 1))
+    bps = sorted({lo, hi, *(lo + (hi - lo) * c for c in cuts)})
+    level = draw(_coef)
+    pieces = []
+    for x0, x1 in zip(bps, bps[1:]):
+        deg = draw(st.integers(0, max_degree))
+        p = Polynomial(draw(st.lists(_coef, min_size=deg + 1, max_size=deg + 1)))
+        # shift so the piece starts where the previous one ended
+        p = p + Polynomial([level - p(x0)])
+        level = p(x1)
+        pieces.append(p)
+    return PiecewisePolynomial(bps, pieces, continuous=True)
+
+
+@st.composite
+def domain_points(draw, pp, min_size=1, max_size=8):
+    """Points of pp's domain: breakpoints (both ends included) and points
+    inside pieces."""
+    inside = st.floats(pp.lo, pp.hi, allow_nan=False)
+    return draw(st.lists(st.one_of(st.sampled_from(pp.breakpoints), inside),
+                         min_size=min_size, max_size=max_size))

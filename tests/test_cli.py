@@ -6,7 +6,8 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from reluland.cli import main
+from reluland.cli import _write_json, main
+from reluland.errors import DegenerateEnumerationError
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -167,6 +168,10 @@ INPUT_ERRORS = {
     "gf-rtol-nan": (["gf", "--rtol", "nan"], "gf_report.json"),
     "gf-h-0": (["gf", "--h", "0"], "gf_report.json"),
     "enumerate-nan-coefficient": (["enumerate", "--target", "nan_target.json"], "catalog.json"),
+    "enumerate-huge-coefficient": (["enumerate", "--target", "huge_target.json"],
+                                   "catalog.json"),
+    "gf-huge-coefficient": (["gf", "--target", "huge_target.json", "--t-end", "1"],
+                            "gf_report.json"),
     "minima-h-0": (["minima", "--h", "0"], "minima_report.json"),
     "minima-y-0": (["minima", "--y", "0"], "minima_report.json"),
     "minima-y-inf": (["minima", "--y", "1e400"], "minima_report.json"),
@@ -180,12 +185,32 @@ def test_input_error_exits_2_without_report(tmp_path, case):
     (tmp_path / "bad_theta.json").write_text('{"H": 1, "theta": [1.0]}')
     (tmp_path / "nan_target.json").write_text(
         '{"kind": "piecewise_poly", "breakpoints": [0, 1], "pieces": [[0, NaN, 1]]}')
+    (tmp_path / "huge_target.json").write_text(
+        '{"kind": "piecewise_poly", "breakpoints": [0, 1], "pieces": [[0, 1e300, 1]]}')
     args, report = INPUT_ERRORS[case]
     args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
     res = run_cli(args + ["--out", str(tmp_path / "out")])
     assert res.exit_code == 2, res.output
     assert sum(line.startswith("Error:") for line in res.output.splitlines()) == 1
     assert not (tmp_path / "out" / report).exists()
+
+
+def test_enumerate_degenerate_input_exits_2(tmp_path, monkeypatch):
+    def degenerate(t, dedup):
+        raise DegenerateEnumerationError("kink equation vanished identically")
+
+    monkeypatch.setattr("reluland.cli.enumerate_all", degenerate)
+    res = run_cli(["enumerate", "--target", str(write_xsq(tmp_path)),
+                   "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert sum(line.startswith("Error:") for line in res.output.splitlines()) == 1
+    assert not (tmp_path / "out" / "catalog.json").exists()
+
+
+def test_reports_refuse_nan(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "report.json", {"final_risk": float("nan")})
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("threads", ["abc", "0", "-3"])

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
 
 from reluland import (BenchmarkTarget, Params, PolyTarget, enum_affine,
                       enum_constant, enum_kink_decreasing, enum_kink_increasing,
@@ -9,9 +10,9 @@ from reluland import (BenchmarkTarget, Params, PolyTarget, enum_affine,
 from reluland.enumeration import _normalized01, _reflect01
 from reluland.errors import FinitenessError
 from reluland.network import Realization, canonical
-from reluland.polyalg import PiecewisePolynomial, Polynomial
+from reluland.polyalg import PiecewisePolynomial, Polynomial, reparametrize
 
-from conftest import poly_target, random_continuous_piecewise, rng_for
+from conftest import piecewise_polys, poly_target, random_continuous_piecewise, rng_for
 
 # exact risks of the x^2 catalog entries (constant 1/3, affine x - 1/6,
 # increasing kink at q = 1/3): 4/45, 1/180, 4/3645
@@ -91,6 +92,54 @@ def test_reflection_consistency_random():
         qs = sorted(1.0 - s.q for s in refl_inc)
         for got, want in zip(sorted(s.q for s in dec), qs):
             assert got == pytest.approx(want, abs=1e-10)
+
+
+_MIRRORED_KIND = {"kink_increasing": "kink_decreasing",
+                  "kink_decreasing": "kink_increasing"}
+
+
+def _catalog_summary(cat, mirrored=False):
+    """(kind, q, risk) per entry; mirrored swaps the kink kinds and maps
+    q -> 1 - q.  Sorted by kind and q, which mirroring preserves."""
+    rows = []
+    for e in cat.entries:
+        if mirrored:
+            rows.append((_MIRRORED_KIND.get(e.kind, e.kind),
+                         None if e.q is None else 1.0 - e.q, e.risk))
+        else:
+            rows.append((e.kind, e.q, e.risk))
+    return sorted(rows, key=lambda r: (r[0], -1.0 if r[1] is None else r[1]))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(piecewise_polys(max_pieces=3, max_degree=4))
+# a negligible leading coefficient once hid an interior kink root
+@example(PiecewisePolynomial([-0.5, -0.25, 1.5], [
+    Polynomial([]), Polynomial([-0.17578125000000003, -0.75, 0.0, 0.75, 1e-14])]))
+# a kink root on a breakpoint once fell outside both adjacent pieces
+@example(PiecewisePolynomial([-0.5, 0.0, 0.5], [
+    Polynomial([0.500005, 1e-05]), Polynomial([0.500005])]))
+# 1 - 0.01 and 1 - 0.010000000000000002 round to one double
+@example(PiecewisePolynomial([0.0, 0.01, 0.010000000000000002, 1.0], [
+    Polynomial([0.0, 0.0, 1.0]), Polynomial([1e-4]), Polynomial([0.0, 0.0, 1.0])]))
+# a double root of the kink polynomial splits differently in each orientation
+@example(PiecewisePolynomial([-1.0, -0.75, -0.5], [
+    Polynomial([1.0000004310305377, 4.3103053759902043e-07]),
+    Polynomial([1.0000001077576346])]))
+def test_catalog_reflection_symmetry(pp):
+    # f(lo + hi - x) has the catalog of f with the kink orientations swapped
+    t = PolyTarget(pp)
+    mirror = PolyTarget(reparametrize(pp, -1.0, pp.lo + pp.hi))
+    got = _catalog_summary(enumerate_all(mirror), mirrored=True)
+    want = _catalog_summary(enumerate_all(t))
+    assert [r[0] for r in got] == [r[0] for r in want]
+    tol = 1e-12 * max(1.0, t.sq_integral(pp.lo, pp.hi))
+    for (_, q_got, risk_got), (_, q_want, risk_want) in zip(got, want):
+        assert (q_got is None) == (q_want is None)
+        if q_got is not None:
+            # a double root of the kink polynomial is only fixed to ~sqrt(eps)
+            assert q_got == pytest.approx(q_want, abs=1e-7)
+        assert risk_got == pytest.approx(risk_want, rel=1e-9, abs=tol)
 
 
 def test_catalog_xsq(xsq):

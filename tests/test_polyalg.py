@@ -1,12 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reluland.errors import DomainError, IdenticallyZeroError
 from reluland.polyalg import PiecewisePolynomial, Polynomial, reparametrize, roots_in
 
-from conftest import random_continuous_piecewise, rng_for
+from conftest import (domain_points, piecewise_polys, random_continuous_piecewise,
+                      rng_for)
 
 
 def test_eval_monomial():
@@ -74,6 +77,38 @@ def test_moment_matches_gauss_legendre():
                 weights * np.array([x ** k * pp.eval(x) for x in xs])))
         val = pp.moment(k, lo, hi)
         assert abs(val - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+def _exact_moment(pp, k, lo, hi):
+    """Integral of x**k * pp over [lo, hi] in exact rational arithmetic."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    total = Fraction(0)
+    for p, x0, x1 in zip(pp.pieces, pp.breakpoints, pp.breakpoints[1:]):
+        a, b = max(lo, Fraction(x0)), min(hi, Fraction(x1))
+        if a < b:
+            for j, c in enumerate(p.coeffs):
+                m = j + k + 1
+                total += Fraction(c) * (b ** m - a ** m) / m
+    return total
+
+
+@st.composite
+def _moment_case(draw):
+    pp = draw(piecewise_polys(max_pieces=5, max_degree=6))
+    lo, hi = sorted(draw(domain_points(pp, min_size=2, max_size=2)))
+    return pp, draw(st.sampled_from((0, 1, 2))), lo, hi
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_moment_case())
+def test_moment_matches_exact_rational_integral(case):
+    pp, k, lo, hi = case
+    exact = _exact_moment(pp, k, lo, hi)
+    # rounding is relative to the antiderivative values, which start at pp.lo
+    size = max(1.0, abs(pp.lo), abs(pp.hi))
+    scale = sum(abs(c) * size ** (j + k + 1)
+                for p in pp.pieces for j, c in enumerate(p.coeffs))
+    assert abs(pp.moment(k, lo, hi) - float(exact)) <= 1e-14 * len(pp.pieces) * max(scale, 1.0)
 
 
 def test_roots_simple():
@@ -177,3 +212,14 @@ def test_reparametrize_reflection():
     out = reparametrize(pp, -1.0, 1.0)
     for u in (0.0, 0.3, 0.6, 1.0):
         assert out.eval(u) == pytest.approx(pp.eval(1.0 - u), abs=1e-12)
+
+
+def test_reparametrize_drops_pieces_rounded_to_zero_width():
+    # 1 - 0.01 and 1 - 0.010000000000000002 round to the same double
+    pp = PiecewisePolynomial([0.0, 0.01, 0.010000000000000002, 1.0],
+                             [Polynomial([0.0, 1.0]), Polynomial([0.01]),
+                              Polynomial([0.0, 1.0])], continuous=True)
+    out = reparametrize(pp, -1.0, 1.0)
+    assert out.breakpoints == (0.0, 0.99, 1.0)
+    for u in (0.0, 0.5, 0.99, 1.0):
+        assert out.eval(u) == pytest.approx(pp.eval(1.0 - u), abs=1e-15)

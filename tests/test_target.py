@@ -1,14 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reluland import (BenchmarkTarget, PolyTarget, parse_target_json,
-                      scale_target, target_eval, target_int, target_sq_int,
-                      target_to_json, target_xint)
+                      scale_target, target_to_json)
 from reluland.errors import DomainError
 from reluland.polyalg import PiecewisePolynomial, Polynomial
 
-from conftest import poly_target, rng_for
+from conftest import domain_points, piecewise_polys, poly_target, rng_for
 
 # pinned by two independent quadratures (adaptive Simpson vs Gauss-Kronrod)
 # and a high-precision cross-check during development
@@ -19,8 +19,7 @@ INT_F_TO_HALF = -1.0 / (8.0 * math.sqrt(5.0))
 
 def test_eval_middle_piece_value(bench):
     # substitute x = alpha into the middle piece: -sqrt(3)/24
-    assert target_eval(bench, 1.0 / 3.0) == pytest.approx(-math.sqrt(3.0) / 24.0,
-                                                          rel=1e-14)
+    assert bench.eval(1.0 / 3.0) == pytest.approx(-math.sqrt(3.0) / 24.0, rel=1e-14)
 
 
 def test_eval_left_right_limits_agree_at_alpha(bench):
@@ -32,12 +31,12 @@ def test_eval_left_right_limits_agree_at_alpha(bench):
 
 def test_eval_poly_target():
     t = poly_target([0.0, 1.0], [[0.0, 0.0, 1.0]])
-    assert target_eval(t, 0.5) == 0.25
+    assert t.eval(0.5) == 0.25
 
 
 def test_eval_outside_domain(bench):
     with pytest.raises(DomainError):
-        target_eval(bench, 1.5)
+        bench.eval(1.5)
 
 
 def test_benchmark_continuity_random_pairs():
@@ -79,19 +78,19 @@ def test_antiderivatives_differentiate_to_f(bench):
 
 
 def test_int_frozen_value(bench):
-    assert target_int(bench, 0.0, 0.5) == pytest.approx(INT_F_TO_HALF, rel=1e-13)
+    assert bench.integral(0.0, 0.5) == pytest.approx(INT_F_TO_HALF, rel=1e-13)
     # the full-interval integral of the benchmark target vanishes
-    assert abs(target_int(bench, 0.0, 1.0)) < 1e-14
+    assert abs(bench.integral(0.0, 1.0)) < 1e-14
 
 
 def test_int_poly_antiderivative():
     t = poly_target([0.0, 1.0], [[0.0, 0.0, 1.0]])
-    assert target_int(t, 0.0, 1.0 / 3.0) == pytest.approx(1.0 / 81.0, rel=1e-14)
+    assert t.integral(0.0, 1.0 / 3.0) == pytest.approx(1.0 / 81.0, rel=1e-14)
 
 
 def test_xint_constant():
     t = poly_target([0.0, 1.0], [[2.0]])
-    assert target_xint(t, 0.0, 1.0) == pytest.approx(1.0, rel=1e-15)
+    assert t.x_integral(0.0, 1.0) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_int_additivity(bench):
@@ -100,16 +99,16 @@ def test_int_additivity(bench):
         lo = float(rng.uniform(0.0, 0.3))
         mid = float(rng.uniform(0.3, 0.7))
         hi = float(rng.uniform(0.7, 1.0))
-        for fn in (target_int, target_xint):
-            assert (fn(bench, lo, mid) + fn(bench, mid, hi)
-                    == pytest.approx(fn(bench, lo, hi), abs=1e-12))
+        for fn in (bench.integral, bench.x_integral):
+            assert (fn(lo, mid) + fn(mid, hi)
+                    == pytest.approx(fn(lo, hi), abs=1e-12))
 
 
 def test_sq_int_examples():
     t = poly_target([0.0, 1.0], [[0.0, 1.0]])
-    assert target_sq_int(t, 0.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert t.sq_integral(0.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
     z = poly_target([0.0, 1.0], [[0.0]])
-    assert target_sq_int(z, 0.0, 1.0) == 0.0
+    assert z.sq_integral(0.0, 1.0) == 0.0
 
 
 def test_sq_int_benchmark_frozen(bench):
@@ -127,14 +126,14 @@ def test_sq_int_poly_matches_squared_moment():
         t = poly_target([0.0, 1.0], [coeffs])
         p = Polynomial(coeffs)
         ref = PiecewisePolynomial([0.0, 1.0], [p * p]).moment(0, 0.0, 1.0)
-        assert target_sq_int(t, 0.0, 1.0) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        assert t.sq_integral(0.0, 1.0) == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
 def test_scale_target():
     t = poly_target([0.0, 1.0], [[0.0, 1.0]])
-    assert target_eval(scale_target(t, 2.0), 0.5) == pytest.approx(1.0)
-    assert target_eval(scale_target(t, 1.0), 0.3) == target_eval(t, 0.3)
-    assert target_eval(scale_target(t, 0.0), 0.7) == 0.0
+    assert scale_target(t, 2.0).eval(0.5) == pytest.approx(1.0)
+    assert scale_target(t, 1.0).eval(0.3) == t.eval(0.3)
+    assert scale_target(t, 0.0).eval(0.7) == 0.0
 
 
 def test_scale_benchmark_pointwise(bench):
@@ -173,7 +172,50 @@ def test_parser_rejects_bad_input():
     '{"kind":"benchmark","alpha":0.25,"beta":0.5,"scale":NaN}',
     '{"kind":"benchmark","alpha":0.25,"beta":0.5,"a":-Infinity,"b":1}',
     '{"kind":"benchmark","alpha":0.25,"beta":0.5,"a":0,"b":Infinity}',
+    # finite coefficients whose integral of f**2 overflows
+    '{"kind":"piecewise_poly","breakpoints":[0,1],"pieces":[[0,1e300,1]]}',
 ])
 def test_parser_rejects_non_finite(spec):
     with pytest.raises(DomainError, match="finite"):
         parse_target_json(spec)
+
+
+class _PrefixListReference:
+    """The former PolyTarget running integrals: six per-piece lists (the
+    antiderivatives of f and x f, their values at each piece's left end and
+    the prefix integrals up to it)."""
+
+    def __init__(self, pp):
+        self.pp = pp
+        self.anti0 = [p.antiderivative() for p in pp.pieces]
+        self.anti1 = [p.shift_up(1).antiderivative() for p in pp.pieces]
+        self.start0 = [a0(x0) for a0, x0 in zip(self.anti0, pp.breakpoints)]
+        self.start1 = [a1(x0) for a1, x0 in zip(self.anti1, pp.breakpoints)]
+        self.prefix0 = [0.0]
+        self.prefix1 = [0.0]
+        for i, (a0, a1) in enumerate(zip(self.anti0, self.anti1)):
+            x1 = pp.breakpoints[i + 1]
+            self.prefix0.append(self.prefix0[-1] + a0(x1) - self.start0[i])
+            self.prefix1.append(self.prefix1[-1] + a1(x1) - self.start1[i])
+
+    def cum_int_xint(self, x):
+        i = self.pp._piece_index(x)
+        return (self.prefix0[i] + self.anti0[i](x) - self.start0[i],
+                self.prefix1[i] + self.anti1[i](x) - self.start1[i])
+
+
+@st.composite
+def _running_integral_case(draw):
+    pp = draw(piecewise_polys(max_pieces=5, max_degree=6))
+    return pp, draw(domain_points(pp))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_running_integral_case())
+def test_poly_running_integrals_bit_identical_to_prefix_lists(case):
+    pp, xs = case
+    t = PolyTarget(pp)
+    ref = _PrefixListReference(t.pp)
+    for x in xs:
+        got = [v.hex() for v in t.cum_int_xint(x)]
+        assert got == [v.hex() for v in ref.cum_int_xint(x)], x
