@@ -6,7 +6,8 @@ catalog for a piecewise-polynomial target), ``train`` (GD ensemble with
 greedy L2 deduplication) and ``gf`` (gradient-flow integration).
 
 Exit codes: 0 success, 1 certificate/assertion failure, 2 usage or input
-error.  Reports are JSON (schema_version 1; schemas in docs/schemas/),
+error; the command group maps the library's input errors to exit 2 in one
+place.  Reports are JSON (schema_version 1; schemas in docs/schemas/),
 realizations export as CSV, and ``train --svg`` also emits a minimal
 polyline overlay plot.
 """
@@ -21,8 +22,8 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .errors import (DegenerateEnumerationError, DomainError, FinitenessError,
-                     WitnessError)
+from .errors import (AccuracyError, DegenerateEnumerationError, DomainError,
+                     FinitenessError, WitnessError)
 from .landscape import closed_hessian_M, grad, hessian_fd, risk
 from .minima import certify_gap, minima_risk, sample_M, verify_zero_integrals
 from .network import params_from_json, write_realization_csv
@@ -72,14 +73,27 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def _load_target(target_file: str):
     try:
-        return parse_target_json(Path(target_file).read_text())
+        text = Path(target_file).read_text()
     except OSError as exc:
         raise click.UsageError(f"cannot read target file: {exc}") from exc
-    except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
+    return parse_target_json(text)
 
 
-@click.group()
+# library errors that mean the input is outside what a command can handle
+_INPUT_ERRORS = (DomainError, FinitenessError, DegenerateEnumerationError, AccuracyError)
+
+
+class _Main(click.Group):
+    """Reports every library input error as a usage error (exit 2)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _INPUT_ERRORS as exc:
+            raise click.UsageError(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="reluland")
 def main():
     """Loss-landscape toolkit for one-hidden-layer ReLU networks."""
@@ -108,10 +122,7 @@ def cmd_minima(alpha, beta, a_, b_, width, samples, xs, y_, seed, gap, p_, eps,
                out_dir, force):
     """Certify zero gradient, constant risk and Hessian structure on the
     single-kink local-minimum family of the benchmark target."""
-    try:
-        t = BenchmarkTarget(alpha, beta, a_, b_)
-    except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
+    t = BenchmarkTarget(alpha, beta, a_, b_)
     if not y_ > 0.0:
         raise click.UsageError("--y must be positive")
     if xs:
@@ -171,8 +182,6 @@ def cmd_minima(alpha, beta, a_, b_, width, samples, xs, y_, seed, gap, p_, eps,
             doc["gap"] = {"p": p_, "eps": eps, "risk_theta": cert.risk_theta,
                           "risk_witness": cert.risk_witness, "gap": cert.gap,
                           "pass": cert.gap > 0.0}
-        except DomainError as exc:
-            raise click.UsageError(str(exc)) from exc
         except WitnessError as exc:
             doc["gap"] = {"p": p_, "eps": eps, "error": str(exc), "pass": False}
             ok = False
@@ -194,10 +203,7 @@ def cmd_enumerate(target_file, dedup, grid_n, out_dir, force):
     """Enumerate all width-1 critical realizations of a continuous
     piecewise-polynomial target and cross-check with the grid oracle."""
     t = _load_target(target_file)
-    try:
-        catalog = enumerate_all(t, dedup=dedup)
-    except (FinitenessError, DegenerateEnumerationError) as exc:
-        raise click.UsageError(str(exc)) from exc
+    catalog = enumerate_all(t, dedup=dedup)
     reports = (grid_oracle(t), grid_oracle(t, orientation="decreasing"))
     oracle_ok = oracle_check(t, reports=reports)
     entries = []
@@ -247,12 +253,9 @@ def cmd_train(target_file, width, lr, grad_tol, max_iters, seed, runs, dedup,
               grid_n, svg, out_dir, force):
     """Run the GD ensemble and report deduplicated realization clusters."""
     t = _load_target(target_file) if target_file else _default_benchmark()
-    try:
-        cfg = TrainConfig(H=width, lr=lr, grad_tol=grad_tol, max_iters=max_iters,
-                          master_seed=seed, runs=runs, dedup_l2=dedup)
-        threads = _worker_count(runs)
-    except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
+    cfg = TrainConfig(H=width, lr=lr, grad_tol=grad_tol, max_iters=max_iters,
+                      master_seed=seed, runs=runs, dedup_l2=dedup)
+    threads = _worker_count(runs)
     report = ensemble(t, cfg, threads=threads)
     ok = all(r.converged for r in report.runs) and not any(r.diverged for r in report.runs)
     doc = {

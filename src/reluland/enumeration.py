@@ -73,7 +73,7 @@ def _reflect01(pp: PiecewisePolynomial) -> PiecewisePolynomial:
 def enum_constant(t: Target) -> Realization:
     """The unique constant critical realization: the target's mean value."""
     a, b = t.domain
-    mean = t.integral(a, b) / (b - a)
+    mean = (t.cum_int_xint(b)[0] - t.cum_int_xint(a)[0]) / (b - a)
     return Realization(a, b, (), (0.0,), mean)
 
 
@@ -88,8 +88,10 @@ def enum_affine(t: Target) -> Realization:
     m0 = b - a
     m1 = (b * b - a * a) / 2.0
     m2 = (b ** 3 - a ** 3) / 3.0
-    f0 = t.integral(a, b)
-    f1 = t.x_integral(a, b)
+    Fa, Ga = t.cum_int_xint(a)
+    Fb, Gb = t.cum_int_xint(b)
+    f0 = Fb - Fa
+    f1 = Gb - Ga
     det = m1 * m1 - m0 * m2  # = -(b-a)^4 / 12
     slope = (f0 * m1 - f1 * m0) / det
     intercept = (f1 * m1 - f0 * m2) / det
@@ -295,7 +297,7 @@ def _entry(t: Target, kind: str, theta: Params,
     a, b = t.domain
     g = grad(theta, t)
     gn = g.max_norm()
-    if gn >= RESIDUAL_TOL:
+    if not gn < RESIDUAL_TOL:  # NaN fails too
         raise DegenerateEnumerationError(
             f"{kind} catalog lift is not critical (|grad| = {gn:g})")
     # an interior-kink width-1 network has exactly one flat

@@ -34,7 +34,6 @@ __all__ = [
     "grad",
     "grad_theta",
     "risk_theta",
-    "risk_smooth",
     "grad_smooth",
     "fd_gradient",
     "hessian_fd",
@@ -175,7 +174,7 @@ def grad(p: Params, t: Target) -> GradientVector:
 def risk_theta(theta: Sequence[float], H: int, t: Target,
                tol: float = 1e-12, method: str = "gauss_kronrod") -> float:
     geo = _Geometry(theta, H, t)
-    val = geo.net_sq_int() - 2.0 * geo.net_f_int() + t.sq_integral(geo.a, geo.b, tol, method)
+    val = geo.net_sq_int() - 2.0 * geo.net_f_int() + t.sq_integral(tol, method)
     return max(val, 0.0)
 
 
@@ -186,30 +185,12 @@ def risk(p: Params, t: Target, tol: float = 1e-12, method: str = "gauss_kronrod"
 
 
 # ---------------------------------------------------------------------------
-# smoothed-activation risk and gradient
+# smoothed-activation gradient
 # ---------------------------------------------------------------------------
 
 def _smooth_breakpoints(theta, H, t):
     a, b = t.domain
     return list(t.breakpoints()) + _geometry_nodes(theta, H, a, b)[0][1:-1]
-
-
-def risk_smooth(p: Params, t: Target, r: int, tol: float = 1e-10) -> float:
-    """Risk with the ReLU replaced by the sharpness-r softplus surrogate."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    from .network import realize_smooth
-    from .quadrature import adaptive_simpson
-
-    a, b = t.domain
-
-    def integrand(x: float) -> float:
-        d = realize_smooth(p, x, r) - t.eval(x)
-        return d * d
-
-    return adaptive_simpson(integrand, a, b, tol,
-                            breakpoints=_smooth_breakpoints(p.theta, p.H, t),
-                            max_depth=55)
 
 
 def grad_smooth(p: Params, t: Target, r: int, tol: float = 1e-10) -> GradientVector:
@@ -283,6 +264,9 @@ class HessianReport:
 
 
 def _report_from_matrix(mat: np.ndarray, rank_tol: float) -> HessianReport:
+    # eigvalsh fails to converge on inf/NaN entries instead of reporting them
+    if not np.all(np.isfinite(mat)):
+        raise DomainError("the Hessian is not finite")
     sym = 0.5 * (mat + mat.T)
     eig = np.linalg.eigvalsh(sym)
     lam_max = float(np.max(np.abs(eig))) if eig.size else 0.0

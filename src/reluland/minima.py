@@ -90,13 +90,9 @@ def sample_M(t: BenchmarkTarget, H: int, x: float, y: float, seed: int = 0) -> M
 def minima_risk(t: BenchmarkTarget, tol: float = 1e-12,
                 method: str = "gauss_kronrod") -> float:
     """The common risk value on the critical family:
-    (b - a) * scale**2 * (int_0^1 f**2 - 1/48)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    base = BenchmarkTarget(t.alpha, t.beta, 0.0, 1.0, 1.0)
-    sq01 = base.sq_integral(0.0, 1.0, tol / max((t.b - t.a) * t.scale ** 2, 1e-300),
-                            method)
-    return (t.b - t.a) * t.scale ** 2 * (sq01 - 1.0 / 48.0)
+    (b - a) * scale**2 * (int_0^1 g**2 - 1/48), with g the unscaled
+    normalized target and tol bounding its integral, as in ``sq_integral``."""
+    return (t.b - t.a) * t.scale ** 2 * (t.unit_sq_integral(tol, method) - 1.0 / 48.0)
 
 
 def verify_zero_integrals(t: BenchmarkTarget, q: float) -> tuple[float, float, float]:

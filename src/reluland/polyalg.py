@@ -202,9 +202,11 @@ class PiecewisePolynomial:
         return self.cum_moment(k, hi) - self.cum_moment(k, lo)
 
     def scale(self, c: float) -> "PiecewisePolynomial":
-        return PiecewisePolynomial(self.breakpoints,
-                                   [p.scale(c) for p in self.pieces],
-                                   continuous=self.continuous)
+        # c * p is continuous wherever p is; re-checking would hold the
+        # scaled mismatch to the unscaled absolute tolerance
+        out = PiecewisePolynomial(self.breakpoints, [p.scale(c) for p in self.pieces])
+        out.continuous = self.continuous
+        return out
 
     def coeff_scale(self) -> float:
         return max((p.coeff_scale() for p in self.pieces), default=0.0)

@@ -4,16 +4,19 @@ Two kinds are supported and share one duck-typed interface:
 
 * ``PolyTarget`` wraps a continuous piecewise polynomial; every integral
   is exact, read from the running-integral tables of ``polyalg``'s
-  ``PiecewisePolynomial`` (of f for ``cum_int``/``cum_xint``, of f**2 for
-  ``sq_integral``).
+  ``PiecewisePolynomial`` (of f for ``cum_int_xint``, of f**2 for the
+  domain integral that ``sq_integral`` returns).
 * ``BenchmarkTarget`` is the Lipschitz three-piece function on [0, 1]
   (affine / algebraic / quadratic across [0, alpha], (alpha, beta],
   (beta, 1]) rescaled to [a, b].  Its running integrals of f and x*f have
   closed forms; only the integral of f**2 needs quadrature.
 
-Both carry cumulative antiderivatives ``cum_int`` / ``cum_xint``, and
-``cum_int_xint`` for both at once, so that risk and gradient evaluations
-stay closed-form and fast.
+``cum_int_xint(x)`` returns the running integrals of f and x*f up to x,
+so that risk and gradient evaluations stay closed-form and fast;
+``sq_integral(tol, method)`` is the integral of f**2 over the whole
+domain.  Each constructor rejects non-finite fields and a target whose
+integral of f**2 overflows, so ``scaled(c)`` and the JSON parser inherit
+the checks.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ __all__ = [
     "BenchmarkTarget",
     "PolyTarget",
     "Target",
-    "scale_target",
     "parse_target_json",
     "target_to_json",
 ]
@@ -42,10 +44,17 @@ class PolyTarget:
     """Continuous piecewise-polynomial target."""
 
     def __init__(self, pp: PiecewisePolynomial):
+        if not all(map(math.isfinite, (*pp.breakpoints,
+                                       *(c for p in pp.pieces for c in p.coeffs)))):
+            raise DomainError("breakpoints and coefficients must be finite")
         if not pp.continuous:
             pp = PiecewisePolynomial(pp.breakpoints, pp.pieces, continuous=True)
         self.pp = pp
-        self._sq = PiecewisePolynomial(pp.breakpoints, [p * p for p in pp.pieces])
+        sq = PiecewisePolynomial(pp.breakpoints, [p * p for p in pp.pieces])
+        self._sq_int = sq.moment(0, pp.lo, pp.hi)
+        # finite coefficients can still overflow every risk evaluation
+        if not math.isfinite(self._sq_int):
+            raise DomainError("the integral of f**2 over the domain is not finite")
 
     @property
     def kind(self) -> str:
@@ -76,18 +85,9 @@ class PolyTarget:
     def cum_xint(self, x: float) -> float:
         return self.cum_int_xint(x)[1]
 
-    def integral(self, lo: float, hi: float) -> float:
-        return self.cum_int(hi) - self.cum_int(lo)
-
-    def x_integral(self, lo: float, hi: float) -> float:
-        return self.cum_xint(hi) - self.cum_xint(lo)
-
-    def sq_integral(self, lo: float, hi: float, tol: float = DEFAULT_SQ_TOL,
-                    method: str = "exact") -> float:
-        # exact regardless of tol and method
-        self._check(lo)
-        self._check(hi)
-        return self._sq.moment(0, lo, hi)
+    def sq_integral(self, tol: float = DEFAULT_SQ_TOL, method: str = "exact") -> float:
+        """Integral of f**2 over the domain, exact regardless of tol and method."""
+        return self._sq_int
 
     def scaled(self, c: float) -> "PolyTarget":
         return PolyTarget(self.pp.scale(c))
@@ -119,15 +119,17 @@ class BenchmarkTarget:
 
     def __init__(self, alpha: float, beta: float, a: float = 0.0, b: float = 1.0,
                  scale: float = 1.0):
-        if not (0.0 < alpha < beta < 1.0):
+        fields = [float(alpha), float(beta), float(a), float(b), float(scale)]
+        if not all(map(math.isfinite, fields)):
+            raise DomainError("benchmark fields must be finite")
+        self.alpha, self.beta, self.a, self.b, self.scale = fields
+        if not (0.0 < self.alpha < self.beta < 1.0):
             raise DomainError("need 0 < alpha < beta < 1")
-        if not b > a:
+        if not self.b > self.a:
             raise DomainError("need b > a")
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.a = float(a)
-        self.b = float(b)
-        self.scale = float(scale)
+        # the integral of f**2 is scale**2 (b - a) times the normalized one
+        if not math.isfinite(self.scale * self.scale * (self.b - self.a)):
+            raise DomainError("scale**2 * (b - a) is not finite")
 
         al, be = self.alpha, self.beta
         d_left = 4.0 * math.sqrt(1.0 - al) * (1.0 + 3.0 * al) ** 1.5
@@ -216,50 +218,36 @@ class BenchmarkTarget:
     def cum_xint(self, x: float) -> float:
         return self.cum_int_xint(x)[1]
 
-    def integral(self, lo: float, hi: float) -> float:
-        return self.cum_int(hi) - self.cum_int(lo)
-
-    def x_integral(self, lo: float, hi: float) -> float:
-        return self.cum_xint(hi) - self.cum_xint(lo)
-
-    def sq_integral(self, lo: float, hi: float, tol: float = DEFAULT_SQ_TOL,
-                    method: str = "gauss_kronrod") -> float:
-        """Integral of f**2 over [lo, hi] by adaptive quadrature.
+    def unit_sq_integral(self, tol: float = DEFAULT_SQ_TOL,
+                         method: str = "gauss_kronrod") -> float:
+        """Integral over [0, 1] of the unscaled normalized target squared,
+        by adaptive quadrature to absolute tolerance tol.
 
         The squared middle piece is a rational function without a closed
-        form here, so this is the one quadrature-backed quantity.  Results
-        for the full domain are cached per (tol, method).
+        form here, so this is the one quadrature-backed quantity; it is
+        cached per (tol, method).
         """
         if not tol > 0:
             raise ValueError("tol must be positive")
-        ulo, uhi = self._to_u(lo), self._to_u(hi)
-        full = ulo == 0.0 and uhi == 1.0
         key = (tol, method)
-        if full and key in self._sq_cache:
-            return self._sq_cache[key]
-        g = self.eval_normalized
-        utol = tol / max(self.scale * self.scale * (self.b - self.a), 1e-300)
-        if method == "gauss_kronrod":
-            val01 = adaptive_gauss_kronrod(lambda u: g(u) ** 2, ulo, uhi, utol,
-                                           breakpoints=(self.alpha, self.beta))
-        elif method == "simpson":
-            val01 = adaptive_simpson(lambda u: g(u) ** 2, ulo, uhi, utol,
-                                     breakpoints=(self.alpha, self.beta))
-        else:
-            raise ValueError(f"unknown quadrature method {method!r}")
-        out = self.scale * self.scale * (self.b - self.a) * val01
-        if full:
-            self._sq_cache[key] = out
-        return out
+        val = self._sq_cache.get(key)
+        if val is None:
+            g = self.eval_normalized
+            if method == "gauss_kronrod":
+                quad = adaptive_gauss_kronrod
+            elif method == "simpson":
+                quad = adaptive_simpson
+            else:
+                raise ValueError(f"unknown quadrature method {method!r}")
+            val = quad(lambda u: g(u) ** 2, 0.0, 1.0, tol, breakpoints=(self.alpha, self.beta))
+            self._sq_cache[key] = val
+        return val
 
-    def lipschitz_bound(self) -> float:
-        """Finite upper bound for |f'| over the three pieces (unscaled)."""
-        al, be = self.alpha, self.beta
-        left = 1.0 / (math.sqrt(1.0 - al) * (1.0 + 3.0 * al) ** 1.5)
-        mid = 1.0 / ((1.0 - be) ** 1.5 * (1.0 + 3.0 * al) ** 2.5)
-        right_dv = self._right.derivative()
-        right = max(abs(right_dv(be)), abs(right_dv(1.0)))
-        return max(left, mid, right)
+    def sq_integral(self, tol: float = DEFAULT_SQ_TOL, method: str = "gauss_kronrod") -> float:
+        """Integral of f**2 over [a, b]: scale**2 (b - a) times
+        ``unit_sq_integral(tol, method)``, so tol bounds the normalized
+        integral, whatever the scale and the domain."""
+        return self.scale * self.scale * (self.b - self.a) * self.unit_sq_integral(tol, method)
 
     def scaled(self, c: float) -> "BenchmarkTarget":
         return BenchmarkTarget(self.alpha, self.beta, self.a, self.b, self.scale * c)
@@ -270,12 +258,6 @@ class BenchmarkTarget:
 
 
 Target = Union[PolyTarget, BenchmarkTarget]
-
-
-def scale_target(t: Target, c: float) -> Target:
-    if not math.isfinite(c):
-        raise ValueError("scale factor must be finite")
-    return t.scaled(c)
 
 
 def parse_target_json(text: str) -> Target:
@@ -298,26 +280,16 @@ def parse_target_json(text: str) -> Target:
             pieces = [Polynomial([float(c) for c in cs]) for cs in doc["pieces"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad piecewise_poly spec: {exc}") from exc
-        if not all(map(math.isfinite, bps + [c for p in pieces for c in p.coeffs])):
-            raise DomainError("breakpoints and coefficients must be finite")
-        if any(x >= y for x, y in zip(bps, bps[1:])):
-            raise DomainError("breakpoints must be strictly increasing")
         try:
-            t = PolyTarget(PiecewisePolynomial(bps, pieces, continuous=True))
+            return PolyTarget(PiecewisePolynomial(bps, pieces, continuous=True))
         except ValueError as exc:
             raise DomainError(str(exc)) from exc
-        # finite coefficients can still overflow every risk evaluation
-        if not math.isfinite(t.sq_integral(*t.domain)):
-            raise DomainError("the integral of f**2 over the domain is not finite")
-        return t
     if kind == "benchmark":
         try:
             fields = [float(doc["alpha"]), float(doc["beta"]), float(doc.get("a", 0.0)),
                       float(doc.get("b", 1.0)), float(doc.get("scale", 1.0))]
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad benchmark spec: {exc}") from exc
-        if not all(map(math.isfinite, fields)):
-            raise DomainError("benchmark fields must be finite")
         return BenchmarkTarget(*fields)
     raise DomainError(f"unknown target kind {kind!r}")
 

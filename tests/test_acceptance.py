@@ -15,7 +15,7 @@ from reluland import (BenchmarkTarget, Params, PolyTarget, TrainConfig,
                       certify_gap, classify, closed_hessian_M, enumerate_all,
                       ensemble, fd_gradient, gf_run, grad, grad_smooth,
                       grid_oracle, hessian_fd, minima_risk, oracle_check, risk,
-                      sample_M, scale_target, verify_zero_integrals)
+                      sample_M, verify_zero_integrals)
 from reluland.landscape import CritClass
 
 from conftest import poly_target, rng_for
@@ -217,7 +217,7 @@ def test_criterion_11_risk_scaling(bench_t, xsq_t):
             cc = float(rng.uniform(-0.5, 0.5))
             p = Params.from_parts(w, b, v, cc)
             scaled = Params.from_parts(w, b, [c * x for x in v], c * cc)
-            lhs = risk(scaled, scale_target(t, c))
+            lhs = risk(scaled, t.scaled(c))
             rhs = c * c * risk(p, t)
             rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
             worst = max(worst, rel)

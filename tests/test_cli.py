@@ -172,6 +172,10 @@ INPUT_ERRORS = {
                                    "catalog.json"),
     "gf-huge-coefficient": (["gf", "--target", "huge_target.json", "--t-end", "1"],
                             "gf_report.json"),
+    # finite integral of f**2 (3.3e307), but the Hessian overflows
+    "enumerate-near-overflow-coefficient": (["enumerate", "--target", "near_huge_target.json"],
+                                            "catalog.json"),
+    "gf-huge-scale": (["gf", "--target", "huge_scale.json", "--t-end", "1"], "gf_report.json"),
     "minima-h-0": (["minima", "--h", "0"], "minima_report.json"),
     "minima-y-0": (["minima", "--y", "0"], "minima_report.json"),
     "minima-y-inf": (["minima", "--y", "1e400"], "minima_report.json"),
@@ -187,6 +191,10 @@ def test_input_error_exits_2_without_report(tmp_path, case):
         '{"kind": "piecewise_poly", "breakpoints": [0, 1], "pieces": [[0, NaN, 1]]}')
     (tmp_path / "huge_target.json").write_text(
         '{"kind": "piecewise_poly", "breakpoints": [0, 1], "pieces": [[0, 1e300, 1]]}')
+    (tmp_path / "near_huge_target.json").write_text(
+        '{"kind": "piecewise_poly", "breakpoints": [0, 1], "pieces": [[0, 1e154, 1]]}')
+    (tmp_path / "huge_scale.json").write_text(
+        '{"kind": "benchmark", "alpha": 0.25, "beta": 0.5, "scale": 1e160}')
     args, report = INPUT_ERRORS[case]
     args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
     res = run_cli(args + ["--out", str(tmp_path / "out")])

@@ -133,7 +133,7 @@ def test_catalog_reflection_symmetry(pp):
     got = _catalog_summary(enumerate_all(mirror), mirrored=True)
     want = _catalog_summary(enumerate_all(t))
     assert [r[0] for r in got] == [r[0] for r in want]
-    tol = 1e-12 * max(1.0, t.sq_integral(pp.lo, pp.hi))
+    tol = 1e-12 * max(1.0, t.sq_integral())
     for (_, q_got, risk_got), (_, q_want, risk_want) in zip(got, want):
         assert (q_got is None) == (q_want is None)
         if q_got is not None:

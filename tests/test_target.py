@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reluland import (BenchmarkTarget, PolyTarget, parse_target_json,
-                      scale_target, target_to_json)
+                      target_to_json)
 from reluland.errors import DomainError
 from reluland.polyalg import PiecewisePolynomial, Polynomial
 
@@ -15,6 +15,11 @@ from conftest import domain_points, piecewise_polys, poly_target, rng_for
 SQ_INT_F_13_23 = 0.024983326680593343
 # int_0^{1/2} f = -1/(8 sqrt 5), from the closed-form running integral
 INT_F_TO_HALF = -1.0 / (8.0 * math.sqrt(5.0))
+
+
+def integral(t, lo, hi, k=0):
+    """Integral of x**k f over [lo, hi], k in {0, 1}, from the running integrals."""
+    return t.cum_int_xint(hi)[k] - t.cum_int_xint(lo)[k]
 
 
 def test_eval_middle_piece_value(bench):
@@ -60,9 +65,27 @@ def test_benchmark_validation():
         BenchmarkTarget(1 / 3, 2 / 3, 1.0, 0.0)
 
 
-def test_lipschitz_bound_finite(bench):
-    assert math.isfinite(bench.lipschitz_bound())
-    assert bench.lipschitz_bound() > 0
+_LINE = [[0.0, 1.0]]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BenchmarkTarget(1 / 3, 2 / 3, b=math.inf),
+    lambda: BenchmarkTarget(1 / 3, 2 / 3, scale=math.nan),
+    lambda: BenchmarkTarget(math.nan, 2 / 3),
+    lambda: BenchmarkTarget(1 / 3, 2 / 3, -1e308, 1e308),  # b - a overflows
+    lambda: BenchmarkTarget(1 / 3, 2 / 3).scaled(math.inf),
+    lambda: BenchmarkTarget(1 / 3, 2 / 3).scaled(1e160),  # scale**2 overflows
+    lambda: poly_target([0.0, 1.0], [[0.0, math.nan, 1.0]]),
+    lambda: poly_target([0.0, math.inf], [[0.0]]),  # whose integral of f**2 is 0
+    lambda: poly_target([0.0, 1.0], _LINE).scaled(math.inf),
+    lambda: poly_target([0.0, 1.0], _LINE).scaled(math.nan),
+    lambda: poly_target([0.0, 1.0], _LINE).scaled(1e200),  # integral of f**2 overflows
+], ids=["bench-b-inf", "bench-scale-nan", "bench-alpha-nan", "bench-width-overflow",
+        "bench-scaled-inf", "bench-scaled-huge", "poly-coeff-nan", "poly-breakpoint-inf",
+        "poly-scaled-inf", "poly-scaled-nan", "poly-scaled-huge"])
+def test_constructors_reject_non_finite(make):
+    with pytest.raises(DomainError, match="finite"):
+        make()
 
 
 def test_antiderivatives_differentiate_to_f(bench):
@@ -78,19 +101,19 @@ def test_antiderivatives_differentiate_to_f(bench):
 
 
 def test_int_frozen_value(bench):
-    assert bench.integral(0.0, 0.5) == pytest.approx(INT_F_TO_HALF, rel=1e-13)
+    assert integral(bench, 0.0, 0.5) == pytest.approx(INT_F_TO_HALF, rel=1e-13)
     # the full-interval integral of the benchmark target vanishes
-    assert abs(bench.integral(0.0, 1.0)) < 1e-14
+    assert abs(integral(bench, 0.0, 1.0)) < 1e-14
 
 
 def test_int_poly_antiderivative():
     t = poly_target([0.0, 1.0], [[0.0, 0.0, 1.0]])
-    assert t.integral(0.0, 1.0 / 3.0) == pytest.approx(1.0 / 81.0, rel=1e-14)
+    assert integral(t, 0.0, 1.0 / 3.0) == pytest.approx(1.0 / 81.0, rel=1e-14)
 
 
 def test_xint_constant():
     t = poly_target([0.0, 1.0], [[2.0]])
-    assert t.x_integral(0.0, 1.0) == pytest.approx(1.0, rel=1e-15)
+    assert integral(t, 0.0, 1.0, k=1) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_int_additivity(bench):
@@ -99,24 +122,32 @@ def test_int_additivity(bench):
         lo = float(rng.uniform(0.0, 0.3))
         mid = float(rng.uniform(0.3, 0.7))
         hi = float(rng.uniform(0.7, 1.0))
-        for fn in (bench.integral, bench.x_integral):
-            assert (fn(lo, mid) + fn(mid, hi)
-                    == pytest.approx(fn(lo, hi), abs=1e-12))
+        for k in (0, 1):
+            assert (integral(bench, lo, mid, k) + integral(bench, mid, hi, k)
+                    == pytest.approx(integral(bench, lo, hi, k), abs=1e-12))
 
 
 def test_sq_int_examples():
     t = poly_target([0.0, 1.0], [[0.0, 1.0]])
-    assert t.sq_integral(0.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert t.sq_integral() == pytest.approx(1.0 / 3.0, rel=1e-15)
     z = poly_target([0.0, 1.0], [[0.0]])
-    assert z.sq_integral(0.0, 1.0) == 0.0
+    assert z.sq_integral() == 0.0
 
 
 def test_sq_int_benchmark_frozen(bench):
-    gk = bench.sq_integral(0.0, 1.0, 1e-12, "gauss_kronrod")
-    si = bench.sq_integral(0.0, 1.0, 1e-12, "simpson")
+    gk = bench.sq_integral(1e-12, "gauss_kronrod")
+    si = bench.sq_integral(1e-12, "simpson")
     assert gk == pytest.approx(SQ_INT_F_13_23, abs=5e-13)
     assert si == pytest.approx(SQ_INT_F_13_23, abs=5e-13)
     assert abs(gk - si) < 1e-10
+
+
+@pytest.mark.parametrize("method", ["gauss_kronrod", "simpson"])
+def test_sq_int_benchmark_large_scale(bench, method):
+    # tol bounds the normalized integral, so every scale reads one quadrature
+    for c in (1e3, 1e6, 1e150):
+        assert (bench.scaled(c).sq_integral(1e-12, method)
+                == pytest.approx(c * c * bench.sq_integral(1e-12, method), rel=1e-15))
 
 
 def test_sq_int_poly_matches_squared_moment():
@@ -126,18 +157,18 @@ def test_sq_int_poly_matches_squared_moment():
         t = poly_target([0.0, 1.0], [coeffs])
         p = Polynomial(coeffs)
         ref = PiecewisePolynomial([0.0, 1.0], [p * p]).moment(0, 0.0, 1.0)
-        assert t.sq_integral(0.0, 1.0) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        assert t.sq_integral() == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
 def test_scale_target():
     t = poly_target([0.0, 1.0], [[0.0, 1.0]])
-    assert scale_target(t, 2.0).eval(0.5) == pytest.approx(1.0)
-    assert scale_target(t, 1.0).eval(0.3) == t.eval(0.3)
-    assert scale_target(t, 0.0).eval(0.7) == 0.0
+    assert t.scaled(2.0).eval(0.5) == pytest.approx(1.0)
+    assert t.scaled(1.0).eval(0.3) == t.eval(0.3)
+    assert t.scaled(0.0).eval(0.7) == 0.0
 
 
 def test_scale_benchmark_pointwise(bench):
-    s = scale_target(bench, -2.5)
+    s = bench.scaled(-2.5)
     for x in (0.1, 0.45, 0.9):
         assert s.eval(x) == pytest.approx(-2.5 * bench.eval(x), rel=1e-15)
 
