@@ -7,19 +7,25 @@ structural cases: constant, affine, single kink with positive inner weight
 right of it).  The kink cases reduce to real roots of an explicit
 polynomial in the normalized kink position q, assembled here coefficient-
 exactly so that root isolation operates on a true polynomial.  A grid scan
-of the defining residual serves as an independent cross-check oracle.
+of the defining residual serves as an independent cross-check oracle: it
+evaluates D(q) at all grid points at once, as numpy arrays, from the
+target's running integrals of f and x f (``cum_moments``), bit for bit as
+three scalar moments per point would.  It never expands D in q, so an
+error in that expansion (``_kink_poly``) cannot hide in both routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (DegenerateEnumerationError, FinitenessError,
                      NonsmoothPointError)
 from .landscape import CritClass, classify, grad, hessian_fd, risk
 from .network import Params, Realization, canonical, l2_distance
 from .polyalg import PiecewisePolynomial, Polynomial, reparametrize, roots_in
-from .target import BenchmarkTarget, PolyTarget, Target
+from .target import BenchmarkTarget, Target
 
 __all__ = [
     "KinkSolution",
@@ -55,19 +61,14 @@ class KinkSolution:
     residuals: tuple[float, float, float]
 
 
-def _normalized01(t: PolyTarget) -> PiecewisePolynomial:
-    a, b = t.domain
-    pp = reparametrize(t.pp, b - a, a)
-    bps = list(pp.breakpoints)
-    bps[0], bps[-1] = 0.0, 1.0
-    return PiecewisePolynomial(bps, pp.pieces, continuous=True)
-
-
-def _reflect01(pp: PiecewisePolynomial) -> PiecewisePolynomial:
-    out = reparametrize(pp, -1.0, 1.0)
-    bps = list(out.breakpoints)
-    bps[0], bps[-1] = 0.0, 1.0
-    return PiecewisePolynomial(bps, out.pieces, continuous=True)
+def _on_unit(pp: PiecewisePolynomial, lo: float, hi: float) -> PiecewisePolynomial:
+    """u -> pp(lo + (hi - lo) u) on [0, 1], where lo and hi are pp's domain
+    ends (swapped to reflect).  The mapped ends are snapped to 0 and 1, and
+    pp's continuity flag is kept without a re-check, as in ``reparametrize``."""
+    out = reparametrize(pp, hi - lo, lo)
+    f01 = PiecewisePolynomial((0.0, *out.breakpoints[1:-1], 1.0), out.pieces)
+    f01.continuous = pp.continuous
+    return f01
 
 
 def enum_constant(t: Target) -> Realization:
@@ -230,7 +231,7 @@ def enum_kink_increasing(f01: PiecewisePolynomial) -> list[KinkSolution]:
 def enum_kink_decreasing(f01: PiecewisePolynomial) -> list[KinkSolution]:
     """Negative-inner-weight kinks, via reflection to the increasing case:
     solve for the reflected target, then map q -> 1-q and negate the slope."""
-    refl = _reflect01(f01)
+    refl = _on_unit(f01, 1.0, 0.0)
     out = []
     for sol in enum_kink_increasing(refl):
         q = 1.0 - sol.q
@@ -331,7 +332,7 @@ def enumerate_all(t: Target, dedup: float = DEDUP_DEFAULT) -> CriticalCatalog:
         raise FinitenessError(
             "finiteness hypothesis violated: enumeration needs a piecewise-"
             "polynomial target")
-    f01 = _normalized01(t)
+    f01 = _on_unit(t.pp, *t.domain)
     const_real = enum_constant(t)
     affine_real = enum_affine(t)
     inc = enum_kink_increasing(f01)
@@ -364,11 +365,17 @@ class GridOracleReport:
     resolution: float
 
 
-def _kink_residual(f01: PiecewisePolynomial, q: float) -> float:
-    """D(q) evaluated directly from target moments (see _kink_poly)."""
-    return ((1.0 - q) ** 2 * f01.moment(0, 0.0, q)
-            - 2.0 * q * ((q + 2.0) * f01.moment(0, q, 1.0)
-                         - 3.0 * f01.moment(1, q, 1.0)))
+def _kink_residual(f01: PiecewisePolynomial, qs: np.ndarray) -> np.ndarray:
+    """D(q) at sorted points qs in (0, 1), directly from target moments (see
+    _kink_poly); each moment is a difference of two running integrals, as
+    in ``PiecewisePolynomial.moment``."""
+    ends = np.concatenate(([0.0], qs, [1.0]))
+    c0 = f01.cum_moments(0, ends)
+    c1 = f01.cum_moments(1, ends)
+    int_0q = c0[1:-1] - c0[0]
+    int_q1 = c0[-1] - c0[1:-1]
+    int_q1_x = c1[-1] - c1[1:-1]
+    return (1.0 - qs) ** 2 * int_0q - 2.0 * qs * ((qs + 2.0) * int_q1 - 3.0 * int_q1_x)
 
 
 def grid_oracle(t: Target, resolution: float = 1e-3,
@@ -383,19 +390,20 @@ def grid_oracle(t: Target, resolution: float = 1e-3,
         raise ValueError("resolution must be <= 1e-3")
     if isinstance(t, BenchmarkTarget):
         raise FinitenessError("grid oracle needs a piecewise-polynomial target")
-    f01 = _normalized01(t)
+    f01 = _on_unit(t.pp, *t.domain)
     if orientation == "decreasing":
-        f01 = _reflect01(f01)
+        f01 = _on_unit(f01, 1.0, 0.0)
     elif orientation != "increasing":
         raise ValueError("orientation must be 'increasing' or 'decreasing'")
 
     m = int(round(1.0 / resolution))
-    qs = [k / m for k in range(1, m)]
-    vals = [_kink_residual(f01, q) for q in qs]
+    grid = np.arange(1, m) / m
+    vals = _kink_residual(f01, grid)
     scale = max(1.0, f01.coeff_scale())
-    if max(abs(v) for v in vals) <= 1e-12 * scale:
+    if np.max(np.abs(vals)) <= 1e-12 * scale:
         return GridOracleReport(brackets=(), degenerate_everywhere=True,
                                 resolution=resolution)
+    qs, vals = grid.tolist(), vals.tolist()
     brackets = []
     for q0, q1, v0, v1 in zip(qs, qs[1:], vals, vals[1:]):
         if v0 == 0.0:
@@ -417,8 +425,8 @@ def oracle_check(t: Target, resolution: float = 1e-3,
     if reports is None:
         reports = (grid_oracle(t, resolution, "increasing"),
                    grid_oracle(t, resolution, "decreasing"))
-    f01 = _normalized01(t)
-    for report, pp in zip(reports, (f01, _reflect01(f01))):
+    f01 = _on_unit(t.pp, *t.domain)
+    for report, pp in zip(reports, (f01, _on_unit(f01, 1.0, 0.0))):
         resolution = report.resolution
         if report.degenerate_everywhere:
             try:
@@ -445,6 +453,7 @@ def oracle_check(t: Target, resolution: float = 1e-3,
             if q in roots and resolution < q < 1.0 - resolution:
                 lo = max(q - resolution, 1e-9)
                 hi = min(q + resolution, 1.0 - 1e-9)
-                if _kink_residual(pp, lo) * _kink_residual(pp, hi) < 0.0:
+                v_lo, v_hi = _kink_residual(pp, np.array([lo, hi]))
+                if v_lo * v_hi < 0.0:
                     return False
     return True

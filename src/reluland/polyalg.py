@@ -5,7 +5,11 @@ Coefficients are plain doubles in ascending order (``coeffs[k]`` multiplies
 go through antiderivatives, and real-root isolation uses a Sturm sequence
 with bisection followed by Newton polishing.  Every integral of a piecewise
 polynomial p reads one running-integral table per power k, the single
-implementation of the running integral of x**k * p (``cum_moment``).
+implementation of the running integral of x**k * p (``cum_moment``);
+``cum_moments`` reads the same table at a whole sorted array of points,
+one numpy slice per piece, bit for bit as ``cum_moment`` at each point.
+The width-1 grid oracle reads its moments that way, so it stays
+independent of the kink polynomial that ``running_poly`` expands in q.
 All values are immutable and the operations are pure; the tables are
 caches built on first use.
 """
@@ -14,6 +18,8 @@ from __future__ import annotations
 
 import bisect
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError, IdenticallyZeroError
 
@@ -53,6 +59,7 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x: float) -> float:
+        # elementwise on an ndarray, with the same operations per element
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -186,6 +193,18 @@ class PiecewisePolynomial:
         i = self._piece_index(x)
         return prefix[i] + antis[i](x) - starts[i]
 
+    def cum_moments(self, k: int, xs: np.ndarray) -> np.ndarray:
+        """``cum_moment(k, x)`` at every x of a sorted float64 array in the
+        domain (unchecked), bit for bit: the points on piece i are one
+        contiguous slice, found with the right-piece ownership of
+        ``_piece_index``, and A_i is evaluated on the whole slice."""
+        antis, starts, prefix = self._table(k)
+        cuts = np.searchsorted(xs, self.breakpoints[1:-1], side="left").tolist()
+        out = np.empty(len(xs))
+        for i, (s, e) in enumerate(zip([0] + cuts, cuts + [len(xs)])):
+            out[s:e] = (prefix[i] + antis[i](xs[s:e])) - starts[i]
+        return out
+
     def running_poly(self, k: int, i: int) -> Polynomial:
         """The polynomial equal to ``cum_moment(k, x)`` for x on piece i."""
         antis, starts, prefix = self._table(k)
@@ -232,8 +251,12 @@ def reparametrize(pp: PiecewisePolynomial, s: float, t: float) -> PiecewisePolyn
         new_bps.reverse()
         new_pieces.reverse()
     keep = [i for i in range(len(new_pieces)) if new_bps[i] < new_bps[i + 1]]
-    return PiecewisePolynomial([new_bps[0]] + [new_bps[i + 1] for i in keep],
-                               [new_pieces[i] for i in keep], continuous=pp.continuous)
+    out = PiecewisePolynomial([new_bps[0]] + [new_bps[i + 1] for i in keep],
+                              [new_pieces[i] for i in keep])
+    # pp(s*u + t) is continuous wherever pp is; re-checking would hold the
+    # rounding of the composed coefficients to the absolute tolerance
+    out.continuous = pp.continuous
+    return out
 
 
 # ---------------------------------------------------------------------------

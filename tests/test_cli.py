@@ -176,6 +176,10 @@ INPUT_ERRORS = {
     "enumerate-near-overflow-coefficient": (["enumerate", "--target", "near_huge_target.json"],
                                             "catalog.json"),
     "gf-huge-scale": (["gf", "--target", "huge_scale.json", "--t-end", "1"], "gf_report.json"),
+    # reflecting it once raised "discontinuity at breakpoint 0.78"; its
+    # affine lift now misses the absolute criticality tolerance instead
+    "enumerate-lossy-reflection": (["enumerate", "--target", "lossy_target.json"],
+                                   "catalog.json"),
     "minima-h-0": (["minima", "--h", "0"], "minima_report.json"),
     "minima-y-0": (["minima", "--y", "0"], "minima_report.json"),
     "minima-y-inf": (["minima", "--y", "1e400"], "minima_report.json"),
@@ -193,6 +197,10 @@ def test_input_error_exits_2_without_report(tmp_path, case):
         '{"kind": "piecewise_poly", "breakpoints": [0, 1], "pieces": [[0, 1e300, 1]]}')
     (tmp_path / "near_huge_target.json").write_text(
         '{"kind": "piecewise_poly", "breakpoints": [0, 1], "pieces": [[0, 1e154, 1]]}')
+    (tmp_path / "lossy_target.json").write_text(
+        '{"kind": "piecewise_poly", "breakpoints": [0.0, 0.22, 1.0], "pieces": '
+        '[[4.0, -15.0, -16.0, 20.0, 7.0, 6.0, 5.0], [601.9490598512639, -3776.0, '
+        '3753.0, 4070.0, 1058.0, 2027.0, 3739.0]]}')
     (tmp_path / "huge_scale.json").write_text(
         '{"kind": "benchmark", "alpha": 0.25, "beta": 0.5, "scale": 1e160}')
     args, report = INPUT_ERRORS[case]

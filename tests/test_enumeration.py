@@ -1,18 +1,28 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from reluland import (BenchmarkTarget, Params, PolyTarget, enum_affine,
                       enum_constant, enum_kink_decreasing, enum_kink_increasing,
                       enumerate_all, grad, grid_oracle, l2_distance,
                       oracle_check)
-from reluland.enumeration import _normalized01, _reflect01
+from reluland.enumeration import _kink_residual, _on_unit
 from reluland.errors import FinitenessError
 from reluland.network import Realization, canonical
 from reluland.polyalg import PiecewisePolynomial, Polynomial, reparametrize
 
 from conftest import piecewise_polys, poly_target, random_continuous_piecewise, rng_for
+
+
+def _normalized01(t):
+    return _on_unit(t.pp, *t.domain)
+
+
+def _reflect01(f01):
+    return _on_unit(f01, 1.0, 0.0)
+
 
 # exact risks of the x^2 catalog entries (constant 1/3, affine x - 1/6,
 # increasing kink at q = 1/3): 4/45, 1/180, 4/3645
@@ -232,3 +242,64 @@ def test_grid_oracle_constant_degenerate():
 def test_grid_oracle_resolution_check(xsq):
     with pytest.raises(ValueError):
         grid_oracle(xsq, 0.01)
+
+
+def _scalar_kink_residual(f01, q):
+    """The former scalar D(q), from three ``moment`` calls."""
+    return ((1.0 - q) ** 2 * f01.moment(0, 0.0, q)
+            - 2.0 * q * ((q + 2.0) * f01.moment(0, q, 1.0)
+                         - 3.0 * f01.moment(1, q, 1.0)))
+
+
+def _scalar_scan(f01, resolution):
+    """The former scalar grid scan: (brackets, degenerate_everywhere)."""
+    m = int(round(1.0 / resolution))
+    qs = [k / m for k in range(1, m)]
+    vals = [_scalar_kink_residual(f01, q) for q in qs]
+    if max(abs(v) for v in vals) <= 1e-12 * max(1.0, f01.coeff_scale()):
+        return (), True
+    brackets = []
+    for q0, q1, v0, v1 in zip(qs, qs[1:], vals, vals[1:]):
+        if v0 == 0.0:
+            continue
+        if v0 * v1 < 0.0 or (v1 == 0.0 and q1 != qs[-1]):
+            brackets.append((q0, q1))
+    return tuple(brackets), False
+
+
+_ORACLE_EXAMPLES = (
+    PiecewisePolynomial([0.0, 1.0], [Polynomial([0.0, 0.0, 1.0])]),
+    PiecewisePolynomial([0.0, 1.0], [Polynomial([1.0])]),
+    # a split double root of the kink polynomial at the breakpoint
+    PiecewisePolynomial([0.0, 0.95, 1.0], [Polynomial([0.3]),
+                                           Polynomial([0.2999905, 1e-05])]),
+)
+
+
+def _oriented01(pp, orientation):
+    f01 = _normalized01(PolyTarget(pp))
+    return f01 if orientation == "increasing" else _reflect01(f01)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(piecewise_polys(), st.sampled_from(("increasing", "decreasing")))
+@example(_ORACLE_EXAMPLES[0], "increasing")
+@example(_ORACLE_EXAMPLES[2], "decreasing")
+def test_kink_residual_array_bit_identical_to_scalar(pp, orientation):
+    f01 = _oriented01(pp, orientation)
+    qs = np.arange(1, 1000) / 1000
+    got = [v.hex() for v in _kink_residual(f01, qs).tolist()]
+    assert got == [_scalar_kink_residual(f01, q).hex() for q in qs.tolist()]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(piecewise_polys(), st.sampled_from(("increasing", "decreasing")))
+@example(_ORACLE_EXAMPLES[0], "increasing")
+@example(_ORACLE_EXAMPLES[1], "increasing")
+@example(_ORACLE_EXAMPLES[2], "increasing")
+@example(_ORACLE_EXAMPLES[2], "decreasing")
+def test_grid_oracle_matches_scalar_scan(pp, orientation):
+    rep = grid_oracle(PolyTarget(pp), 1e-3, orientation)
+    want = _scalar_scan(_oriented01(pp, orientation), 1e-3)
+    assert (rep.brackets, rep.degenerate_everywhere) == want
+    assert all(type(q) is float for bracket in rep.brackets for q in bracket)

@@ -9,8 +9,9 @@ from reluland import (BenchmarkTarget, CritClass, Params, PolyTarget, classify,
                       closed_hessian_M, fd_gradient, grad, grad_smooth,
                       hessian_fd, realize_smooth, risk, sample_M)
 from reluland.errors import DomainError, NonsmoothPointError, NotCriticalError
-from reluland.landscape import (HessianReport, _report_from_matrix,
+from reluland.landscape import (HessianReport, _Geometry, _report_from_matrix,
                                 _smooth_breakpoints, grad_theta, risk_theta)
+from reluland.network import canonical
 from reluland.polyalg import PiecewisePolynomial, Polynomial
 from reluland.quadrature import adaptive_simpson
 
@@ -186,6 +187,34 @@ def test_risk_scaling_identity_random_targets(case, e, sign):
     scaled = Params(H, p.theta[:2 * H] + tuple(c * x for x in p.theta[2 * H:]))
     r = risk(p, t)
     assert abs(risk(scaled, t.scaled(c)) - c * c * r) <= 1e-11 * c * c * (r + t.sq_integral())
+
+
+@st.composite
+def _risk_case(draw):
+    """A random theta and a random piecewise-polynomial target, or the
+    network's own realization as the target, where the exact risk is 0."""
+    pp = draw(piecewise_polys())
+    H = draw(st.integers(1, 4))
+    p = Params(H, tuple(draw(st.lists(st.floats(-2.0, 2.0), min_size=3 * H + 1,
+                                      max_size=3 * H + 1))))
+    if draw(st.booleans()):
+        r = canonical(p, pp.lo, pp.hi)
+        nodes = (r.a, *r.kinks, r.b)
+        pp = PiecewisePolynomial(nodes, [Polynomial([r(x0) - s * x0, s])
+                                         for x0, s in zip(nodes, r.slopes)])
+    return PolyTarget(pp), p
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_risk_case())
+@example((poly_target([-1.0, 0.0, 1.0], [[0.0], [0.0, 1.0]]),
+          Params.from_parts([1.0], [0.0], [1.0], 0.0)))
+def test_unclamped_risk_not_below_rounding(case):
+    # risk_theta's value before its final max(val, 0.0)
+    t, p = case
+    geo = _Geometry(p.theta, p.H, t)
+    val = geo.net_sq_int() - 2.0 * geo.net_f_int() + t.sq_integral()
+    assert val >= -1e-12 * (1.0 + t.sq_integral())
 
 
 def test_local_min_probe_small(bench):

@@ -111,6 +111,40 @@ def test_moment_matches_exact_rational_integral(case):
     assert abs(pp.moment(k, lo, hi) - float(exact)) <= 1e-14 * len(pp.pieces) * max(scale, 1.0)
 
 
+def _cum_hex(pp, k, xs):
+    return [pp.cum_moment(k, x).hex() for x in xs]
+
+
+def test_cum_moments_on_breakpoints_and_ends():
+    # grid points on both interior breakpoints, at lo and at hi; at each
+    # breakpoint the left piece's row of the table gives other last bits
+    # for k = 0, so the right piece must own it
+    pp = PiecewisePolynomial([-1.0, -0.5, 0.25, 1.0],
+                             [Polynomial([0.1, -2.3, -2.9]),
+                              Polynomial([2.3, 1.0, -0.2]),
+                              Polynomial([1.9, 2.7, 0.5])])
+    xs = np.linspace(-1.0, 1.0, 9)
+    assert pp.breakpoints[1] in xs and pp.breakpoints[2] in xs
+    for k in (0, 1, 2):
+        got = [v.hex() for v in pp.cum_moments(k, xs).tolist()]
+        assert got == _cum_hex(pp, k, xs.tolist())
+    # repeated points, and a piece that holds none of them
+    xs = np.array([-1.0, -1.0, 0.5, 1.0, 1.0])
+    got = [v.hex() for v in pp.cum_moments(1, xs).tolist()]
+    assert got == _cum_hex(pp, 1, xs.tolist())
+    assert pp.cum_moments(0, np.array([])).shape == (0,)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_cum_moments_bit_identical_to_cum_moment(data):
+    pp = data.draw(piecewise_polys())
+    xs = sorted(data.draw(domain_points(pp, max_size=20)))
+    k = data.draw(st.integers(0, 3))
+    got = [v.hex() for v in pp.cum_moments(k, np.array(xs)).tolist()]
+    assert got == _cum_hex(pp, k, xs)
+
+
 def test_roots_simple():
     assert roots_in(Polynomial([-0.25, 0.0, 1.0]), 0.0, 1.0, 1e-12) == pytest.approx([0.5])
 
@@ -223,3 +257,15 @@ def test_reparametrize_drops_pieces_rounded_to_zero_width():
     assert out.breakpoints == (0.0, 0.99, 1.0)
     for u in (0.0, 0.5, 0.99, 1.0):
         assert out.eval(u) == pytest.approx(pp.eval(1.0 - u), abs=1e-15)
+
+
+def test_reparametrize_keeps_continuity_without_recheck():
+    # continuous to rounding, but the reflected coefficients miss each other
+    # at 0.78 by more than the absolute 1e-12 tolerance
+    pp = PiecewisePolynomial(
+        [0.0, 0.22, 1.0],
+        [Polynomial([4.0, -15.0, -16.0, 20.0, 7.0, 6.0, 5.0]),
+         Polynomial([601.9490598512639, -3776.0, 3753.0, 4070.0, 1058.0, 2027.0, 3739.0])],
+        continuous=True)
+    out = reparametrize(pp, -1.0, 1.0)
+    assert out.continuous and out.breakpoints == (0.0, 0.78, 1.0)
