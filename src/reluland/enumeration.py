@@ -6,12 +6,17 @@ structural cases: constant, affine, single kink with positive inner weight
 (flat left of the kink) and single kink with negative inner weight (flat
 right of it).  The kink cases reduce to real roots of an explicit
 polynomial in the normalized kink position q, assembled here coefficient-
-exactly so that root isolation operates on a true polynomial.  A grid scan
-of the defining residual serves as an independent cross-check oracle: it
-evaluates D(q) at all grid points at once, as numpy arrays, from the
-target's running integrals of f and x f (``cum_moments``), bit for bit as
-three scalar moments per point would.  It never expands D in q, so an
-error in that expansion (``_kink_poly``) cannot hide in both routes.
+exactly so that root isolation operates on a true polynomial.
+``enumerate_all`` normalizes the target to [0, 1] once, reflects it once
+for the decreasing orientation and isolates each orientation's roots once;
+the catalog keeps both ``KinkRoots``.  A grid scan of the defining residual
+on each orientation's normalized target serves as an independent
+cross-check oracle: it evaluates D(q) at all grid points at once, as numpy
+arrays, from the target's running integrals of f and x f
+(``cum_moments``), bit for bit as three scalar moments per point would.
+It never expands D in q, so an error in that expansion (``_kink_poly``)
+cannot hide in both routes; ``oracle_check`` matches its brackets against
+the catalog's roots.
 """
 
 from __future__ import annotations
@@ -29,13 +34,12 @@ from .target import BenchmarkTarget, Target
 
 __all__ = [
     "KinkSolution",
+    "KinkRoots",
     "CatalogEntry",
     "CriticalCatalog",
     "GridOracleReport",
     "enum_constant",
     "enum_affine",
-    "enum_kink_increasing",
-    "enum_kink_decreasing",
     "enumerate_all",
     "grid_oracle",
     "oracle_check",
@@ -46,6 +50,7 @@ VW_EXCLUSION_TOL = 1e-12
 ROOT_TOL = 1e-12
 BREAKPOINT_MARGIN = 1e-9
 DEDUP_DEFAULT = 1e-8
+ORACLE_RESOLUTION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,17 @@ class KinkSolution:
     vw: float
     orientation: str
     residuals: tuple[float, float, float]
+
+
+@dataclass(frozen=True)
+class KinkRoots:
+    """One kink orientation's roots: the target on [0, 1] (reflected for the
+    decreasing orientation), the admissible kink positions in that
+    orientation's own q, and the roots excluded by a zero slope."""
+
+    f01: PiecewisePolynomial
+    admissible: tuple[float, ...]
+    excluded: tuple[float, ...]
 
 
 def _on_unit(pp: PiecewisePolynomial, lo: float, hi: float) -> PiecewisePolynomial:
@@ -138,7 +154,7 @@ def _deflate_linear(p: Polynomial, root: float, tol: float) -> Polynomial:
     return Polynomial(quot)
 
 
-def _kink_roots(f01: PiecewisePolynomial):
+def _kink_roots(f01: PiecewisePolynomial) -> KinkRoots:
     """Roots of the kink equation in (0,1), split into admissible kink
     positions and those excluded by a vanishing slope."""
     T0 = f01.moment(0, 0.0, 1.0)
@@ -194,7 +210,7 @@ def _kink_roots(f01: PiecewisePolynomial):
             out.append(x)
         return out
 
-    return dedup(admissible), dedup(excluded)
+    return KinkRoots(f01, tuple(dedup(admissible)), tuple(dedup(excluded)))
 
 
 def _increasing_solution(f01: PiecewisePolynomial, q: float) -> KinkSolution:
@@ -221,31 +237,20 @@ def _check_residuals(sol: KinkSolution) -> None:
             f"kink solution at q={sol.q!r} has residual {worst:g}")
 
 
-def enum_kink_increasing(f01: PiecewisePolynomial) -> list[KinkSolution]:
-    """All critical kinks with positive inner weight for a continuous
-    piecewise-polynomial target normalized to [0, 1]."""
-    roots, _ = _kink_roots(f01)
-    return [_increasing_solution(f01, q) for q in roots]
-
-
-def enum_kink_decreasing(f01: PiecewisePolynomial) -> list[KinkSolution]:
-    """Negative-inner-weight kinks, via reflection to the increasing case:
-    solve for the reflected target, then map q -> 1-q and negate the slope."""
-    refl = _on_unit(f01, 1.0, 0.0)
-    out = []
-    for sol in enum_kink_increasing(refl):
-        q = 1.0 - sol.q
-        c = sol.c
-        vw = -sol.vw
-        res1 = c * (1.0 - q) - f01.moment(0, q, 1.0)
-        res2 = c * q - vw * q * q / 2.0 - f01.moment(0, 0.0, q)
-        res3 = c * q * q / 2.0 - vw * q ** 3 / 6.0 - f01.moment(1, 0.0, q)
-        mapped = KinkSolution(q=q, c=c, vw=vw, orientation="decreasing",
-                              residuals=(res1, res2, res3))
-        _check_residuals(mapped)
-        out.append(mapped)
-    out.sort(key=lambda s: s.q)
-    return out
+def _decreasing_solution(f01: PiecewisePolynomial, sol: KinkSolution) -> KinkSolution:
+    """A negative-inner-weight kink from the increasing solution ``sol`` of
+    the reflected target: map q -> 1-q, negate the slope and check the
+    residuals against the unreflected f01."""
+    q = 1.0 - sol.q
+    c = sol.c
+    vw = -sol.vw
+    res1 = c * (1.0 - q) - f01.moment(0, q, 1.0)
+    res2 = c * q - vw * q * q / 2.0 - f01.moment(0, 0.0, q)
+    res3 = c * q * q / 2.0 - vw * q ** 3 / 6.0 - f01.moment(1, 0.0, q)
+    mapped = KinkSolution(q=q, c=c, vw=vw, orientation="decreasing",
+                          residuals=(res1, res2, res3))
+    _check_residuals(mapped)
+    return mapped
 
 
 @dataclass(frozen=True)
@@ -263,9 +268,8 @@ class CatalogEntry:
 
 @dataclass(frozen=True)
 class CriticalCatalog:
-    constant: Realization
-    affine: Realization
     kinks: tuple[KinkSolution, ...]
+    orientations: tuple[KinkRoots, KinkRoots]  # (increasing, decreasing)
     entries: tuple[CatalogEntry, ...]  # deduplicated, sorted by risk
 
     def min_risk(self) -> float:
@@ -335,25 +339,26 @@ def enumerate_all(t: Target, dedup: float = DEDUP_DEFAULT) -> CriticalCatalog:
     f01 = _on_unit(t.pp, *t.domain)
     const_real = enum_constant(t)
     affine_real = enum_affine(t)
-    inc = enum_kink_increasing(f01)
-    dec = enum_kink_decreasing(f01)
+    inc = _kink_roots(f01)
+    kinks = [_increasing_solution(f01, q) for q in inc.admissible]
+    dec = _kink_roots(_on_unit(f01, 1.0, 0.0))
+    kinks += sorted((_decreasing_solution(f01, _increasing_solution(dec.f01, q))
+                     for q in dec.admissible), key=lambda s: s.q)
 
     slope = affine_real.slopes[0]
     intercept = affine_real.offset - slope * t.domain[0]
     entries = [_entry(t, "constant", _lift_constant(t, const_real.offset)),
                _entry(t, "affine", _lift_affine(t, slope, intercept))]
-    for sol in inc:
-        entries.append(_entry(t, "kink_increasing", _lift_kink(t, sol), sol))
-    for sol in dec:
-        entries.append(_entry(t, "kink_decreasing", _lift_kink(t, sol), sol))
+    for sol in kinks:
+        entries.append(_entry(t, f"kink_{sol.orientation}", _lift_kink(t, sol), sol))
 
     kept: list[CatalogEntry] = []
     for e in entries:
         if all(l2_distance(e.realization, k.realization) >= dedup for k in kept):
             kept.append(e)
     kept.sort(key=lambda e: e.risk)
-    return CriticalCatalog(constant=const_real, affine=affine_real,
-                           kinks=tuple(inc + dec), entries=tuple(kept))
+    return CriticalCatalog(kinks=tuple(kinks), orientations=(inc, dec),
+                           entries=tuple(kept))
 
 
 @dataclass(frozen=True)
@@ -362,7 +367,6 @@ class GridOracleReport:
 
     brackets: tuple[tuple[float, float], ...]
     degenerate_everywhere: bool
-    resolution: float
 
 
 def _kink_residual(f01: PiecewisePolynomial, qs: np.ndarray) -> np.ndarray:
@@ -378,31 +382,20 @@ def _kink_residual(f01: PiecewisePolynomial, qs: np.ndarray) -> np.ndarray:
     return (1.0 - qs) ** 2 * int_0q - 2.0 * qs * ((qs + 2.0) * int_q1 - 3.0 * int_q1_x)
 
 
-def grid_oracle(t: Target, resolution: float = 1e-3,
-                orientation: str = "increasing") -> GridOracleReport:
+def grid_oracle(f01: PiecewisePolynomial) -> GridOracleReport:
     """Independent bracketing oracle for the kink equation.
 
-    Evaluates D(q) directly from target moments on a uniform grid of the
-    given resolution and reports the sign-change brackets; makes no use of
-    the coefficient-expansion route it is meant to check.
+    Evaluates D(q) directly from the moments of one orientation's target on
+    [0, 1] (a ``KinkRoots.f01``) on a uniform grid of spacing
+    ``ORACLE_RESOLUTION`` and reports the sign-change brackets; makes no use
+    of the coefficient-expansion route it is meant to check.
     """
-    if resolution > 1e-3:
-        raise ValueError("resolution must be <= 1e-3")
-    if isinstance(t, BenchmarkTarget):
-        raise FinitenessError("grid oracle needs a piecewise-polynomial target")
-    f01 = _on_unit(t.pp, *t.domain)
-    if orientation == "decreasing":
-        f01 = _on_unit(f01, 1.0, 0.0)
-    elif orientation != "increasing":
-        raise ValueError("orientation must be 'increasing' or 'decreasing'")
-
-    m = int(round(1.0 / resolution))
+    m = int(round(1.0 / ORACLE_RESOLUTION))
     grid = np.arange(1, m) / m
     vals = _kink_residual(f01, grid)
     scale = max(1.0, f01.coeff_scale())
     if np.max(np.abs(vals)) <= 1e-12 * scale:
-        return GridOracleReport(brackets=(), degenerate_everywhere=True,
-                                resolution=resolution)
+        return GridOracleReport(brackets=(), degenerate_everywhere=True)
     qs, vals = grid.tolist(), vals.tolist()
     brackets = []
     for q0, q1, v0, v1 in zip(qs, qs[1:], vals, vals[1:]):
@@ -410,34 +403,25 @@ def grid_oracle(t: Target, resolution: float = 1e-3,
             continue
         if v0 * v1 < 0.0 or (v1 == 0.0 and q1 != qs[-1]):
             brackets.append((q0, q1))
-    return GridOracleReport(brackets=tuple(brackets), degenerate_everywhere=False,
-                            resolution=resolution)
+    return GridOracleReport(brackets=tuple(brackets), degenerate_everywhere=False)
 
 
-def oracle_check(t: Target, resolution: float = 1e-3,
-                 reports: tuple[GridOracleReport, GridOracleReport] | None = None) -> bool:
-    """True iff enumeration roots and grid-oracle brackets are in bijection
-    (after zero-slope exclusions) for both kink orientations.
+def oracle_check(catalog: CriticalCatalog,
+                 reports: tuple[GridOracleReport, GridOracleReport]) -> bool:
+    """True iff the catalog's kink roots and the grid-oracle brackets are in
+    bijection (after zero-slope exclusions) for both kink orientations.
 
-    ``reports`` are the increasing and decreasing ``grid_oracle`` reports
-    of t when the caller already has them; they carry their resolution.
+    ``reports`` are the ``grid_oracle`` reports of the increasing and the
+    decreasing ``catalog.orientations``, in that order.
     """
-    if reports is None:
-        reports = (grid_oracle(t, resolution, "increasing"),
-                   grid_oracle(t, resolution, "decreasing"))
-    f01 = _on_unit(t.pp, *t.domain)
-    for report, pp in zip(reports, (f01, _on_unit(f01, 1.0, 0.0))):
-        resolution = report.resolution
+    resolution = ORACLE_RESOLUTION
+    for report, kr in zip(reports, catalog.orientations):
+        roots = kr.admissible
         if report.degenerate_everywhere:
-            try:
-                roots, _ = _kink_roots(pp)
-            except DegenerateEnumerationError:
-                return False
             if roots:
                 return False
             continue
-        roots, excluded = _kink_roots(pp)
-        candidates = sorted(roots + excluded)
+        candidates = sorted(roots + kr.excluded)
         used = [False] * len(candidates)
         for lo, hi in report.brackets:
             inside = [i for i, q in enumerate(candidates)
@@ -453,7 +437,7 @@ def oracle_check(t: Target, resolution: float = 1e-3,
             if q in roots and resolution < q < 1.0 - resolution:
                 lo = max(q - resolution, 1e-9)
                 hi = min(q + resolution, 1.0 - 1e-9)
-                v_lo, v_hi = _kink_residual(pp, np.array([lo, hi]))
+                v_lo, v_hi = _kink_residual(kr.f01, np.array([lo, hi]))
                 if v_lo * v_hi < 0.0:
                     return False
     return True

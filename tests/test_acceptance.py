@@ -134,9 +134,10 @@ def test_criterion_07_enumeration_analytic(xsq_t):
     ok = ok and worst_res < 1e-9
     ok = ok and all(e.grad_norm < 1e-9 for e in cat.entries)
     # decreasing case: the oracle confirms there are none for this target
-    ok = ok and grid_oracle(xsq_t, 1e-3, "decreasing").brackets == ()
-    ok = ok and len(grid_oracle(xsq_t, 1e-3).brackets) == 1
-    ok = ok and oracle_check(xsq_t)
+    inc_report, dec_report = (grid_oracle(kr.f01) for kr in cat.orientations)
+    ok = ok and dec_report.brackets == ()
+    ok = ok and len(inc_report.brackets) == 1
+    ok = ok and oracle_check(cat, (inc_report, dec_report))
     report(7, ok, f"(catalog = {sorted(by_kind)}, max residual = {worst_res:.1e})")
 
 

@@ -68,6 +68,26 @@ def test_enumerate_ok(tmp_path):
     assert (tmp_path / "catalog_entry_0.csv").exists()
 
 
+def test_enumerate_normalizes_and_isolates_roots_once_per_orientation(tmp_path, monkeypatch):
+    from reluland import enumeration
+    calls = {"_on_unit": 0, "_kink_roots": 0}
+
+    def counted(name):
+        fn = getattr(enumeration, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(enumeration, name, counted(name))
+    res = run_cli(["enumerate", "--target", str(write_xsq(tmp_path)),
+                   "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert calls == {"_on_unit": 2, "_kink_roots": 2}
+
+
 def test_enumerate_benchmark_rejected(tmp_path):
     target = tmp_path / "bench.json"
     target.write_text(json.dumps({"kind": "benchmark", "alpha": 1 / 3,

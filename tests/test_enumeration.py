@@ -5,11 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reluland import (BenchmarkTarget, Params, PolyTarget, enum_affine,
-                      enum_constant, enum_kink_decreasing, enum_kink_increasing,
-                      enumerate_all, grad, grid_oracle, l2_distance,
-                      oracle_check)
-from reluland.enumeration import _kink_residual, _on_unit
-from reluland.errors import FinitenessError
+                      enum_constant, enumerate_all, grad, grid_oracle,
+                      l2_distance, oracle_check)
+from reluland.enumeration import _kink_residual, _kink_roots, _on_unit
+from reluland.errors import DegenerateEnumerationError, FinitenessError
 from reluland.network import Realization, canonical
 from reluland.polyalg import PiecewisePolynomial, Polynomial, reparametrize
 
@@ -22,6 +21,14 @@ def _normalized01(t):
 
 def _reflect01(f01):
     return _on_unit(f01, 1.0, 0.0)
+
+
+def _kinks(t, orientation):
+    return [s for s in enumerate_all(t).kinks if s.orientation == orientation]
+
+
+def _oracle_reports(cat):
+    return tuple(grid_oracle(kr.f01) for kr in cat.orientations)
 
 
 # exact risks of the x^2 catalog entries (constant 1/3, affine x - 1/6,
@@ -49,7 +56,7 @@ def test_enum_affine_examples(xsq):
 
 
 def test_kink_increasing_xsq(xsq):
-    sols = enum_kink_increasing(_normalized01(xsq))
+    sols = _kinks(xsq, "increasing")
     assert len(sols) == 1
     s = sols[0]
     assert s.q == pytest.approx(1.0 / 3.0, abs=1e-9)
@@ -60,29 +67,28 @@ def test_kink_increasing_xsq(xsq):
 
 def test_kink_increasing_linear_empty():
     t = poly_target([0.0, 1.0], [[0.0, 1.0]])
-    assert enum_kink_increasing(_normalized01(t)) == []
+    assert _kinks(t, "increasing") == []
 
 
 def test_kink_increasing_constant_excluded():
     t = poly_target([0.0, 1.0], [[1.0]])
-    assert enum_kink_increasing(_normalized01(t)) == []
+    assert _kinks(t, "increasing") == []
 
 
 def test_kink_decreasing_xsq_empty(xsq):
-    assert enum_kink_decreasing(_normalized01(xsq)) == []
+    assert _kinks(xsq, "decreasing") == []
 
 
 def test_kink_decreasing_linear_empty():
     t = poly_target([0.0, 1.0], [[0.0, 1.0]])
-    assert enum_kink_decreasing(_normalized01(t)) == []
+    assert _kinks(t, "decreasing") == []
 
 
 def test_decreasing_mirrors_increasing_for_symmetric_target():
     # target symmetric about 1/2: the hat function
     t = poly_target([0.0, 0.5, 1.0], [[0.0, 1.0], [1.0, -1.0]])
-    f01 = _normalized01(t)
-    inc = enum_kink_increasing(f01)
-    dec = enum_kink_decreasing(f01)
+    inc = _kinks(t, "increasing")
+    dec = _kinks(t, "decreasing")
     assert len(inc) == len(dec)
     for si, sd in zip(inc, sorted(dec, key=lambda s: -s.q)):
         assert sd.q == pytest.approx(1.0 - si.q, abs=1e-10)
@@ -94,10 +100,10 @@ def test_reflection_consistency_random():
     rng = rng_for(51)
     for _ in range(10):
         pp = random_continuous_piecewise(rng, max_pieces=3, max_degree=3)
-        t = PolyTarget(pp)
-        f01 = _normalized01(t)
-        dec = enum_kink_decreasing(f01)
-        refl_inc = enum_kink_increasing(_reflect01(f01))
+        dec = _kinks(PolyTarget(pp), "decreasing")
+        # mirrored independently of the catalog's own reflection
+        mirror = PolyTarget(reparametrize(pp, -1.0, pp.lo + pp.hi))
+        refl_inc = _kinks(mirror, "increasing")
         assert len(dec) == len(refl_inc)
         qs = sorted(1.0 - s.q for s in refl_inc)
         for got, want in zip(sorted(s.q for s in dec), qs):
@@ -203,7 +209,7 @@ def test_catalog_lifts_critical_random():
             for r in ([] if e.q is None else
                       [s for s in cat.kinks if abs(s.q - e.q) < 1e-12]):
                 assert max(abs(x) for x in r.residuals) < 1e-9
-        assert oracle_check(t)
+        assert oracle_check(cat, _oracle_reports(cat))
 
 
 def test_boundary_kink_lifts_reduce_to_catalog(xsq):
@@ -220,28 +226,24 @@ def test_boundary_kink_lifts_reduce_to_catalog(xsq):
 
 
 def test_grid_oracle_xsq(xsq):
-    rep = grid_oracle(xsq, 1e-3)
+    f01 = _normalized01(xsq)
+    rep = grid_oracle(f01)
     assert not rep.degenerate_everywhere
     assert len(rep.brackets) == 1
     lo, hi = rep.brackets[0]
     assert lo < 1.0 / 3.0 < hi
-    assert grid_oracle(xsq, 1e-3, "decreasing").brackets == ()
+    assert grid_oracle(_reflect01(f01)).brackets == ()
 
 
 def test_grid_oracle_linear_no_brackets():
     t = poly_target([0.0, 1.0], [[0.0, 1.0]])
-    assert grid_oracle(t, 1e-3).brackets == ()
+    assert grid_oracle(_normalized01(t)).brackets == ()
 
 
 def test_grid_oracle_constant_degenerate():
     t = poly_target([0.0, 1.0], [[1.0]])
-    rep = grid_oracle(t, 1e-3)
+    rep = grid_oracle(_normalized01(t))
     assert rep.degenerate_everywhere
-
-
-def test_grid_oracle_resolution_check(xsq):
-    with pytest.raises(ValueError):
-        grid_oracle(xsq, 0.01)
 
 
 def _scalar_kink_residual(f01, q):
@@ -299,7 +301,60 @@ def test_kink_residual_array_bit_identical_to_scalar(pp, orientation):
 @example(_ORACLE_EXAMPLES[2], "increasing")
 @example(_ORACLE_EXAMPLES[2], "decreasing")
 def test_grid_oracle_matches_scalar_scan(pp, orientation):
-    rep = grid_oracle(PolyTarget(pp), 1e-3, orientation)
-    want = _scalar_scan(_oriented01(pp, orientation), 1e-3)
+    f01 = _oriented01(pp, orientation)
+    rep = grid_oracle(f01)
+    want = _scalar_scan(f01, 1e-3)
     assert (rep.brackets, rep.degenerate_everywhere) == want
     assert all(type(q) is float for bracket in rep.brackets for q in bracket)
+
+
+def _reference_oracle_check(t, resolution=1e-3):
+    """The former ``oracle_check(t)``: normalizes and reflects t again,
+    rescans both orientations and re-isolates their roots."""
+    f01 = _normalized01(t)
+    for pp in (f01, _reflect01(f01)):
+        brackets, degenerate = _scalar_scan(pp, resolution)
+        if degenerate:
+            try:
+                roots = list(_kink_roots(pp).admissible)
+            except DegenerateEnumerationError:
+                return False
+            if roots:
+                return False
+            continue
+        kr = _kink_roots(pp)
+        roots, excluded = list(kr.admissible), list(kr.excluded)
+        candidates = sorted(roots + excluded)
+        used = [False] * len(candidates)
+        for lo, hi in brackets:
+            inside = [i for i, q in enumerate(candidates)
+                      if lo - resolution <= q <= hi + resolution and not used[i]]
+            if not inside:
+                return False
+            used[inside[0]] = True
+        for i, q in enumerate(candidates):
+            if used[i]:
+                continue
+            if q in roots and resolution < q < 1.0 - resolution:
+                lo = max(q - resolution, 1e-9)
+                hi = min(q + resolution, 1.0 - 1e-9)
+                v_lo, v_hi = _kink_residual(pp, np.array([lo, hi]))
+                if v_lo * v_hi < 0.0:
+                    return False
+    return True
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(piecewise_polys())
+@example(_ORACLE_EXAMPLES[0])
+@example(_ORACLE_EXAMPLES[1])
+@example(_ORACLE_EXAMPLES[2])
+def test_oracle_check_reads_catalog_like_rescan(pp):
+    # the verdict from the catalog's roots is the verdict from roots
+    # isolated again from the target
+    t = PolyTarget(pp)
+    try:
+        cat = enumerate_all(t)
+    except DegenerateEnumerationError:
+        return  # no catalog, so the command never runs the oracle
+    assert oracle_check(cat, _oracle_reports(cat)) == _reference_oracle_check(t)
