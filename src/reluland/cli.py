@@ -26,10 +26,10 @@ from .errors import (AccuracyError, DegenerateEnumerationError, DomainError,
                      FinitenessError, WitnessError)
 from .landscape import closed_hessian_M, grad, hessian_fd, risk
 from .minima import certify_gap, minima_risk, sample_M, verify_zero_integrals
-from .network import params_from_json, write_realization_csv
+from .network import params_from_json, uniform_grid, write_realization_csv
 from .enumeration import enumerate_all, grid_oracle, oracle_check
 from .target import BenchmarkTarget, parse_target_json
-from .train import TrainConfig, ensemble, gf_run, xavier_init
+from .train import TrainConfig, ensemble, gf_run, xavier_init, xavier_var
 
 SCHEMA_VERSION = 1
 
@@ -145,11 +145,12 @@ def cmd_minima(alpha, beta, a_, b_, width, samples, xs, y_, seed, gap, p_, eps,
         gn = grad(s.theta, t).max_norm()
         r = risk(s.theta, t)
         full = hessian_fd(s.theta, t, coords="all")
-        restricted = hessian_fd(s.theta, t, coords="restricted4")
+        # the (w_1, b_1, v_1, c) block is what coords="restricted4" computes
+        idx = (0, width, 2 * width, 3 * width)
         closed = closed_hessian_M(x, s.theta.w(0), t)
-        rel = max(abs(restricted.matrix[i][j] - closed.matrix[i][j])
-                  / max(abs(closed.matrix[i][j]), 1e-300)
-                  for i in range(4) for j in range(4))
+        rel = max(abs(full.matrix[i][j] - closed.matrix[r][c])
+                  / max(abs(closed.matrix[r][c]), 1e-300)
+                  for r, i in enumerate(idx) for c, j in enumerate(idx))
         res = verify_zero_integrals(t, x)
         row_ok = (gn < 1e-10
                   and abs(r - ref_risk) <= 1e-9 * max(abs(ref_risk), 1e-300)
@@ -255,7 +256,7 @@ def cmd_train(target_file, width, lr, grad_tol, max_iters, seed, runs, dedup,
     doc = {
         "kind": "ensemble_report",
         "config": {"H": cfg.H, "lr": cfg.lr, "grad_tol": cfg.grad_tol,
-                   "max_iters": cfg.max_iters, "weight_var": cfg.effective_weight_var,
+                   "max_iters": cfg.max_iters, "weight_var": xavier_var(cfg.H),
                    "dedup_l2": cfg.dedup_l2, "master_seed": cfg.master_seed,
                    "runs": cfg.runs},
         "runs": [{"seed": r.seed, "iterations": r.iterations,
@@ -275,7 +276,7 @@ def cmd_train(target_file, width, lr, grad_tol, max_iters, seed, runs, dedup,
                               grid=grid_n)
     if svg:
         a, b = t.domain
-        curves = [[(x, t.eval(x)) for x, _ in _grid(a, b, 257)]]
+        curves = [[(x, t.eval(x)) for x in uniform_grid(a, b, 257)]]
         labels = ["target"]
         for i, cl in enumerate(report.clusters):
             curves.append(cl.representative.sample(257))
@@ -329,11 +330,6 @@ def cmd_gf(target_file, width, theta_file, seed, t_end, rtol, out_dir, force):
     click.echo(f"gf: final risk {run.final_risk:.6g} at t={run.reached_t:.3g}, "
                f"{'PASS' if ok else 'FAIL'}")
     sys.exit(0 if ok else 1)
-
-
-def _grid(a: float, b: float, n: int):
-    step = (b - a) / (n - 1)
-    return [(min(a + i * step, b), 0.0) for i in range(n)]
 
 
 _PALETTE = ["#000000", "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",

@@ -29,7 +29,8 @@ from .errors import (DegenerateEnumerationError, FinitenessError,
                      NonsmoothPointError)
 from .landscape import CritClass, classify, grad, hessian_fd, risk
 from .network import Params, Realization, canonical, l2_distance
-from .polyalg import PiecewisePolynomial, Polynomial, reparametrize, roots_in
+from .polyalg import (PiecewisePolynomial, Polynomial, collapse_roots, reparametrize,
+                      roots_in)
 from .target import BenchmarkTarget, Target
 
 __all__ = [
@@ -200,17 +201,8 @@ def _kink_roots(f01: PiecewisePolynomial) -> KinkRoots:
             excluded.append(q)
         else:
             admissible.append(q)
-
-    def dedup(xs):
-        xs = sorted(xs)
-        out = []
-        for x in xs:
-            if out and x - out[-1] < 1e-9:
-                continue
-            out.append(x)
-        return out
-
-    return KinkRoots(f01, tuple(dedup(admissible)), tuple(dedup(excluded)))
+    return KinkRoots(f01, tuple(collapse_roots(admissible)),
+                     tuple(collapse_roots(excluded)))
 
 
 def _increasing_solution(f01: PiecewisePolynomial, q: float) -> KinkSolution:

@@ -10,7 +10,10 @@ classical gradient wherever the latter exists.
 
 Risk and gradient read the network's geometry from the shared kernel
 ``network._geometry_nodes`` (the same node list that ``canonical`` and
-``l2_distance`` use), through ``_Geometry``.
+``l2_distance`` use), through ``_Geometry``; the gradient reads each
+neuron's active span there too.  ``hessian_fd`` refuses a kink on a
+domain endpoint through the kernel's ``_kink_near_endpoint``, the same
+test that gradient descent counts with.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NonsmoothPointError, NotCriticalError
-from .network import Params, _geometry_nodes, _pl_sq_integral
+from .network import Params, _geometry_nodes, _kink_near_endpoint, _pl_sq_integral
 from .target import BenchmarkTarget, Target
 
 __all__ = [
@@ -67,22 +70,20 @@ class GradientVector:
 class _Geometry:
     """Piecewise-linear geometry of the network plus target antiderivatives.
 
-    ``nodes`` and ``vals`` come from the shared kernel
-    ``network._geometry_nodes``: a, the distinct kinks inside (a, b), b and
-    N there.  At every node the running integrals from a of N and x*N
+    ``nodes``, ``vals`` and ``spans`` come from the shared kernel
+    ``network._geometry_nodes``: a, the distinct kinks inside (a, b), b, N
+    there and the node indices that bound each neuron's active set.  At
+    every node the running integrals from a of N and x*N
     (``net0``, ``net1``) and of f and x*f (``F``, ``G``) are evaluated once,
     so that S0 = int (N - f) and S1 = int x (N - f) between two nodes,
     which is all the gradient and risk formulas need, are differences of
     node values.
     """
 
-    __slots__ = ("a", "b", "nodes", "vals", "slopes", "net0", "net1", "F", "G")
+    __slots__ = ("nodes", "vals", "spans", "slopes", "net0", "net1", "F", "G")
 
     def __init__(self, theta: Sequence[float], H: int, t: Target):
-        a, b = t.domain
-        self.a = a
-        self.b = b
-        nodes, vals = _geometry_nodes(theta, H, a, b)
+        nodes, vals, self.spans = _geometry_nodes(theta, H, *t.domain)
         last = len(nodes) - 2  # the segment that ends at b
         slopes = []
         net0 = [0.0]
@@ -122,41 +123,23 @@ class _Geometry:
 def grad_theta(theta: Sequence[float], H: int, t: Target) -> list[float]:
     """Generalized gradient as a plain list (hot path for training loops).
 
-    Neuron j is active on I_j = {x in [a, b] : b_j + w_j x > 0}, whose
-    ends are geometry nodes: a, b or its own kink.
+    Neuron j contributes over its active span, the geometry nodes that
+    bound I_j = {x in [a, b] : b_j + w_j x > 0}.
     """
     geo = _Geometry(theta, H, t)
-    a, b = geo.a, geo.b
-    nodes = geo.nodes
-    last = len(nodes) - 1
-    at = dict(zip(nodes, range(len(nodes))))
+    last = len(geo.nodes) - 1
     net0, net1, F, G = geo.net0, geo.net1, geo.F, geo.G
     g = [0.0] * (3 * H + 1)
-    for j in range(H):
-        w = theta[j]
-        bj = theta[H + j]
-        if w > 0.0:
-            q = -bj / w
-            if q >= b:
-                continue
-            lo = at[q] if q > a else 0
-            hi = last
-        elif w < 0.0:
-            q = -bj / w
-            if q <= a:
-                continue
-            lo = 0
-            hi = at[q] if q < b else last
-        elif bj > 0.0:
-            lo, hi = 0, last
-        else:
+    for j, span in enumerate(geo.spans):
+        if span is None:
             continue
+        lo, hi = span
         s0 = (net0[hi] - net0[lo]) - (F[hi] - F[lo])
         s1 = (net1[hi] - net1[lo]) - (G[hi] - G[lo])
         v = theta[2 * H + j]
         g[j] = 2.0 * v * s1
         g[H + j] = 2.0 * v * s0
-        g[2 * H + j] = 2.0 * (bj * s0 + w * s1)
+        g[2 * H + j] = 2.0 * (theta[H + j] * s0 + theta[j] * s1)
     g[3 * H] = 2.0 * ((net0[last] - net0[0]) - (F[last] - F[0]))
     return g
 
@@ -287,20 +270,6 @@ def _coord_indices(H: int, coords: str) -> list[int]:
     raise ValueError("coords must be 'all' or 'restricted4'")
 
 
-def check_differentiable(p: Params, t: Target, margin: float = 0.0) -> None:
-    """Raise NonsmoothPointError unless no kink sits on a domain endpoint
-    (with the given safety margin) and no neuron has w = b = 0."""
-    a, b = t.domain
-    for j in range(p.H):
-        w = p.w(j)
-        bj = p.b(j)
-        if w == 0.0 and bj == 0.0:
-            raise NonsmoothPointError(f"neuron {j}: w = b = 0")
-        if abs(w * a + bj) <= margin or abs(w * b + bj) <= margin:
-            raise NonsmoothPointError(
-                f"neuron {j}: kink too close to a domain endpoint")
-
-
 def fd_gradient(p: Params, t: Target, h: float = 1e-6,
                 tol: float = 1e-12) -> GradientVector:
     """Central finite differences of the exact risk (test oracle)."""
@@ -327,7 +296,10 @@ def hessian_fd(p: Params, t: Target, h: float = DEFAULT_FD_STEP,
     if h <= 0:
         raise ValueError("h must be positive")
     a, b = t.domain
-    check_differentiable(p, t, margin=2.0 * h * max(1.0, abs(a), abs(b)))
+    margin = 2.0 * h * max(1.0, abs(a), abs(b))
+    if _kink_near_endpoint(p.theta, p.H, a, b, margin):
+        raise NonsmoothPointError(
+            f"|w_j x + b_j| <= {margin:g} at a domain endpoint x for some neuron j")
     idx = _coord_indices(p.H, coords)
     th = list(p.theta)
     n = len(idx)

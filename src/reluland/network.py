@@ -5,11 +5,15 @@ inner weights ``theta[j]``, inner biases ``theta[H+j]``, outer weights
 ``theta[2H+j]`` for j = 0..H-1, and the output offset ``theta[3H]``.
 
 ``_geometry_nodes`` is the one piecewise-linear geometry kernel: it sorts
-the network's kinks and evaluates N_theta at the nodes (a, the distinct
-kinks inside (a, b), b).  Risk and gradient (through
+the network's kinks, evaluates N_theta at the nodes (a, the distinct
+kinks inside (a, b), b) and decides, once, each neuron's active span:
+the nodes that bound its active set I_j.  Risk and gradient (through
 ``landscape._Geometry``) and ``canonical`` read it, and
 ``_pl_sq_integral``, the exact integral of a squared piecewise-linear
 function, serves both the risk and ``l2_distance``.
+``_kink_near_endpoint`` is the one test for the nonsmooth points the
+gradient-descent loop counts and the finite-difference Hessian refuses:
+a kink on a domain endpoint.
 
 ``canonical`` reduces a parameter vector to its realization: a continuous
 piecewise-linear function given by sorted interior kinks, per-segment
@@ -182,29 +186,39 @@ class Realization:
     __call__ = eval
 
     def sample(self, n: int) -> list[tuple[float, float]]:
-        """n equally spaced (x, value) pairs from a to b, n >= 2."""
-        if n < 2:
-            raise ValueError("need n >= 2 sample points")
-        step = (self.b - self.a) / (n - 1)
-        out = []
-        for i in range(n):
-            x = min(self.a + i * step, self.b)
-            out.append((x, self.eval(x)))
-        return out
+        """(x, value) pairs on ``uniform_grid(a, b, n)``."""
+        return [(x, self.eval(x)) for x in uniform_grid(self.a, self.b, n)]
 
 
-def _geometry_nodes(theta: Sequence[float], H: int, a: float,
-                    b: float) -> tuple[list[float], list[float]]:
+def uniform_grid(a: float, b: float, n: int) -> list[float]:
+    """n equally spaced points from a to b, n >= 2; the last one is b."""
+    if n < 2:
+        raise ValueError("need n >= 2 sample points")
+    step = (b - a) / (n - 1)
+    return [min(a + i * step, b) for i in range(n)]
+
+
+def _geometry_nodes(theta: Sequence[float], H: int, a: float, b: float
+                    ) -> tuple[list[float], list[float], list[tuple[int, int] | None]]:
     """Nodes a, the distinct kinks -b_j/w_j inside (a, b) in increasing
-    order, and b, with N_theta evaluated at each node."""
+    order, and b; N_theta at each node; and each neuron's active span.
+
+    Neuron j is active on I_j = {x in [a, b] : b_j + w_j x > 0}.  Its span
+    is the pair (lo, hi) of node indices with nodes[lo] and nodes[hi] the
+    ends of I_j (a, b or its own kink), or None when I_j is empty.
+    """
     c = theta[3 * H]
     neurons = list(zip(theta[:H], theta[H:2 * H], theta[2 * H:3 * H]))
+    kinks = []
     events = []
     for w, bj, _ in neurons:
         if w != 0.0:
             q = -bj / w
             if a < q < b:
                 events.append(q)
+        else:
+            q = None
+        kinks.append(q)
     events.sort()
     nodes = [a]
     for q in events:
@@ -219,7 +233,31 @@ def _geometry_nodes(theta: Sequence[float], H: int, a: float,
             if z > 0.0:
                 acc += v * z
         vals.append(acc)
-    return nodes, vals
+    last = len(nodes) - 1
+    at = dict(zip(nodes, range(last + 1)))
+    spans: list[tuple[int, int] | None] = []
+    for (w, bj, _), q in zip(neurons, kinks):
+        if w > 0.0:
+            spans.append(None if q >= b else (at[q] if q > a else 0, last))
+        elif w < 0.0:
+            spans.append(None if q <= a else (0, at[q] if q < b else last))
+        else:
+            spans.append((0, last) if bj > 0.0 else None)
+    return nodes, vals, spans
+
+
+def _kink_near_endpoint(theta: Sequence[float], H: int, a: float, b: float,
+                        margin: float) -> bool:
+    """True when some neuron has |w_j a + b_j| <= margin or
+    |w_j b + b_j| <= margin: a kink within margin/|w_j| of a domain
+    endpoint, where the risk is not twice differentiable.  A dead neuron
+    (w_j = b_j = 0) counts for every margin >= 0."""
+    for j in range(H):
+        w = theta[j]
+        bj = theta[H + j]
+        if abs(w * a + bj) <= margin or abs(w * b + bj) <= margin:
+            return True
+    return False
 
 
 def _pl_sq_integral(nodes: Sequence[float], vals: Sequence[float]) -> float:
@@ -236,35 +274,26 @@ def _pl_sq_integral(nodes: Sequence[float], vals: Sequence[float]) -> float:
 def canonical(p: Params, a: float, b: float) -> Realization:
     """Canonical piecewise-linear form of the realization on [a, b].
 
-    Adds each neuron's slope contribution v_j*w_j on its active side, at
-    its kink's geometry node, merges kinks that coincide within 1e-12 and
-    drops kinks with no slope change.
+    Adds each neuron's slope contribution v_j*w_j at the ends of its
+    active span, merges kinks that coincide within 1e-12 and drops kinks
+    with no slope change.
     """
     if not b > a:
         raise DomainError("need b > a")
     H = p.H
     th = p.theta
-    nodes, vals = _geometry_nodes(th, H, a, b)
-    at = dict(zip(nodes, range(len(nodes))))
+    nodes, vals, spans = _geometry_nodes(th, H, a, b)
+    # the slope changes by v_j*w_j where the span starts and back where it
+    # ends; node_deltas[0] is the slope at a, and the entry at b is unused
     node_deltas = [0.0] * len(nodes)
-    base_slope = 0.0
     slope_scale = 1.0
-    for j in range(H):
-        w = th[j]
-        vw = th[2 * H + j] * w
+    for j, span in enumerate(spans):
+        vw = th[2 * H + j] * th[j]
         slope_scale += abs(vw)
-        if w == 0.0:
-            continue
-        q = -th[H + j] / w
-        if w > 0.0:
-            if q <= a:
-                base_slope += vw
-            elif q < b:
-                node_deltas[at[q]] += vw
-        elif q > a:
-            base_slope += vw
-            if q < b:
-                node_deltas[at[q]] -= vw
+        if span is not None:
+            lo, hi = span
+            node_deltas[lo] += vw
+            node_deltas[hi] -= vw
     kinks: list[float] = []
     deltas: list[float] = []
     for q, d in zip(nodes[1:-1], node_deltas[1:-1]):
@@ -275,7 +304,7 @@ def canonical(p: Params, a: float, b: float) -> Realization:
             deltas.append(d)
     # drop kinks with no slope change, merging the adjacent segments
     keep = [(q, d) for q, d in zip(kinks, deltas) if abs(d) > 1e-12 * slope_scale]
-    slopes = [base_slope]
+    slopes = [node_deltas[0]]
     for _, d in keep:
         slopes.append(slopes[-1] + d)
     return Realization(a, b, tuple(q for q, _ in keep), tuple(slopes), vals[0])

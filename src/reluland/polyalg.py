@@ -17,7 +17,7 @@ caches built on first use.
 from __future__ import annotations
 
 import bisect
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "Polynomial",
     "PiecewisePolynomial",
     "roots_in",
+    "collapse_roots",
     "reparametrize",
 ]
 
@@ -263,15 +264,16 @@ def reparametrize(pp: PiecewisePolynomial, s: float, t: float) -> PiecewisePolyn
 # real-root isolation (Sturm sequence + bisection + Newton polish)
 # ---------------------------------------------------------------------------
 
-def _strip_tiny(coeffs: list[float], scale: float) -> list[float]:
-    eps = 1e-14 * scale
+def _strip_tiny(coeffs: list[float]) -> list[float]:
+    """Drop leading coefficients of size <= 1e-14 (coefficients are
+    normalized to max 1 in the Sturm chain)."""
     out = list(coeffs)
-    while out and abs(out[-1]) <= eps:
+    while out and abs(out[-1]) <= 1e-14:
         out.pop()
     return out
 
 
-def _poly_rem(num: list[float], den: list[float], scale: float) -> list[float]:
+def _poly_rem(num: list[float], den: list[float]) -> list[float]:
     """Remainder of num / den, both ascending coefficient lists."""
     num = list(num)
     dn = len(den) - 1
@@ -282,7 +284,7 @@ def _poly_rem(num: list[float], den: list[float], scale: float) -> list[float]:
         for i in range(dn + 1):
             num[k + i] -= factor * den[i]
         num.pop()
-        num = _strip_tiny(num, scale)
+        num = _strip_tiny(num)
     return num
 
 
@@ -290,16 +292,16 @@ def _sturm_chain(coeffs: list[float]) -> list[list[float]]:
     scale = max(abs(c) for c in coeffs)
     # a negligible leading coefficient puts a root near infinity, and the
     # remainder sequence then loses roots inside the interval
-    f = _strip_tiny([c / scale for c in coeffs], 1.0)
+    f = _strip_tiny([c / scale for c in coeffs])
     chain = [f]
     d = [k * c for k, c in enumerate(f)][1:]
-    d = _strip_tiny(d, 1.0)
+    d = _strip_tiny(d)
     if d:
         chain.append(d)
         while True:
-            rem = _poly_rem(chain[-2], chain[-1], 1.0)
+            rem = _poly_rem(chain[-2], chain[-1])
             rem = [-c for c in rem]
-            rem = _strip_tiny(rem, 1.0)
+            rem = _strip_tiny(rem)
             if not rem:
                 break
             chain.append(rem)
@@ -328,8 +330,7 @@ def _sign_variations(chain: list[list[float]], x: float) -> int:
     return count
 
 
-def _refine_root(p: Polynomial, dp: Polynomial, lo: float, hi: float, tol: float,
-                 scale: float) -> float:
+def _refine_root(p: Polynomial, dp: Polynomial, lo: float, hi: float) -> float:
     flo = p(lo)
     fhi = p(hi)
     if flo == 0.0:
@@ -403,7 +404,7 @@ def roots_in(p: Polynomial, lo: float, hi: float, tol: float) -> list[float]:
         if n <= 0:
             continue
         if n == 1 or b - a <= min_width:
-            found.append(_refine_root(p, dp, a, b, tol, scale))
+            found.append(_refine_root(p, dp, a, b))
             if n > 1:
                 # unresolved cluster: keep looking either side of the root
                 r = found[-1]
@@ -420,11 +421,14 @@ def roots_in(p: Polynomial, lo: float, hi: float, tol: float) -> list[float]:
 
     found = [r for r in found if lo - min_width <= r <= hi + min_width
              and abs(p(r)) <= tol * max(scale, 1e-300)]
-    found = [min(max(r, lo), hi) for r in found]
-    found.sort()
-    merged: list[float] = []
-    for r in found:
-        if merged and abs(r - merged[-1]) < ROOT_CLUSTER_TOL:
-            continue
-        merged.append(r)
-    return merged
+    return collapse_roots(min(max(r, lo), hi) for r in found)
+
+
+def collapse_roots(roots: Iterable[float]) -> list[float]:
+    """The roots sorted, dropping each one closer than ROOT_CLUSTER_TOL to
+    the last one kept."""
+    out: list[float] = []
+    for r in sorted(roots):
+        if not (out and r - out[-1] < ROOT_CLUSTER_TOL):
+            out.append(r)
+    return out

@@ -5,6 +5,9 @@ sampling noise: a run is a deterministic function of its seed.  The
 random number generator is the 64-bit counter-based Philox generator
 (numpy's ``np.random.Philox``), chosen for cross-platform bit
 reproducibility; draw order is documented on ``xavier_init``.
+Iterates with a kink on a domain endpoint are counted with the geometry
+kernel's ``network._kink_near_endpoint`` test, the one ``hessian_fd``
+refuses with.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .landscape import grad_theta, risk_theta
-from .network import Params, Realization, canonical, l2_distance
+from .network import Params, Realization, _kink_near_endpoint, canonical, l2_distance
 from .target import Target
 
 __all__ = [
@@ -26,6 +29,7 @@ __all__ = [
     "Cluster",
     "EnsembleReport",
     "GFRun",
+    "xavier_var",
     "xavier_init",
     "gd_run",
     "ensemble",
@@ -34,6 +38,7 @@ __all__ = [
 
 DIVERGENCE_NORM = 1e8
 NONSMOOTH_EPS = 1e-14
+GF_MAX_SAMPLES = 2000
 
 
 @dataclass(frozen=True)
@@ -42,7 +47,6 @@ class TrainConfig:
     lr: float = 1.0 / 20.0
     grad_tol: float = 1e-4
     max_iters: int = 10_000_000
-    weight_var: float | None = None  # defaults to 2 / (1 + H)
     dedup_l2: float = 1e-4
     master_seed: int = 0
     runs: int = 50
@@ -54,26 +58,25 @@ class TrainConfig:
         for name in ("lr", "grad_tol", "dedup_l2"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise DomainError(f"{name} must be positive and finite")
-        if self.weight_var is not None and not 0.0 < self.weight_var < math.inf:
-            raise DomainError("weight_var must be positive and finite")
-
-    @property
-    def effective_weight_var(self) -> float:
-        return self.weight_var if self.weight_var is not None else 2.0 / (1.0 + self.H)
 
 
-def xavier_init(H: int, seed: int, weight_var: float | None = None) -> Params:
+def xavier_var(H: int) -> float:
+    """Xavier variance 2/(fan-in + fan-out) of the initial weights: 2/(1+H)
+    for both layers (fan-in 1 and fan-out H, then the reverse)."""
+    return 2.0 / (1.0 + H)
+
+
+def xavier_init(H: int, seed: int) -> Params:
     """Zero-bias initialization with fan-scaled normal weights.
 
-    Inner weights then outer weights are drawn i.i.d. N(0, weight_var)
+    Inner weights then outer weights are drawn i.i.d. N(0, xavier_var(H))
     from Philox(seed), in that order; biases and the output offset start
-    at zero.  weight_var defaults to 2/(1+H).
+    at zero.
     """
     if H < 1:
         raise DomainError("H must be >= 1")
-    var = weight_var if weight_var is not None else 2.0 / (1.0 + H)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    sd = math.sqrt(var)
+    sd = math.sqrt(xavier_var(H))
     w = rng.normal(0.0, sd, H)
     v = rng.normal(0.0, sd, H)
     return Params.from_parts([float(x) for x in w], [0.0] * H,
@@ -93,23 +96,14 @@ class TrainRun:
     nonsmooth_hits: int = 0
 
 
-def _near_nonsmooth(theta, H, a, b) -> bool:
-    for j in range(H):
-        w = theta[j]
-        bj = theta[H + j]
-        if w == 0.0 and bj == 0.0:
-            return True
-        if abs(w * a + bj) < NONSMOOTH_EPS or abs(w * b + bj) < NONSMOOTH_EPS:
-            return True
-    return False
-
-
 def gd_run(p0: Params, t: Target, cfg: TrainConfig, seed: int | None = None) -> TrainRun:
     """Plain gradient descent theta <- theta - lr * G(theta) until the
     gradient max-norm drops below grad_tol or the iteration cap is hit.
 
-    Iterates that land (within 1e-14) on a nondifferentiable configuration
-    are counted, not fatal: the generalized gradient is defined everywhere.
+    Iterates with |w_j x + b_j| <= 1e-14 at a domain endpoint x for some
+    neuron j (a kink on a or b, or a dead neuron) are counted in
+    ``nonsmooth_hits``, not fatal: the generalized gradient is defined
+    everywhere.
     """
     H = cfg.H
     if p0.H != H:
@@ -124,18 +118,17 @@ def gd_run(p0: Params, t: Target, cfg: TrainConfig, seed: int | None = None) -> 
     gm = math.inf
     while True:
         g = grad_theta(theta, H, t)
-        gm = max(abs(x) for x in g)
+        gm = max(map(abs, g))
         if gm < cfg.grad_tol:
             converged = True
             break
         if iterations >= cfg.max_iters:
             break
-        for i in range(len(theta)):
-            theta[i] -= lr * g[i]
+        theta = [x - lr * gx for x, gx in zip(theta, g)]
         iterations += 1
-        if _near_nonsmooth(theta, H, a, b):
+        if _kink_near_endpoint(theta, H, a, b, NONSMOOTH_EPS):
             nonsmooth += 1
-        if max(abs(x) for x in theta) > DIVERGENCE_NORM:
+        if max(map(abs, theta)) > DIVERGENCE_NORM:
             diverged = True
             break
     p = Params(H, tuple(theta))
@@ -170,7 +163,7 @@ class EnsembleReport:
 
 def _one_seeded_run(args) -> TrainRun:
     t, cfg, seed = args
-    return gd_run(xavier_init(cfg.H, seed, cfg.effective_weight_var), t, cfg, seed=seed)
+    return gd_run(xavier_init(cfg.H, seed), t, cfg, seed=seed)
 
 
 def _worker_count(runs: int, threads: int | None = None) -> int:
@@ -236,22 +229,21 @@ class GFRun:
     reached_t: float
     steps_accepted: int
     steps_rejected: int
-    min_step: float
-    max_step: float
     samples: tuple[tuple[float, float], ...]  # (time, risk)
     final_theta: Params
     final_risk: float
     step_underflow: bool = False
 
 
-def gf_run(p0: Params, t: Target, t_end: float, rtol: float = 1e-8,
-           max_samples: int = 2000) -> GFRun:
+def gf_run(p0: Params, t: Target, t_end: float, rtol: float = 1e-8) -> GFRun:
     """Integrate theta' = -G(theta) with classic RK4 and adaptive halving.
 
     A step is accepted when the full-step/two-half-steps discrepancy,
     relative to the iterate size, is below rtol; accepted steps may double
     the next step size.  Steps shrinking below 1e-12 abort with a partial
-    result flagged ``step_underflow``.
+    result flagged ``step_underflow``.  Beyond GF_MAX_SAMPLES accepted
+    steps, the (time, risk) samples are thinned with a constant stride,
+    keeping the last one.
     """
     if not (0.0 < t_end < math.inf and 0.0 < rtol < math.inf):
         raise DomainError("t_end and rtol must be positive and finite")
@@ -275,8 +267,6 @@ def gf_run(p0: Params, t: Target, t_end: float, rtol: float = 1e-8,
     h = min(1e-2, t_end)
     accepted = 0
     rejected = 0
-    min_h = math.inf
-    max_h = 0.0
     underflow = False
     samples = [(0.0, risk_theta(y, H, t))]
     while t_now < t_end:
@@ -289,8 +279,6 @@ def gf_run(p0: Params, t: Target, t_end: float, rtol: float = 1e-8,
             y = y_half
             t_now += h
             accepted += 1
-            min_h = min(min_h, h)
-            max_h = max(max_h, h)
             samples.append((t_now, risk_theta(y, H, t)))
             if err <= rtol * scale / 64.0:
                 h *= 2.0
@@ -300,12 +288,10 @@ def gf_run(p0: Params, t: Target, t_end: float, rtol: float = 1e-8,
             if h < 1e-12:
                 underflow = True
                 break
-    if len(samples) > max_samples:
-        stride = (len(samples) + max_samples - 1) // max_samples
+    if len(samples) > GF_MAX_SAMPLES:
+        stride = (len(samples) + GF_MAX_SAMPLES - 1) // GF_MAX_SAMPLES
         samples = samples[:-1:stride] + [samples[-1]]
     p = Params(H, tuple(y))
     return GFRun(t_end=t_end, reached_t=t_now, steps_accepted=accepted,
-                 steps_rejected=rejected,
-                 min_step=0.0 if math.isinf(min_h) else min_h, max_step=max_h,
-                 samples=tuple(samples), final_theta=p,
+                 steps_rejected=rejected, samples=tuple(samples), final_theta=p,
                  final_risk=risk_theta(y, H, t), step_underflow=underflow)

@@ -37,6 +37,21 @@ def test_minima_ok(tmp_path):
     assert len(doc["samples"]) == 3
 
 
+def test_minima_one_hessian_per_sample(tmp_path, monkeypatch):
+    from reluland import cli
+    calls = []
+    hessian_fd = cli.hessian_fd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("coords"))
+        return hessian_fd(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "hessian_fd", counted)
+    res = run_cli(["minima", "--samples", "3", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert calls == ["all"] * 3
+
+
 def test_minima_fraction_args_and_gap(tmp_path):
     res = run_cli(["minima", "--alpha", "1/3", "--beta", "2/3", "--samples", "2",
                    "--gap", "--p", "0.5", "--eps", "0.05", "--out", str(tmp_path)])

@@ -275,6 +275,17 @@ def test_fd_matches_closed_hessian(bench):
                 assert fd.matrix[i][j] == pytest.approx(cl.matrix[i][j], rel=1e-5)
 
 
+def test_restricted_hessian_is_block_of_full(bench):
+    # each FD column perturbs the same coordinate, so the (w_1, b_1, v_1, c)
+    # block of coords="all" is bit for bit what coords="restricted4" computes
+    for H, seed in ((1, 3), (2, 4), (4, 5)):
+        s = sample_M(bench, H, 0.45, 1.1, seed=seed)
+        full = hessian_fd(s.theta, bench, coords="all").matrix
+        idx = (0, H, 2 * H, 3 * H)
+        block = tuple(tuple(full[i][j] for j in idx) for i in idx)
+        assert block == hessian_fd(s.theta, bench, coords="restricted4").matrix
+
+
 def test_full_hessian_rank_two_on_family(bench):
     s = sample_M(bench, 4, 0.6, 1.3, seed=4)
     rep = hessian_fd(s.theta, bench, coords="all")

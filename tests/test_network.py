@@ -7,7 +7,7 @@ from reluland import (Params, SmoothActivation, canonical, l2_distance,
                       params_from_json, params_to_json, realize, realize_smooth,
                       sample_M, write_realization_csv)
 from reluland.errors import DomainError
-from reluland.network import KINK_MERGE_TOL, Realization
+from reluland.network import KINK_MERGE_TOL, Realization, _geometry_nodes
 
 from conftest import rng_for
 
@@ -125,6 +125,27 @@ def test_canonical_invariance_permutation_and_scaling():
                                    [lam * p.b(j) for j in range(3)],
                                    [p.v(j) / lam for j in range(3)], p.c)
         assert l2_distance(ra, canonical(scaled, 0.0, 1.0)) < 1e-10
+
+
+def test_geometry_spans_bound_active_sets():
+    # kinks on a, on b, shared, outside [a, b], and w = 0 with b > 0 or
+    # b <= 0; dyadic w and kinks keep -b/w exact
+    rng = rng_for(91)
+    a, b = -0.5, 1.5
+    for _ in range(400):
+        H = int(rng.integers(1, 6))
+        w = [float(rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])) for _ in range(H)]
+        kinks = [float(rng.integers(-8, 17)) / 8.0 for _ in range(H)]
+        bias = [-wj * q if wj != 0.0 else float(rng.choice([-1.0, 0.0, 1.0]))
+                for wj, q in zip(w, kinks)]
+        theta = w + bias + [1.0] * H + [0.0]
+        nodes, _, spans = _geometry_nodes(theta, H, a, b)
+        for j, span in enumerate(spans):
+            active = [bias[j] + w[j] * 0.5 * (x0 + x1) > 0.0
+                      for x0, x1 in zip(nodes, nodes[1:])]
+            expected = [span is not None and span[0] <= i < span[1]
+                        for i in range(len(active))]
+            assert active == expected
 
 
 def test_realization_invariants():

@@ -56,6 +56,18 @@ def test_benchmark_continuity_random_pairs():
             assert abs(lo - hi) < 1e-12
 
 
+@pytest.mark.parametrize("beta", [0.985, 0.99, 0.999, 0.999999])
+def test_benchmark_accepts_beta_near_one(beta):
+    # the right piece's expanded coefficients grow like (1 - beta)**-2.5 and
+    # cancel at u = beta, so its continuity is judged against their terms
+    t = BenchmarkTarget(1 / 3, beta)
+    right = t._right
+    terms = sum(abs(c) * beta ** k for k, c in enumerate(right.coeffs))
+    assert terms > 1e3
+    assert abs(right(beta) - t.eval_normalized(beta)) <= 1e-12 * (1.0 + terms)
+    assert math.isfinite(t.eval(1.0)) and math.isfinite(t.cum_int_xint(1.0)[1])
+
+
 def test_benchmark_validation():
     with pytest.raises(DomainError):
         BenchmarkTarget(0.7, 0.3)

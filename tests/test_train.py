@@ -45,7 +45,7 @@ def test_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(DomainError):
         TrainConfig(runs=0)
-    for field in ("lr", "grad_tol", "dedup_l2", "weight_var"):
+    for field in ("lr", "grad_tol", "dedup_l2"):
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError):
                 TrainConfig(**{field: bad})
@@ -69,10 +69,29 @@ def test_gd_family_sample_is_fixed_point(bench):
 
 def test_gd_pinned_seed_regression(bench):
     cfg = TrainConfig(H=4, master_seed=42, runs=1)
-    run = gd_run(xavier_init(4, 42, cfg.effective_weight_var), bench, cfg, seed=42)
+    run = gd_run(xavier_init(4, 42), bench, cfg, seed=42)
     assert run.converged
     assert run.iterations == SEED42_ITERATIONS
     assert run.risk == pytest.approx(SEED42_RISK, rel=1e-12)
+
+
+def test_gd_counts_dead_neuron_every_iteration(xsq):
+    # a dead neuron (w = b = 0) has a zero gradient, so it never moves
+    cfg = TrainConfig(H=2, grad_tol=1e-12, max_iters=25, runs=1)
+    p0 = Params.from_parts([0.0, 0.8], [0.0, -0.2], [0.5, 0.7], 0.0)
+    run = gd_run(p0, xsq, cfg)
+    assert run.iterations == 25 and run.nonsmooth_hits == 25
+    assert (run.theta.w(0), run.theta.b(0), run.theta.v(0)) == (0.0, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("bias, hits", [(0.0, 1), (-1e-14, 1), (-1e-13, 0)])
+def test_gd_counts_kink_on_domain_endpoint(xsq, bias, hits):
+    # v = 0 freezes (w, b) on the first step, so the kink stays at -bias;
+    # |w a + b| = 1e-14 still counts
+    cfg = TrainConfig(H=1, grad_tol=1e-12, max_iters=1, runs=1)
+    run = gd_run(Params.from_parts([1.0], [bias], [0.0], 0.0), xsq, cfg)
+    assert run.theta.b(0) == bias and run.theta.v(0) != 0.0
+    assert run.iterations == 1 and run.nonsmooth_hits == hits
 
 
 def test_gd_monotone_descent_small_lr(bench):
@@ -110,6 +129,12 @@ def test_ensemble_deterministic(bench):
     doc_b = json.dumps([[r.seed, r.iterations, r.risk, r.grad_max_norm]
                         for r in b.runs])
     assert doc_a == doc_b
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a process pool needs 2 CPUs")
+def test_ensemble_process_pool_matches_serial(bench):
+    cfg = TrainConfig(H=2, runs=4, max_iters=3000)
+    assert ensemble(bench, cfg, threads=2) == ensemble(bench, cfg, threads=1)
 
 
 def test_ensemble_cluster_structure(bench):
