@@ -24,7 +24,7 @@ import click
 from . import __version__
 from .errors import (AccuracyError, DegenerateEnumerationError, DomainError,
                      FinitenessError, WitnessError)
-from .landscape import closed_hessian_M, grad, hessian_fd, risk
+from .landscape import _coord_indices, closed_hessian_M, grad, hessian_fd, risk
 from .minima import certify_gap, minima_risk, sample_M, verify_zero_integrals
 from .network import params_from_json, uniform_grid, write_realization_csv
 from .enumeration import enumerate_all, grid_oracle, oracle_check
@@ -140,17 +140,17 @@ def cmd_minima(alpha, beta, a_, b_, width, samples, xs, y_, seed, gap, p_, eps,
     ref_risk_simpson = minima_risk(t, method="simpson")
     ok = abs(ref_risk - ref_risk_simpson) <= 1e-10 * max(1.0, abs(ref_risk))
     rows = []
+    # the (w_1, b_1, v_1, c) block is what coords="restricted4" computes
+    idx = _coord_indices(width, "restricted4")
     for k, x in enumerate(positions):
         s = sample_M(t, width, x, y_, seed=seed + k)
         gn = grad(s.theta, t).max_norm()
         r = risk(s.theta, t)
         full = hessian_fd(s.theta, t, coords="all")
-        # the (w_1, b_1, v_1, c) block is what coords="restricted4" computes
-        idx = (0, width, 2 * width, 3 * width)
         closed = closed_hessian_M(x, s.theta.w(0), t)
-        rel = max(abs(full.matrix[i][j] - closed.matrix[r][c])
-                  / max(abs(closed.matrix[r][c]), 1e-300)
-                  for r, i in enumerate(idx) for c, j in enumerate(idx))
+        rel = max(abs(full.matrix[i][j] - closed.matrix[row][col])
+                  / max(abs(closed.matrix[row][col]), 1e-300)
+                  for row, i in enumerate(idx) for col, j in enumerate(idx))
         res = verify_zero_integrals(t, x)
         row_ok = (gn < 1e-10
                   and abs(r - ref_risk) <= 1e-9 * max(abs(ref_risk), 1e-300)

@@ -11,9 +11,9 @@ classical gradient wherever the latter exists.
 Risk and gradient read the network's geometry from the shared kernel
 ``network._geometry_nodes`` (the same node list that ``canonical`` and
 ``l2_distance`` use), through ``_Geometry``; the gradient reads each
-neuron's active span there too.  ``hessian_fd`` refuses a kink on a
-domain endpoint through the kernel's ``_kink_near_endpoint``, the same
-test that gradient descent counts with.
+neuron's active span from ``network._active_spans``.  ``hessian_fd``
+refuses a kink on a domain endpoint through the kernel's
+``_kink_near_endpoint``, the same test that gradient descent counts with.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NonsmoothPointError, NotCriticalError
-from .network import Params, _geometry_nodes, _kink_near_endpoint, _pl_sq_integral
+from .network import (Params, _active_spans, _geometry_nodes, _kink_near_endpoint,
+                      _pl_sq_integral)
 from .target import BenchmarkTarget, Target
 
 __all__ = [
@@ -70,20 +71,19 @@ class GradientVector:
 class _Geometry:
     """Piecewise-linear geometry of the network plus target antiderivatives.
 
-    ``nodes``, ``vals`` and ``spans`` come from the shared kernel
-    ``network._geometry_nodes``: a, the distinct kinks inside (a, b), b, N
-    there and the node indices that bound each neuron's active set.  At
-    every node the running integrals from a of N and x*N
+    ``nodes`` and ``vals`` come from the shared kernel
+    ``network._geometry_nodes``: a, the distinct kinks inside (a, b), b and
+    N there.  At every node the running integrals from a of N and x*N
     (``net0``, ``net1``) and of f and x*f (``F``, ``G``) are evaluated once,
     so that S0 = int (N - f) and S1 = int x (N - f) between two nodes,
     which is all the gradient and risk formulas need, are differences of
     node values.
     """
 
-    __slots__ = ("nodes", "vals", "spans", "slopes", "net0", "net1", "F", "G")
+    __slots__ = ("nodes", "vals", "slopes", "net0", "net1", "F", "G")
 
     def __init__(self, theta: Sequence[float], H: int, t: Target):
-        nodes, vals, self.spans = _geometry_nodes(theta, H, *t.domain)
+        nodes, vals = _geometry_nodes(theta, H, *t.domain)
         last = len(nodes) - 2  # the segment that ends at b
         slopes = []
         net0 = [0.0]
@@ -130,10 +130,7 @@ def grad_theta(theta: Sequence[float], H: int, t: Target) -> list[float]:
     last = len(geo.nodes) - 1
     net0, net1, F, G = geo.net0, geo.net1, geo.F, geo.G
     g = [0.0] * (3 * H + 1)
-    for j, span in enumerate(geo.spans):
-        if span is None:
-            continue
-        lo, hi = span
+    for j, lo, hi in _active_spans(theta, H, geo.nodes):
         s0 = (net0[hi] - net0[lo]) - (F[hi] - F[lo])
         s1 = (net1[hi] - net1[lo]) - (G[hi] - G[lo])
         v = theta[2 * H + j]

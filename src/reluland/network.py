@@ -5,10 +5,11 @@ inner weights ``theta[j]``, inner biases ``theta[H+j]``, outer weights
 ``theta[2H+j]`` for j = 0..H-1, and the output offset ``theta[3H]``.
 
 ``_geometry_nodes`` is the one piecewise-linear geometry kernel: it sorts
-the network's kinks, evaluates N_theta at the nodes (a, the distinct
-kinks inside (a, b), b) and decides, once, each neuron's active span:
-the nodes that bound its active set I_j.  Risk and gradient (through
-``landscape._Geometry``) and ``canonical`` read it, and
+the network's kinks and evaluates N_theta at the nodes (a, the distinct
+kinks inside (a, b), b).  Risk and gradient (through
+``landscape._Geometry``) and ``canonical`` read it.  ``_active_spans``
+decides each neuron's active span, the nodes that bound its active set
+I_j, for the two readers that need it: the gradient and ``canonical``.
 ``_pl_sq_integral``, the exact integral of a squared piecewise-linear
 function, serves both the risk and ``l2_distance``.
 ``_kink_near_endpoint`` is the one test for the nonsmooth points the
@@ -198,27 +199,18 @@ def uniform_grid(a: float, b: float, n: int) -> list[float]:
     return [min(a + i * step, b) for i in range(n)]
 
 
-def _geometry_nodes(theta: Sequence[float], H: int, a: float, b: float
-                    ) -> tuple[list[float], list[float], list[tuple[int, int] | None]]:
+def _geometry_nodes(theta: Sequence[float], H: int, a: float,
+                    b: float) -> tuple[list[float], list[float]]:
     """Nodes a, the distinct kinks -b_j/w_j inside (a, b) in increasing
-    order, and b; N_theta at each node; and each neuron's active span.
-
-    Neuron j is active on I_j = {x in [a, b] : b_j + w_j x > 0}.  Its span
-    is the pair (lo, hi) of node indices with nodes[lo] and nodes[hi] the
-    ends of I_j (a, b or its own kink), or None when I_j is empty.
-    """
+    order, and b, with N_theta evaluated at each node."""
     c = theta[3 * H]
     neurons = list(zip(theta[:H], theta[H:2 * H], theta[2 * H:3 * H]))
-    kinks = []
     events = []
     for w, bj, _ in neurons:
         if w != 0.0:
             q = -bj / w
             if a < q < b:
                 events.append(q)
-        else:
-            q = None
-        kinks.append(q)
     events.sort()
     nodes = [a]
     for q in events:
@@ -233,17 +225,36 @@ def _geometry_nodes(theta: Sequence[float], H: int, a: float, b: float
             if z > 0.0:
                 acc += v * z
         vals.append(acc)
+    return nodes, vals
+
+
+def _active_spans(theta: Sequence[float], H: int,
+                  nodes: Sequence[float]) -> list[tuple[int, int, int]]:
+    """Active spans over the nodes of ``_geometry_nodes``.
+
+    Neuron j is active on I_j = {x in [a, b] : b_j + w_j x > 0}.  For each
+    neuron with a nonempty I_j, in order of j, this lists (j, lo, hi): the
+    node indices with nodes[lo] and nodes[hi] the ends of I_j (a, b or its
+    own kink).
+    """
+    a, b = nodes[0], nodes[-1]
     last = len(nodes) - 1
-    at = dict(zip(nodes, range(last + 1)))
-    spans: list[tuple[int, int] | None] = []
-    for (w, bj, _), q in zip(neurons, kinks):
+    spans = []
+    # a kink inside (a, b) is itself a node, so bisect_left finds its index
+    for j in range(H):
+        w = theta[j]
+        bj = theta[H + j]
         if w > 0.0:
-            spans.append(None if q >= b else (at[q] if q > a else 0, last))
+            q = -bj / w
+            if q < b:
+                spans.append((j, bisect.bisect_left(nodes, q) if q > a else 0, last))
         elif w < 0.0:
-            spans.append(None if q <= a else (0, at[q] if q < b else last))
-        else:
-            spans.append((0, last) if bj > 0.0 else None)
-    return nodes, vals, spans
+            q = -bj / w
+            if q > a:
+                spans.append((j, 0, bisect.bisect_left(nodes, q) if q < b else last))
+        elif bj > 0.0:
+            spans.append((j, 0, last))
+    return spans
 
 
 def _kink_near_endpoint(theta: Sequence[float], H: int, a: float, b: float,
@@ -282,18 +293,17 @@ def canonical(p: Params, a: float, b: float) -> Realization:
         raise DomainError("need b > a")
     H = p.H
     th = p.theta
-    nodes, vals, spans = _geometry_nodes(th, H, a, b)
+    nodes, vals = _geometry_nodes(th, H, a, b)
     # the slope changes by v_j*w_j where the span starts and back where it
     # ends; node_deltas[0] is the slope at a, and the entry at b is unused
     node_deltas = [0.0] * len(nodes)
-    slope_scale = 1.0
-    for j, span in enumerate(spans):
+    for j, lo, hi in _active_spans(th, H, nodes):
         vw = th[2 * H + j] * th[j]
-        slope_scale += abs(vw)
-        if span is not None:
-            lo, hi = span
-            node_deltas[lo] += vw
-            node_deltas[hi] -= vw
+        node_deltas[lo] += vw
+        node_deltas[hi] -= vw
+    slope_scale = 1.0
+    for j in range(H):
+        slope_scale += abs(th[2 * H + j] * th[j])
     kinks: list[float] = []
     deltas: list[float] = []
     for q, d in zip(nodes[1:-1], node_deltas[1:-1]):

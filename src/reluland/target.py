@@ -141,12 +141,12 @@ class BenchmarkTarget:
             -(18.0 * be * be + 8.0 * be - 2.0) / d_right,
             12.0 * be / d_right,
         ])
-        # near beta = 1 the right piece's expanded terms are huge and cancel,
-        # so its rounding error scales with sum |c_k| u0^k, not with its value
-        for u0, piece in ((al, self._left), (be, self._right)):
-            mid = _mid_eval(u0)
-            terms = Polynomial([abs(c) for c in piece.coeffs])(u0)
-            if abs(piece(u0) - mid) > 1e-12 * (1.0 + abs(mid) + terms):
+        # relative to the values, not to the expanded right piece's terms:
+        # near beta = 1 those grow like (1 - beta)**-2.5 and cancel, so a
+        # looser test would admit wrong values, risks and quadratures
+        for u0, lhs, rhs in ((al, self._left(al), _mid_eval(al)),
+                             (be, _mid_eval(be), self._right(be))):
+            if abs(lhs - rhs) > 1e-12 * (1.0 + abs(lhs) + abs(rhs)):
                 raise DomainError(f"target discontinuous at u={u0!r}")
 
         la0 = self._left.antiderivative()

@@ -71,6 +71,11 @@ def test_minima_bad_alpha_beta_exits_2(tmp_path):
     assert res.exit_code == 2
 
 
+def test_minima_certifies_at_beta_0_98(tmp_path):
+    res = run_cli(["minima", "--beta", "0.98", "--samples", "2", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+
+
 def test_enumerate_ok(tmp_path):
     target = write_xsq(tmp_path)
     res = run_cli(["enumerate", "--target", str(target), "--out", str(tmp_path)])
@@ -218,6 +223,8 @@ INPUT_ERRORS = {
     "minima-h-0": (["minima", "--h", "0"], "minima_report.json"),
     "minima-y-0": (["minima", "--y", "0"], "minima_report.json"),
     "minima-y-inf": (["minima", "--y", "1e400"], "minima_report.json"),
+    # the benchmark target rejects it before any quadrature runs
+    "minima-beta-near-one": (["minima", "--beta", "0.999"], "minima_report.json"),
     "train-h-0": (["train", "--h", "0"], "ensemble_report.json"),
 }
 

@@ -9,8 +9,9 @@ from reluland import (BenchmarkTarget, CritClass, Params, PolyTarget, classify,
                       closed_hessian_M, fd_gradient, grad, grad_smooth,
                       hessian_fd, realize_smooth, risk, sample_M)
 from reluland.errors import DomainError, NonsmoothPointError, NotCriticalError
-from reluland.landscape import (HessianReport, _Geometry, _report_from_matrix,
-                                _smooth_breakpoints, grad_theta, risk_theta)
+from reluland.landscape import (HessianReport, _Geometry, _coord_indices,
+                                _report_from_matrix, _smooth_breakpoints, grad_theta,
+                                risk_theta)
 from reluland.network import canonical
 from reluland.polyalg import PiecewisePolynomial, Polynomial
 from reluland.quadrature import adaptive_simpson
@@ -281,7 +282,7 @@ def test_restricted_hessian_is_block_of_full(bench):
     for H, seed in ((1, 3), (2, 4), (4, 5)):
         s = sample_M(bench, H, 0.45, 1.1, seed=seed)
         full = hessian_fd(s.theta, bench, coords="all").matrix
-        idx = (0, H, 2 * H, 3 * H)
+        idx = _coord_indices(H, "restricted4")
         block = tuple(tuple(full[i][j] for j in idx) for i in idx)
         assert block == hessian_fd(s.theta, bench, coords="restricted4").matrix
 

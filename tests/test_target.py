@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from reluland import (BenchmarkTarget, PolyTarget, parse_target_json,
                       target_to_json)
 from reluland.errors import DomainError
 from reluland.polyalg import PiecewisePolynomial, Polynomial
+from reluland.target import _mid_eval
 
 from conftest import domain_points, piecewise_polys, poly_target, rng_for
 
@@ -56,16 +59,44 @@ def test_benchmark_continuity_random_pairs():
             assert abs(lo - hi) < 1e-12
 
 
-@pytest.mark.parametrize("beta", [0.985, 0.99, 0.999, 0.999999])
-def test_benchmark_accepts_beta_near_one(beta):
-    # the right piece's expanded coefficients grow like (1 - beta)**-2.5 and
-    # cancel at u = beta, so its continuity is judged against their terms
+def _right_piece_reference(beta, u):
+    """(f(u), int_beta^u f, int_beta^u s f(s) ds) on the right piece, from its
+    closed-form coefficients in 40-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        be, u = Decimal(beta), Decimal(u)
+        d = 4 * (1 - be) ** 2 * (1 - be).sqrt() * (1 + 3 * be) * (1 + 3 * be).sqrt()
+        c = [(3 * be ** 4 + 10 * be * be - 1) / d, -(18 * be * be + 8 * be - 2) / d,
+             12 * be / d]
+        f = sum(ck * u ** k for k, ck in enumerate(c))
+        F = sum(ck * (u ** (k + 1) - be ** (k + 1)) / (k + 1) for k, ck in enumerate(c))
+        G = sum(ck * (u ** (k + 2) - be ** (k + 2)) / (k + 2) for k, ck in enumerate(c))
+        return float(f), float(F), float(G)
+
+
+@pytest.mark.parametrize("beta", [0.9, 0.95, 0.97, 0.98])
+def test_benchmark_right_piece_accurate_where_accepted(beta):
+    # the expanded right piece's terms grow like (1 - beta)**-2.5 and cancel;
+    # where the constructor accepts beta, values and running integrals on
+    # [beta, 1] stay within the certificates' 1e-9 relative tolerance
     t = BenchmarkTarget(1 / 3, beta)
-    right = t._right
-    terms = sum(abs(c) * beta ** k for k, c in enumerate(right.coeffs))
-    assert terms > 1e3
-    assert abs(right(beta) - t.eval_normalized(beta)) <= 1e-12 * (1.0 + terms)
-    assert math.isfinite(t.eval(1.0)) and math.isfinite(t.cum_int_xint(1.0)[1])
+    assert _right_piece_reference(beta, beta)[0] == pytest.approx(_mid_eval(beta), rel=1e-13)
+    F0, G0 = t.cum_int_xint(beta)
+    for k in range(1, 11):
+        u = min(beta + (1.0 - beta) * k / 10, 1.0)
+        f, F, G = _right_piece_reference(beta, u)
+        F1, G1 = t.cum_int_xint(u)
+        assert t.eval(u) == pytest.approx(f, rel=1e-11)
+        assert F1 - F0 == pytest.approx(F, rel=1e-9)
+        assert G1 - G0 == pytest.approx(G, rel=1e-9)
+
+
+@pytest.mark.parametrize("beta", [0.99, 0.999, 0.9999, 0.999999])
+def test_benchmark_rejects_beta_near_one(beta):
+    # there the expanded right piece misses continuity by more than 1e-12
+    # relative; at 0.999999 its values are off by about 1e-3 relative
+    with pytest.raises(DomainError, match="discontinuous"):
+        BenchmarkTarget(1 / 3, beta)
 
 
 def test_benchmark_validation():
