@@ -26,8 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NonsmoothPointError, NotCriticalError
-from .network import (Params, _active_spans, _geometry_nodes, _kink_near_endpoint,
-                      _pl_sq_integral)
+from .network import (Params, SmoothActivation, _active_spans, _geometry_nodes,
+                      _kink_near_endpoint, _pl_sq_integral)
+from .quadrature import adaptive_simpson_vec
 from .target import BenchmarkTarget, Target
 
 __all__ = [
@@ -173,36 +174,30 @@ def _smooth_breakpoints(theta, H, t):
     return list(t.breakpoints()) + _geometry_nodes(theta, H, a, b)[0][1:-1]
 
 
-def grad_smooth(p: Params, t: Target, r: int, tol: float = 1e-10) -> GradientVector:
+def grad_smooth(p: Params, t: Target, r: float, tol: float = 1e-10) -> GradientVector:
     """Gradient of the smoothed risk (chain rule through the C1 activation),
-    integrated adaptively with a shared vector integrand."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    from .network import SmoothActivation
-    from .quadrature import adaptive_simpson_vec
-
+    integrated adaptively with a shared vector integrand that evaluates
+    every point of a bisection level and every neuron at once."""
     act = SmoothActivation(r)
     H = p.H
-    th = p.theta
+    th = np.array(p.theta)
+    w, bias, v = th[:H], th[H:2 * H], th[2 * H:3 * H, None]
     a, b = t.domain
-    dim = 3 * H + 1
 
-    def integrand(x: float) -> list[float]:
-        acts = [act(th[H + j] + th[j] * x) for j in range(H)]
-        ders = [act.deriv(th[H + j] + th[j] * x) for j in range(H)]
-        net = th[3 * H] + sum(th[2 * H + j] * acts[j] for j in range(H))
-        d = net - t.eval(x)
-        out = [0.0] * dim
-        for j in range(H):
-            vd = th[2 * H + j] * ders[j]
-            out[j] = 2.0 * vd * x * d
-            out[H + j] = 2.0 * vd * d
-            out[2 * H + j] = 2.0 * acts[j] * d
+    def integrand(xs: np.ndarray) -> np.ndarray:
+        z = bias[:, None] + w[:, None] * xs  # (H, len(xs))
+        acts = act(z)
+        d = th[3 * H] + (v * acts).sum(axis=0) - t.eval_array(xs)
+        vd2 = 2.0 * v * act.deriv(z)
+        out = np.empty((3 * H + 1, len(xs)))
+        out[:H] = vd2 * xs * d
+        out[H:2 * H] = vd2 * d
+        out[2 * H:3 * H] = 2.0 * acts * d
         out[3 * H] = 2.0 * d
-        return out
+        return out.T
 
-    vals = adaptive_simpson_vec(integrand, a, b, dim, tol,
-                                breakpoints=_smooth_breakpoints(th, H, t))
+    vals = adaptive_simpson_vec(integrand, a, b, 3 * H + 1, tol,
+                                breakpoints=_smooth_breakpoints(p.theta, H, t))
     return GradientVector(tuple(vals))
 
 

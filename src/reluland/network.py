@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DomainError
 
 __all__ = [
@@ -101,21 +103,14 @@ def realize(p: Params, x: float) -> float:
     return acc
 
 
-def _softplus(t: float) -> float:
-    if t > 36.0:
-        return t + math.exp(-t)
-    if t < -36.0:
-        return math.exp(t)
-    return math.log1p(math.exp(t))
+def _softplus(s):
+    """log(1 + exp(s)), elementwise on floats and arrays, without overflow."""
+    return np.logaddexp(0.0, s)
 
 
-def _sigmoid(t: float) -> float:
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t) if t < 36.0 else 1.0)
-    if t < -36.0:
-        return math.exp(t)
-    e = math.exp(t)
-    return e / (1.0 + e)
+def _sigmoid(s):
+    """1 / (1 + exp(-s)) = exp(-softplus(-s)), exact at s = +-inf."""
+    return np.exp(-_softplus(-s))
 
 
 @dataclass(frozen=True)
@@ -125,13 +120,15 @@ class SmoothActivation:
     A(z) = log(1 + exp(r z - sqrt(r))) / r.  Pointwise A -> max(z, 0) and
     A' -> the indicator of (0, inf) as r grows; the sqrt(r) shift makes
     A'(0) -> 0, matching the left-continuous limit required of the family.
+
+    The activation and its derivative accept a float or a numpy array.
     """
 
-    r: int
+    r: float
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("sharpness r must be a positive integer")
+        if not (self.r >= 1 and math.isfinite(self.r)):
+            raise ValueError("sharpness r must be a finite number >= 1")
 
     def __call__(self, z: float) -> float:
         r = self.r

@@ -25,6 +25,8 @@ import json
 import math
 from typing import Union
 
+import numpy as np
+
 from .errors import DomainError
 from .polyalg import PiecewisePolynomial, Polynomial
 from .quadrature import adaptive_gauss_kronrod, adaptive_simpson
@@ -74,6 +76,19 @@ class PolyTarget:
     def eval(self, x: float) -> float:
         return self.pp.eval(x)
 
+    def eval_array(self, xs: np.ndarray) -> np.ndarray:
+        """``eval`` at every point of a float64 array, bit for bit: interior
+        breakpoints belong to the right piece, b to the last."""
+        pp = self.pp
+        if xs.size and (xs.min() < pp.lo or xs.max() > pp.hi):
+            raise DomainError("a point lies outside the target domain")
+        piece = np.searchsorted(pp.breakpoints[1:-1], xs, side="right")
+        out = np.empty(len(xs))
+        for i, p in enumerate(pp.pieces):
+            on = piece == i
+            out[on] = p(xs[on])
+        return out
+
     def cum_int_xint(self, x: float) -> tuple[float, float]:
         """(cum_int(x), cum_xint(x)) from one domain check."""
         self._check(x)
@@ -96,8 +111,9 @@ class PolyTarget:
         return f"PolyTarget({self.pp!r})"
 
 
-def _mid_eval(u: float) -> float:
-    return (3.0 * u * u - 1.0) / (4.0 * math.sqrt(1.0 - u) * (1.0 + 3.0 * u) ** 1.5)
+def _mid_eval(u: float, sqrt=math.sqrt) -> float:
+    # sqrt=np.sqrt evaluates a float64 array
+    return (3.0 * u * u - 1.0) / (4.0 * sqrt(1.0 - u) * (1.0 + 3.0 * u) ** 1.5)
 
 
 def _mid_anti(u: float) -> float:
@@ -194,6 +210,20 @@ class BenchmarkTarget:
 
     def eval(self, x: float) -> float:
         return self.scale * self.eval_normalized(self._to_u(x))
+
+    def eval_array(self, xs: np.ndarray) -> np.ndarray:
+        """``eval`` at every point of a float64 array, with the same pieces
+        as ``eval_normalized``; the middle piece only where it is chosen,
+        since it divides by zero at u = 1."""
+        if xs.size and (xs.min() < self.a or xs.max() > self.b):
+            raise DomainError(f"a point lies outside the target domain [{self.a!r}, {self.b!r}]")
+        # in [0, 1] without _to_u's clamp: rounding is monotone, and
+        # (b - a) / (b - a) is 1
+        u = (xs - self.a) / (self.b - self.a)
+        out = np.where(u <= self.alpha, self._left(u), self._right(u))
+        mid = (u > self.alpha) & (u <= self.beta)
+        out[mid] = _mid_eval(u[mid], np.sqrt)
+        return self.scale * out
 
     def _cum01(self, u: float) -> tuple[float, float]:
         """Unscaled running integrals of f and u*f over [0, u]."""

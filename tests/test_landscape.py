@@ -14,9 +14,11 @@ from reluland.landscape import (HessianReport, _Geometry, _coord_indices,
                                 risk_theta)
 from reluland.network import canonical
 from reluland.polyalg import PiecewisePolynomial, Polynomial
-from reluland.quadrature import adaptive_simpson
+from reluland import landscape
+from reluland.quadrature import MAX_DEPTH, adaptive_simpson, adaptive_simpson_vec
 
 from conftest import piecewise_polys, poly_target, rng_for
+from test_quadrature import recursive_simpson_vec
 
 SQ_INT_F_13_23 = 0.024983326680593343
 
@@ -120,6 +122,93 @@ def test_risk_smooth_converges(bench):
         r_exact = risk(p, bench)
         r_sm = risk_smooth(p, bench, 10 ** 6, tol=1e-10)
         assert abs(r_sm - r_exact) < 1e-3 * (1.0 + r_exact)
+
+
+def _former_softplus(t):
+    if t > 36.0:
+        return t + math.exp(-t)
+    if t < -36.0:
+        return math.exp(t)
+    return math.log1p(math.exp(t))
+
+
+def _former_sigmoid(t):
+    if t >= 0.0:
+        return 1.0 / (1.0 + math.exp(-t) if t < 36.0 else 1.0)
+    if t < -36.0:
+        return math.exp(t)
+    e = math.exp(t)
+    return e / (1.0 + e)
+
+
+def former_grad_smooth(p, t, r, tol):
+    """The former grad_smooth: one scalar point per integrand call, the
+    scalar softplus and the depth-first vector Simpson engine."""
+    H, th = p.H, p.theta
+    dim = 3 * H + 1
+
+    def integrand(x):
+        s = [r * (th[H + j] + th[j] * x) - math.sqrt(r) for j in range(H)]
+        acts = [_former_softplus(sj) / r for sj in s]
+        ders = [_former_sigmoid(sj) for sj in s]
+        net = th[3 * H] + sum(th[2 * H + j] * acts[j] for j in range(H))
+        d = net - t.eval(x)
+        out = [0.0] * dim
+        for j in range(H):
+            vd = th[2 * H + j] * ders[j]
+            out[j] = 2.0 * vd * x * d
+            out[H + j] = 2.0 * vd * d
+            out[2 * H + j] = 2.0 * acts[j] * d
+        out[3 * H] = 2.0 * d
+        return out
+
+    a, b = t.domain
+    return recursive_simpson_vec(integrand, a, b, dim, tol,
+                                 breakpoints=_smooth_breakpoints(th, H, t))
+
+
+@pytest.mark.parametrize("H", [1, 4])
+def test_grad_smooth_matches_former_scalar_integrand(H):
+    rng = rng_for(34)
+    targets = [BenchmarkTarget(0.3, 0.7, -0.25, 0.8),
+               poly_target([0.0, 0.4, 1.0], [[0.1, -0.5, 1.0], [-0.06, 0.3]])]
+    for k in range(4):
+        t = targets[k % 2]
+        p = differentiable_params(rng, H)
+        if t.domain != (0.0, 1.0):  # put the kinks back inside [a, b]
+            a, b = t.domain
+            w = [x / (b - a) for x in p.theta[:H]]
+            p = Params.from_parts(w, [p.theta[H + j] - w[j] * a for j in range(H)],
+                                  p.theta[2 * H:3 * H], p.theta[3 * H])
+        for r in (10 ** 2, 10 ** 6):
+            got = grad_smooth(p, t, r, tol=1e-10)
+            ref = former_grad_smooth(p, t, r, 1e-10)
+            assert max(abs(x - y) for x, y in zip(got, ref)) < 1e-15
+
+
+def test_grad_smooth_calls_integrand_once_per_level(monkeypatch, bench):
+    # the former scalar integrand was called about 650 times here
+    calls = []
+
+    def counting(f, *args, **kwargs):
+        def counted(xs):
+            calls.append(len(xs))
+            return f(xs)
+        return adaptive_simpson_vec(counted, *args, **kwargs)
+
+    monkeypatch.setattr(landscape, "adaptive_simpson_vec", counting)
+    p = Params.from_parts([1.0, -0.9, 1.1, 0.95], [-0.3, 0.6, -0.7, -0.2],
+                          [0.05, -0.03, 0.04, 0.06], 0.01)
+    grad_smooth(p, bench, 10 ** 6, tol=1e-10)
+    assert 0 < len(calls) <= MAX_DEPTH + 15 + 2
+    assert sum(calls) > 300
+
+
+@pytest.mark.parametrize("r", [0.5, math.nan, math.inf])
+def test_grad_smooth_rejects_bad_sharpness(bench, r):
+    p = Params.from_parts([1.0], [-0.5], [1.0], 0.0)
+    with pytest.raises(ValueError):
+        grad_smooth(p, bench, r)
 
 
 def test_grad_smooth_outer_components_with_zero_v(bench):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,6 +64,22 @@ def test_smooth_activation_overflow_guard():
     assert math.isfinite(act(100.0))
     assert act(100.0) == pytest.approx(100.0 - 1e-3, rel=1e-10)
     assert act(-100.0) == 0.0
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 0.5, 0, -3])
+def test_smooth_activation_rejects_bad_sharpness(r):
+    with pytest.raises(ValueError):
+        SmoothActivation(r)
+
+
+def test_smooth_activation_on_arrays_and_infinities():
+    act = SmoothActivation(10 ** 4)
+    zs = [-1e300, -0.5, 0.0, 1e-2, 0.5, 1e300]
+    assert act(np.array(zs)).tolist() == [act(z) for z in zs]
+    assert act.deriv(np.array(zs)).tolist() == [act.deriv(z) for z in zs]
+    # r z overflows to +-inf: the derivative is still exact, no NaN
+    assert act.deriv(1e300) == 1.0
+    assert act.deriv(-1e300) == 0.0
 
 
 def test_realize_smooth_converges_and_monotone():

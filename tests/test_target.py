@@ -2,6 +2,7 @@ import decimal
 import math
 from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +46,34 @@ def test_eval_poly_target():
 def test_eval_outside_domain(bench):
     with pytest.raises(DomainError):
         bench.eval(1.5)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_poly_eval_array_bit_identical_to_eval(data):
+    pp = data.draw(piecewise_polys(max_pieces=5, max_degree=6))
+    xs = data.draw(domain_points(pp)) + [pp.lo, pp.hi]
+    t = PolyTarget(pp)
+    got = t.eval_array(np.array(xs)).tolist()
+    assert [v.hex() for v in got] == [float(t.eval(x)).hex() for x in xs]
+
+
+@pytest.mark.parametrize("t", [BenchmarkTarget(1 / 3, 2 / 3),
+                               BenchmarkTarget(0.25, 0.7, -0.4, 0.85, scale=-1.5)])
+def test_benchmark_eval_array_matches_eval(t):
+    w = t.b - t.a
+    xs = [t.a, t.a + t.alpha * w, t.a + t.beta * w, t.b]
+    xs += [math.nextafter(x, t.b) for x in xs[:3]] + [math.nextafter(x, t.a) for x in xs[1:]]
+    xs += np.linspace(t.a, t.b, 301).tolist()
+    got = t.eval_array(np.array(xs)).tolist()
+    for x, g in zip(xs, got):
+        want = t.eval(x)
+        if t.alpha < t._to_u(x) <= t.beta:
+            assert abs(g - want) <= 4 * math.ulp(want), x
+        else:
+            assert g.hex() == want.hex(), x
+    with pytest.raises(DomainError):
+        t.eval_array(np.array([t.a, math.nextafter(t.b, math.inf)]))
 
 
 def test_benchmark_continuity_random_pairs():
