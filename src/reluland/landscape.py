@@ -46,8 +46,9 @@ __all__ = [
     "classify",
 ]
 
-DEFAULT_RANK_TOL = 1e-6
-DEFAULT_FD_STEP = 1e-5
+# hessian_fd's step; the rank threshold relative to the largest |eigenvalue|
+FD_STEP = 1e-5
+RANK_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -153,16 +154,16 @@ def grad(p: Params, t: Target) -> GradientVector:
 
 
 def risk_theta(theta: Sequence[float], H: int, t: Target,
-               tol: float = 1e-12, method: str = "gauss_kronrod") -> float:
+               method: str = "gauss_kronrod") -> float:
     geo = _Geometry(theta, H, t)
-    val = geo.net_sq_int() - 2.0 * geo.net_f_int() + t.sq_integral(tol, method)
+    val = geo.net_sq_int() - 2.0 * geo.net_f_int() + t.sq_integral(method)
     return max(val, 0.0)
 
 
-def risk(p: Params, t: Target, tol: float = 1e-12, method: str = "gauss_kronrod") -> float:
+def risk(p: Params, t: Target, method: str = "gauss_kronrod") -> float:
     """Exact L2 risk; the network and cross terms are closed-form, the
     f**2 term is exact for polynomial targets and quadrature otherwise."""
-    return risk_theta(p.theta, p.H, t, tol, method)
+    return risk_theta(p.theta, p.H, t, method)
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +239,19 @@ class HessianReport:
         }
 
 
-def _report_from_matrix(mat: np.ndarray, rank_tol: float) -> HessianReport:
+def _report_from_matrix(mat: np.ndarray) -> HessianReport:
     # eigvalsh fails to converge on inf/NaN entries instead of reporting them
     if not np.all(np.isfinite(mat)):
         raise DomainError("the Hessian is not finite")
     sym = 0.5 * (mat + mat.T)
     eig = np.linalg.eigvalsh(sym)
     lam_max = float(np.max(np.abs(eig))) if eig.size else 0.0
-    rank = int(np.sum(np.abs(eig) > rank_tol * lam_max)) if lam_max > 0.0 else 0
+    rank = int(np.sum(np.abs(eig) > RANK_TOL * lam_max)) if lam_max > 0.0 else 0
     return HessianReport(
         matrix=tuple(tuple(float(x) for x in row) for row in sym),
         eigenvalues=tuple(float(x) for x in eig),
         numerical_rank=rank,
-        rank_tol=rank_tol,
+        rank_tol=RANK_TOL,
     )
 
 
@@ -262,31 +263,28 @@ def _coord_indices(H: int, coords: str) -> list[int]:
     raise ValueError("coords must be 'all' or 'restricted4'")
 
 
-def fd_gradient(p: Params, t: Target, h: float = 1e-6,
-                tol: float = 1e-12) -> GradientVector:
+def fd_gradient(p: Params, t: Target, h: float = 1e-6) -> GradientVector:
     """Central finite differences of the exact risk (test oracle)."""
     th = list(p.theta)
     out = []
     for i in range(len(th)):
         orig = th[i]
         th[i] = orig + h
-        rp = risk_theta(th, p.H, t, tol)
+        rp = risk_theta(th, p.H, t)
         th[i] = orig - h
-        rm = risk_theta(th, p.H, t, tol)
+        rm = risk_theta(th, p.H, t)
         th[i] = orig
         out.append((rp - rm) / (2.0 * h))
     return GradientVector(tuple(out))
 
 
-def hessian_fd(p: Params, t: Target, h: float = DEFAULT_FD_STEP,
-               coords: str = "all", rank_tol: float = DEFAULT_RANK_TOL) -> HessianReport:
-    """Symmetrized central differences of the exact gradient.
+def hessian_fd(p: Params, t: Target, coords: str = "all") -> HessianReport:
+    """Symmetrized central differences of the exact gradient, step FD_STEP.
 
     Requires a twice-differentiable configuration: every w_j*a + b_j and
     w_j*b + b_j bounded away from zero relative to the step size.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    h = FD_STEP
     a, b = t.domain
     margin = 2.0 * h * max(1.0, abs(a), abs(b))
     if _kink_near_endpoint(p.theta, p.H, a, b, margin):
@@ -305,11 +303,10 @@ def hessian_fd(p: Params, t: Target, h: float = DEFAULT_FD_STEP,
         th[i] = orig
         for col, k in enumerate(idx):
             mat[row, col] = (gp[k] - gm[k]) / (2.0 * h)
-    return _report_from_matrix(mat, rank_tol)
+    return _report_from_matrix(mat)
 
 
-def closed_hessian_M(q: float, theta1: float, t: BenchmarkTarget,
-                     rank_tol: float = DEFAULT_RANK_TOL) -> HessianReport:
+def closed_hessian_M(q: float, theta1: float, t: BenchmarkTarget) -> HessianReport:
     """Closed-form restricted 4x4 Hessian on the single-kink critical
     manifold, in the coordinates (w_1, b_1, v_1, c), kink at normalized
     position q with inner weight theta1 > 0."""
@@ -345,7 +342,7 @@ def closed_hessian_M(q: float, theta1: float, t: BenchmarkTarget,
         [h13, h23, h33, h34],
         [h14, h24, h34, h44],
     ])
-    return _report_from_matrix(mat, rank_tol)
+    return _report_from_matrix(mat)
 
 
 def classify(report: HessianReport, grad_norm: float,

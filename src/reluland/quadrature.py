@@ -82,9 +82,11 @@ def adaptive_gauss_kronrod(f: Callable[[float], float], a: float, b: float,
     """Globally adaptive G7/K15 integration of f over [a, b].
 
     The worst panel is bisected until the summed error estimate falls
-    below tol.  Raises AccuracyError (carrying the best estimate) if the
-    panel budget is exhausted first.
+    below tol.  Raises ValueError unless tol > 0, and AccuracyError
+    (carrying the best estimate) if the panel budget is exhausted first.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if a == b:
         return 0.0
     pts = _split_points(a, b, breakpoints)
@@ -147,7 +149,9 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
                      tol: float = DEFAULT_TOL,
                      breakpoints: Iterable[float] | None = None,
                      max_depth: int = MAX_DEPTH) -> float:
-    """Adaptive Simpson integration of f over [a, b] to absolute tol."""
+    """Adaptive Simpson integration of f over [a, b] to absolute tol > 0."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if a == b:
         return 0.0
     pts = _split_points(a, b, breakpoints)

@@ -13,7 +13,7 @@ Two kinds are supported and share one duck-typed interface:
 
 ``cum_int_xint(x)`` returns the running integrals of f and x*f up to x,
 so that risk and gradient evaluations stay closed-form and fast;
-``sq_integral(tol, method)`` is the integral of f**2 over the whole
+``sq_integral(method)`` is the integral of f**2 over the whole
 domain.  Each constructor rejects non-finite fields and a target whose
 integral of f**2 overflows, so ``scaled(c)`` and the JSON parser inherit
 the checks.
@@ -39,7 +39,8 @@ __all__ = [
     "target_to_json",
 ]
 
-DEFAULT_SQ_TOL = 1e-12
+# absolute tolerance of the quadrature of the normalized integral of f**2
+SQ_TOL = 1e-12
 
 
 class PolyTarget:
@@ -100,8 +101,8 @@ class PolyTarget:
     def cum_xint(self, x: float) -> float:
         return self.cum_int_xint(x)[1]
 
-    def sq_integral(self, tol: float = DEFAULT_SQ_TOL, method: str = "exact") -> float:
-        """Integral of f**2 over the domain, exact regardless of tol and method."""
+    def sq_integral(self, method: str = "exact") -> float:
+        """Integral of f**2 over the domain, exact whatever the method."""
         return self._sq_int
 
     def scaled(self, c: float) -> "PolyTarget":
@@ -180,7 +181,7 @@ class BenchmarkTarget:
         self._G_alpha = la1(al) - la1(0.0)
         self._F_beta = self._F_alpha + _mid_anti(be) - _mid_anti(al)
         self._G_beta = self._G_alpha + _mid_xanti(be) - _mid_xanti(al)
-        self._sq_cache: dict[tuple[float, str], float] = {}
+        self._sq_cache: dict[str, float] = {}
 
     @property
     def kind(self) -> str:
@@ -251,19 +252,15 @@ class BenchmarkTarget:
     def cum_xint(self, x: float) -> float:
         return self.cum_int_xint(x)[1]
 
-    def unit_sq_integral(self, tol: float = DEFAULT_SQ_TOL,
-                         method: str = "gauss_kronrod") -> float:
+    def unit_sq_integral(self, method: str = "gauss_kronrod") -> float:
         """Integral over [0, 1] of the unscaled normalized target squared,
-        by adaptive quadrature to absolute tolerance tol.
+        by adaptive quadrature to absolute tolerance SQ_TOL.
 
         The squared middle piece is a rational function without a closed
         form here, so this is the one quadrature-backed quantity; it is
-        cached per (tol, method).
+        cached per method.
         """
-        if not tol > 0:
-            raise ValueError("tol must be positive")
-        key = (tol, method)
-        val = self._sq_cache.get(key)
+        val = self._sq_cache.get(method)
         if val is None:
             g = self.eval_normalized
             if method == "gauss_kronrod":
@@ -272,15 +269,15 @@ class BenchmarkTarget:
                 quad = adaptive_simpson
             else:
                 raise ValueError(f"unknown quadrature method {method!r}")
-            val = quad(lambda u: g(u) ** 2, 0.0, 1.0, tol, breakpoints=(self.alpha, self.beta))
-            self._sq_cache[key] = val
+            val = quad(lambda u: g(u) ** 2, 0.0, 1.0, SQ_TOL, breakpoints=(self.alpha, self.beta))
+            self._sq_cache[method] = val
         return val
 
-    def sq_integral(self, tol: float = DEFAULT_SQ_TOL, method: str = "gauss_kronrod") -> float:
+    def sq_integral(self, method: str = "gauss_kronrod") -> float:
         """Integral of f**2 over [a, b]: scale**2 (b - a) times
-        ``unit_sq_integral(tol, method)``, so tol bounds the normalized
+        ``unit_sq_integral(method)``, so SQ_TOL bounds the normalized
         integral, whatever the scale and the domain."""
-        return self.scale * self.scale * (self.b - self.a) * self.unit_sq_integral(tol, method)
+        return self.scale * self.scale * (self.b - self.a) * self.unit_sq_integral(method)
 
     def scaled(self, c: float) -> "BenchmarkTarget":
         return BenchmarkTarget(self.alpha, self.beta, self.a, self.b, self.scale * c)

@@ -13,7 +13,6 @@ refuses with.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,47 +161,15 @@ class EnsembleReport:
         return self.clusters[-1].risk - self.clusters[0].risk
 
 
-def _one_seeded_run(args) -> TrainRun:
-    t, cfg, seed = args
-    return gd_run(xavier_init(cfg.H, seed), t, cfg, seed=seed)
-
-
-def _worker_count(runs: int, threads: int | None = None) -> int:
-    """Worker processes for an ensemble of ``runs`` seeds.
-
-    ``threads`` defaults to the RELULAND_THREADS environment variable,
-    where unset or empty means 1 and anything else must be a positive
-    integer (DomainError otherwise).  The count is capped at ``runs`` and
-    the CPU count.
-    """
-    if threads is None:
-        raw = os.environ.get("RELULAND_THREADS") or "1"
-        try:
-            threads = int(raw)
-        except ValueError:
-            threads = 0
-        if threads < 1:
-            raise DomainError(f"RELULAND_THREADS must be a positive integer, got {raw!r}")
-    return min(threads, runs, os.cpu_count() or 1)
-
-
-def ensemble(t: Target, cfg: TrainConfig, threads: int | None = None) -> EnsembleReport:
+def ensemble(t: Target, cfg: TrainConfig) -> EnsembleReport:
     """Train runs seeds master_seed..master_seed+runs-1, then greedily
     deduplicate realizations in run order at L2 distance dedup_l2.
 
-    Diverged runs are reported but excluded from clustering.  Results are
-    merged in seed order whatever the execution order, so the report is a
-    pure function of (target, config).
+    Diverged runs are reported but excluded from clustering.  The report
+    is a pure function of (target, config).
     """
-    threads = _worker_count(cfg.runs, threads)
-    seeds = list(range(cfg.master_seed, cfg.master_seed + cfg.runs))
-    jobs = [(t, cfg, s) for s in seeds]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(_one_seeded_run, jobs))
-    else:
-        runs = [_one_seeded_run(job) for job in jobs]
+    runs = [gd_run(xavier_init(cfg.H, seed), t, cfg, seed=seed)
+            for seed in range(cfg.master_seed, cfg.master_seed + cfg.runs)]
 
     reps: list[Realization] = []
     members: list[list[int]] = []

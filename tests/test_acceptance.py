@@ -169,14 +169,14 @@ def test_criterion_09_training_reproduction(bench_t):
     cfg = TrainConfig(H=4, lr=1.0 / 20.0, grad_tol=1e-4, dedup_l2=1e-4,
                       master_seed=ENSEMBLE_SEED, runs=50)
     t0 = time.perf_counter()
-    rep = ensemble(bench_t, cfg, threads=1)
+    rep = ensemble(bench_t, cfg)
     elapsed = time.perf_counter() - t0
     ok = all(r.converged and r.grad_max_norm < 1e-4 for r in rep.runs)
     separated = rep.risk_spread() > 1e-4
     if not separated and rep.all_co_clustered:
         rep2 = ensemble(bench_t, TrainConfig(
             H=4, lr=1.0 / 20.0, grad_tol=1e-4, dedup_l2=1e-4,
-            master_seed=ENSEMBLE_SEED + 1000, runs=50), threads=1)
+            master_seed=ENSEMBLE_SEED + 1000, runs=50))
         separated = rep2.risk_spread() > 1e-4 or rep2.all_co_clustered
     # determinism: the pinned seed reproduces the frozen digest exactly
     deterministic = (len(rep.clusters) == ENSEMBLE_N_CLUSTERS

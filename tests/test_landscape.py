@@ -384,7 +384,7 @@ def test_full_hessian_rank_two_on_family(bench):
 
 
 def synthetic_report(eigs):
-    return _report_from_matrix(np.diag(eigs), 1e-6)
+    return _report_from_matrix(np.diag(eigs))
 
 
 def test_classify_family_local_min(bench):
@@ -518,7 +518,7 @@ def _ref_risk(theta, H, t):
         k = y0 - m * x0
         cross += (m * (t.cum_xint(x1) - t.cum_xint(x0))
                   + k * (t.cum_int(x1) - t.cum_int(x0)))
-    return max(sq - 2.0 * cross + t.sq_integral(1e-12, "gauss_kronrod"), 0.0)
+    return max(sq - 2.0 * cross + t.sq_integral("gauss_kronrod"), 0.0)
 
 
 BIT_TARGETS = (

@@ -134,10 +134,15 @@ def test_witness_preconditions(bench):
         two_kink_witness(bench, 2, 0.5, 0.5)
 
 
-def test_witness_infeasible_eps_raises():
+def test_gap_certificate_decides_half_width():
+    # the exact gap is the certificate: eps = 0.2 and 0.3 pass although the
+    # target does not stay above the witness's chord on (p - eps, p + eps)
     wide = BenchmarkTarget(0.05, 0.95, 0.0, 1.0)
-    with pytest.raises(WitnessError):
-        two_kink_witness(wide, 2, 0.5, 0.40, seed=0)
+    gap = certify_gap(wide, 2, 0.5, 0.2, seed=0).gap
+    assert gap == pytest.approx(1.0674555622883636e-3, rel=1e-10)
+    assert certify_gap(wide, 2, 0.5, 0.3, seed=0).gap > 0.0
+    with pytest.raises(WitnessError, match="non-positive risk gap"):
+        certify_gap(wide, 2, 0.5, 0.40, seed=0)
 
 
 def test_witness_converges_to_family_realization(bench):

@@ -160,6 +160,17 @@ def test_vector_simpson_rejects_bad_tol(tol):
     assert calls == []
 
 
+@pytest.mark.parametrize("backend", [adaptive_gauss_kronrod, adaptive_simpson])
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-12])
+def test_scalar_backends_reject_bad_tol(backend, tol):
+    # with tol = nan, `total_err > tol` is false at once, so Gauss-Kronrod
+    # would return its first, unconverged estimate
+    calls = []
+    with pytest.raises(ValueError):
+        backend(lambda x: calls.append(x) or math.sqrt(abs(x - 1.0 / 3.0)), 0.0, 1.0, tol)
+    assert calls == []
+
+
 def test_vector_simpson_rejects_non_finite_values():
     with pytest.raises(DomainError, match="x=0.5"):
         adaptive_simpson_vec(lambda xs: np.where(xs == 0.5, math.nan, xs)[:, None],

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from reluland import (Params, TrainConfig, enumerate_all, ensemble, gd_run,
                       gf_run, grad, l2_distance, risk, sample_M, xavier_init)
 from reluland.errors import DomainError
 from reluland.landscape import grad_theta
-from reluland.train import _worker_count
 
 from conftest import poly_target, rng_for
 
@@ -131,12 +129,6 @@ def test_ensemble_deterministic(bench):
     assert doc_a == doc_b
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a process pool needs 2 CPUs")
-def test_ensemble_process_pool_matches_serial(bench):
-    cfg = TrainConfig(H=2, runs=4, max_iters=3000)
-    assert ensemble(bench, cfg, threads=2) == ensemble(bench, cfg, threads=1)
-
-
 def test_ensemble_cluster_structure(bench):
     cfg = TrainConfig(H=2, grad_tol=1e-3, master_seed=50, runs=5)
     rep = ensemble(bench, cfg)
@@ -183,20 +175,3 @@ def test_gf_validation(bench):
     for t_end, rtol in ((math.inf, 1e-8), (math.nan, 1e-8), (1.0, math.nan), (1.0, math.inf)):
         with pytest.raises(DomainError):
             gf_run(p, bench, t_end=t_end, rtol=rtol)
-
-
-def test_worker_count_from_environment(monkeypatch):
-    cpus = os.cpu_count() or 1
-    monkeypatch.delenv("RELULAND_THREADS", raising=False)
-    assert _worker_count(8) == 1
-    for raw in ("", "1"):
-        monkeypatch.setenv("RELULAND_THREADS", raw)
-        assert _worker_count(8) == 1
-    monkeypatch.setenv("RELULAND_THREADS", "1000000")
-    assert _worker_count(3) == min(3, cpus)
-    assert _worker_count(10 ** 7) == cpus
-    for raw in ("0", "-3", "abc", "2.5"):
-        monkeypatch.setenv("RELULAND_THREADS", raw)
-        with pytest.raises(DomainError):
-            _worker_count(8)
-    assert _worker_count(8, threads=4) == min(4, cpus)
