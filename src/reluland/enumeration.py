@@ -5,22 +5,27 @@ generalized gradient realize only finitely many functions, split into four
 structural cases: constant, affine, single kink with positive inner weight
 (flat left of the kink) and single kink with negative inner weight (flat
 right of it).  The kink cases reduce to real roots of an explicit
-polynomial in the normalized kink position q, assembled here coefficient-
-exactly so that root isolation operates on a true polynomial.
-``enumerate_all`` normalizes the target to [0, 1] once, reflects it once
-for the decreasing orientation and isolates each orientation's roots once;
-the catalog keeps both ``KinkRoots``.  A grid scan of the defining residual
-on each orientation's normalized target serves as an independent
-cross-check oracle: it evaluates D(q) at all grid points at once, as numpy
-arrays, from the target's running integrals of f and x f
-(``cum_moments``), bit for bit as three scalar moments per point would.
-It never expands D in q, so an error in that expansion (``_kink_poly``)
-cannot hide in both routes; ``oracle_check`` matches its brackets against
-the catalog's roots.
+polynomial in the kink position, decided exactly: every double is a
+rational with a power-of-two denominator, so on a fine enough integer grid
+the target's running integrals, and with them each orientation's kink
+equation, have integer coefficients (``_grid_moments``,
+``_kink_equations``), and integer Sturm counts isolate their roots.
+``enumerate_all`` builds that grid once, normalizes the target to [0, 1]
+once and reflects it once in floats for the decreasing orientation, and
+isolates each orientation's roots once; the catalog keeps both
+``KinkRoots``.  A grid scan of the defining residual on each orientation's
+normalized target serves as an independent cross-check oracle: it
+evaluates D(q) in floats at all grid points at once, as numpy arrays, from
+the target's running integrals of f and x f (``cum_moments``), bit for bit
+as three scalar moments per point would.  It never expands D in q, and the
+exact roots come from the target's doubles, not from the normalized
+target, so an error in either route cannot hide in both;
+``oracle_check`` matches its brackets against the catalog's roots.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +34,8 @@ from .errors import (DegenerateEnumerationError, FinitenessError,
                      NonsmoothPointError)
 from .landscape import CritClass, classify, grad, hessian_fd, risk
 from .network import Params, Realization, canonical, l2_distance
-from .polyalg import (PiecewisePolynomial, Polynomial, collapse_roots, reparametrize,
-                      roots_in)
+from .polyalg import (PiecewisePolynomial, _divexact, _eval_asc, collapse_roots,
+                      reparametrize, roots_in)
 from .target import BenchmarkTarget, Target
 
 __all__ = [
@@ -48,8 +53,6 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-9
 VW_EXCLUSION_TOL = 1e-12
-ROOT_TOL = 1e-12
-BREAKPOINT_MARGIN = 1e-9
 DEDUP_DEFAULT = 1e-8
 ORACLE_RESOLUTION = 1e-3
 
@@ -116,84 +119,107 @@ def enum_affine(t: Target) -> Realization:
     return Realization(a, b, (), (slope,), slope * a + intercept)
 
 
-def _kink_poly(f01: PiecewisePolynomial, j: int) -> Polynomial:
-    """The defining polynomial D_j(q) on piece j of the normalized target:
-    D(q) = (1-q)^2 * int_0^q f  -  2q * int_q^1 (q + 2 - 3x) f(x) dx,
-    expanded coefficient-exactly in q."""
+@dataclass(frozen=True)
+class _GridMoments:
+    """A piecewise polynomial's running integrals, exact in integers, on the
+    grid v = (x - lo) * 2**E: 2**E is a common denominator of the breakpoints,
+    raised until the span S has at least 2**64 cells.  On piece j, p0[j] and
+    p1[j] are integer polynomials in v, one positive multiple of int_0^v H
+    and of int_0^v w H(w) dw, where H(v) is a positive multiple of
+    pp(lo + v / 2**E); t0 and t1 are their values at S."""
+
+    cuts: tuple[int, ...]  # the breakpoints on the grid, 0 to S
+    p0: tuple[list[int], ...]
+    p1: tuple[list[int], ...]
+    t0: int
+    t1: int
+
+
+def _grid_moments(pp: PiecewisePolynomial) -> _GridMoments:
+    ratios = [x.as_integer_ratio() for x in pp.breakpoints]
+    e = max(den.bit_length() for _, den in ratios) - 1
+    cuts = [(num << e) // den for num, den in ratios]
+    extra = max(0, 65 - (cuts[-1] - cuts[0]).bit_length())
+    e += extra
+    u0 = cuts[0] << extra
+    cuts = [(c << extra) - u0 for c in cuts]
+    coeffs = [[c.as_integer_ratio() for c in p.coeffs] for p in pp.pieces]
+    alpha = max((den.bit_length() - 1 for cs in coeffs for _, den in cs), default=0)
+    deg = max(len(cs) for cs in coeffs) - 1
+    lcm = math.lcm(*range(1, deg + 3))
+    p0s, p1s, t0, t1 = [], [], 0, 0
+    for cs, v0, v1 in zip(coeffs, cuts, cuts[1:]):
+        # H(v) = sum_k a_k 2**(alpha + e (deg - k)) (u0 + v)**k
+        scaled = [(num << (alpha + e * (deg - k))) // den for k, (num, den) in enumerate(cs)]
+        h = [sum(a * math.comb(k, i) * u0 ** (k - i) for k, a in enumerate(scaled) if k >= i)
+             for i in range(len(scaled))]
+        b0 = [0] + [lcm * c // (i + 1) for i, c in enumerate(h)]
+        b1 = [0, 0] + [lcm * c // (i + 2) for i, c in enumerate(h)]
+        p0s.append([t0 - _eval_asc(b0, v0)] + b0[1:])
+        p1s.append([t1 - _eval_asc(b1, v0)] + b1[1:])
+        t0, t1 = _eval_asc(p0s[-1], v1), _eval_asc(p1s[-1], v1)
+    return _GridMoments(tuple(cuts), tuple(p0s), tuple(p1s), t0, t1)
+
+
+def _combine(*terms: tuple[list[int], list[int]]) -> list[int]:
+    """The sum of the products a * b of integer polynomials, trailing zeros
+    stripped."""
+    out = [0] * max(len(a) + len(b) - 1 for a, b in terms)
+    for a, b in terms:
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _kink_equations(g: _GridMoments, decreasing: bool) -> list[list[int]]:
+    """Per piece, a positive multiple of one orientation's D (see
+    ``_kink_residual``) as an integer polynomial in v.  The increasing
+    orientation's q is v / S, the decreasing one's (S - v) / S:
+    D_inc(v) = (S - v)**2 P0 - 2v ((v + 2S)(T0 - P0) - 3 (T1 - P1)),
+    D_dec(v) = v**2 (T0 - P0) - 2 (S - v)(3 P1 - v P0)."""
+    S = g.cuts[-1]
+    out = []
+    for p0, p1 in zip(g.p0, g.p1):
+        r0 = [g.t0 - p0[0]] + [-c for c in p0[1:]]
+        if decreasing:
+            out.append(_combine(([0, 0, 1], r0), ([-6 * S, 6], p1), ([0, 2 * S, -2], p0)))
+        else:
+            r1 = [g.t1 - p1[0]] + [-c for c in p1[1:]]
+            out.append(_combine(([S * S, -2 * S, 1], p0), ([0, -4 * S, -2], r0), ([0, 6], r1)))
+    return out
+
+
+def _kink_roots(f01: PiecewisePolynomial, g: _GridMoments, decreasing: bool) -> KinkRoots:
+    """Roots of one orientation's kink equation in (0,1), decided exactly
+    on g's grid, split into admissible kink positions and those excluded
+    by a vanishing slope.  f01 is that orientation's target on [0, 1]."""
+    S = g.cuts[-1]
+    last = len(g.cuts) - 2
+    found: set[tuple[int, int]] = set()
+    for j, D in enumerate(_kink_equations(g, decreasing)):
+        if not D:
+            # the zero-slope numerator q T0 - int_0^q f, up to sign and scale
+            if _combine(([0, g.t0], [1]), ([-S], g.p0[j])):
+                raise DegenerateEnumerationError(
+                    f"kink equation vanished identically on piece {j} "
+                    "without the zero-slope degeneracy")
+            continue  # every q on the piece has vw = 0: nothing new
+        # D always vanishes at q = 0 and doubly at q = 1; those structural
+        # roots are the constant/affine cases in disguise
+        if j == 0:
+            D = _divexact(D, [0, 0, 1] if decreasing else [0, 1])
+        if j == last:
+            D = _divexact(D, [-S, 1] if decreasing else [S * S, -2 * S, 1])
+        found.update(roots_in(D, g.cuts[j], g.cuts[j + 1]))
+
     T0 = f01.moment(0, 0.0, 1.0)
-    T1 = f01.moment(1, 0.0, 1.0)
-    # int_0^q f and int_0^q x f as polynomials in q, valid on the piece
-    p0 = f01.running_poly(0, j)
-    p1 = f01.running_poly(1, j)
-    int_q1 = Polynomial([T0]) - p0
-    int_q1_x = Polynomial([T1]) - p1
-    one_minus_q_sq = Polynomial([1.0, -2.0, 1.0])
-    two_q = Polynomial([0.0, 2.0])
-    inner = Polynomial([2.0, 1.0]) * int_q1 - int_q1_x.scale(3.0)
-    return one_minus_q_sq * p0 - two_q * inner
-
-
-def _vw_numerator(f01: PiecewisePolynomial, j: int) -> Polynomial:
-    """q * (int_0^1 f - (1/q) int_0^q f) as a polynomial in q on piece j;
-    its zeros are the kink positions with vanishing active-side slope."""
-    T0 = f01.moment(0, 0.0, 1.0)
-    p0 = f01.running_poly(0, j)
-    return Polynomial([0.0, T0]) - p0
-
-
-def _deflate_linear(p: Polynomial, root: float, tol: float) -> Polynomial:
-    """Divide p by (x - root) if the remainder is negligible, else return p."""
-    quot: list[float] = []
-    rem = 0.0
-    for c in reversed(p.coeffs):
-        rem = rem * root + c
-        quot.append(rem)
-    rem = quot.pop()
-    if abs(rem) > tol:
-        return p
-    quot.reverse()
-    return Polynomial(quot)
-
-
-def _kink_roots(f01: PiecewisePolynomial) -> KinkRoots:
-    """Roots of the kink equation in (0,1), split into admissible kink
-    positions and those excluded by a vanishing slope."""
-    T0 = f01.moment(0, 0.0, 1.0)
-    scale_ref = max(1.0, f01.coeff_scale())
-    found: list[float] = []
-    spilled: list[float] = []
-    for j in range(len(f01.pieces)):
-        D = _kink_poly(f01, j)
-        if D.coeff_scale() <= 1e-11 * scale_ref:
-            n = _vw_numerator(f01, j)
-            if n.coeff_scale() <= 1e-11 * scale_ref:
-                continue  # every q on the piece has vw = 0: nothing new
-            raise DegenerateEnumerationError(
-                f"kink equation vanished identically on piece {j} "
-                "without the zero-slope degeneracy")
-        # D always vanishes at q = 0 (first piece) and doubly at q = 1
-        # (last piece); those structural roots are the constant/affine
-        # cases in disguise and must not leak into the kink list.
-        rem_tol = 1e-10 * max(D.coeff_scale(), 1.0)
-        if f01.breakpoints[j] == 0.0:
-            D = _deflate_linear(D, 0.0, rem_tol)
-        if f01.breakpoints[j + 1] == 1.0:
-            D = _deflate_linear(_deflate_linear(D, 1.0, rem_tol), 1.0, rem_tol)
-        if D.is_zero or D.degree() == 0:
-            continue
-        lo = f01.breakpoints[j]
-        hi = f01.breakpoints[j + 1]
-        found += roots_in(D, lo, hi, ROOT_TOL)
-        # rounding can push a root on a breakpoint just outside both adjacent
-        # pieces; D is C^1 there, so D_j holds to O(margin^2) past its piece
-        for a, b in ((lo - BREAKPOINT_MARGIN, lo), (hi, hi + BREAKPOINT_MARGIN)):
-            if D(a) * D(b) < 0.0:
-                spilled += roots_in(D, a, b, ROOT_TOL)
-    found += [q for q in spilled if all(abs(q - r) >= 1e-9 for r in found)]
-
     admissible: list[float] = []
     excluded: list[float] = []
-    for q in found:
+    for a, b in found:
+        q = (2 * S - a - b if decreasing else a + b) / (2 * S)
         if not (1e-9 < q < 1.0 - 1e-9):
             continue  # boundary kinks reduce to the affine/constant cases
         int0q = f01.moment(0, 0.0, q)
@@ -331,9 +357,10 @@ def enumerate_all(t: Target, dedup: float = DEDUP_DEFAULT) -> CriticalCatalog:
     f01 = _on_unit(t.pp, *t.domain)
     const_real = enum_constant(t)
     affine_real = enum_affine(t)
-    inc = _kink_roots(f01)
+    g = _grid_moments(t.pp)
+    inc = _kink_roots(f01, g, False)
     kinks = [_increasing_solution(f01, q) for q in inc.admissible]
-    dec = _kink_roots(_on_unit(f01, 1.0, 0.0))
+    dec = _kink_roots(_on_unit(f01, 1.0, 0.0), g, True)
     kinks += sorted((_decreasing_solution(f01, _increasing_solution(dec.f01, q))
                      for q in dec.admissible), key=lambda s: s.q)
 
@@ -362,9 +389,9 @@ class GridOracleReport:
 
 
 def _kink_residual(f01: PiecewisePolynomial, qs: np.ndarray) -> np.ndarray:
-    """D(q) at sorted points qs in (0, 1), directly from target moments (see
-    _kink_poly); each moment is a difference of two running integrals, as
-    in ``PiecewisePolynomial.moment``."""
+    """D(q) = (1-q)^2 int_0^q f - 2q int_q^1 (q + 2 - 3x) f(x) dx at sorted
+    points qs in (0, 1), directly from target moments; each moment is a
+    difference of two running integrals, as in ``PiecewisePolynomial.moment``."""
     ends = np.concatenate(([0.0], qs, [1.0]))
     c0 = f01.cum_moments(0, ends)
     c1 = f01.cum_moments(1, ends)

@@ -1,15 +1,15 @@
 """Exact univariate polynomial and piecewise-polynomial algebra.
 
 Coefficients are plain doubles in ascending order (``coeffs[k]`` multiplies
-``x**k``).  Everything here is closed-form: evaluation is Horner, integrals
-go through antiderivatives, and real-root isolation uses a Sturm sequence
-with bisection followed by Newton polishing.  Every integral of a piecewise
+``x**k``).  Everything here is closed-form: evaluation is Horner and
+integrals go through antiderivatives.  Every integral of a piecewise
 polynomial p reads one running-integral table per power k, the single
 implementation of the running integral of x**k * p (``cum_moment``);
 ``cum_moments`` reads the same table at a whole sorted array of points,
 one numpy slice per piece, bit for bit as ``cum_moment`` at each point.
-The width-1 grid oracle reads its moments that way, so it stays
-independent of the kink polynomial that ``running_poly`` expands in q.
+Real-root isolation (``roots_in``) is exact: it takes a polynomial with
+integer coefficients and integer ends, counts roots with an integer Sturm
+chain and bisects on the integers, so it needs no tolerance.
 All values are immutable and the operations are pure; the tables are
 caches built on first use.
 """
@@ -17,6 +17,7 @@ caches built on first use.
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,7 +34,6 @@ __all__ = [
 
 # Roots closer than this are collapsed to a single representative.
 ROOT_CLUSTER_TOL = 1e-9
-_NEWTON_STEPS = 30
 
 
 class Polynomial:
@@ -206,11 +206,6 @@ class PiecewisePolynomial:
             out[s:e] = (prefix[i] + antis[i](xs[s:e])) - starts[i]
         return out
 
-    def running_poly(self, k: int, i: int) -> Polynomial:
-        """The polynomial equal to ``cum_moment(k, x)`` for x on piece i."""
-        antis, starts, prefix = self._table(k)
-        return antis[i] + Polynomial([prefix[i] - starts[i]])
-
     def moment(self, k: int, lo: float, hi: float) -> float:
         """Exact value of the integral of x**k * p(x) over [lo, hi]."""
         if lo > hi:
@@ -261,167 +256,119 @@ def reparametrize(pp: PiecewisePolynomial, s: float, t: float) -> PiecewisePolyn
 
 
 # ---------------------------------------------------------------------------
-# real-root isolation (Sturm sequence + bisection + Newton polish)
+# exact real-root isolation (integer Sturm chain + integer bisection)
 # ---------------------------------------------------------------------------
 
-def _strip_tiny(coeffs: list[float]) -> list[float]:
-    """Drop leading coefficients of size <= 1e-14 (coefficients are
-    normalized to max 1 in the Sturm chain)."""
-    out = list(coeffs)
-    while out and abs(out[-1]) <= 1e-14:
-        out.pop()
-    return out
-
-
-def _poly_rem(num: list[float], den: list[float]) -> list[float]:
-    """Remainder of num / den, both ascending coefficient lists."""
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    while len(num) - 1 >= dn and num:
-        k = len(num) - 1 - dn
-        factor = num[-1] / lead
-        for i in range(dn + 1):
-            num[k + i] -= factor * den[i]
-        num.pop()
-        num = _strip_tiny(num)
-    return num
-
-
-def _sturm_chain(coeffs: list[float]) -> list[list[float]]:
-    scale = max(abs(c) for c in coeffs)
-    # a negligible leading coefficient puts a root near infinity, and the
-    # remainder sequence then loses roots inside the interval
-    f = _strip_tiny([c / scale for c in coeffs])
-    chain = [f]
-    d = [k * c for k, c in enumerate(f)][1:]
-    d = _strip_tiny(d)
-    if d:
-        chain.append(d)
-        while True:
-            rem = _poly_rem(chain[-2], chain[-1])
-            rem = [-c for c in rem]
-            rem = _strip_tiny(rem)
-            if not rem:
-                break
-            chain.append(rem)
-            if len(rem) == 1:
-                break
-    return chain
-
-
-def _eval_asc(coeffs: list[float], x: float) -> float:
-    acc = 0.0
+def _eval_asc(coeffs: Sequence[int], x: int) -> int:
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
-def _sign_variations(chain: list[list[float]], x: float) -> int:
-    count = 0
-    prev = 0
-    for cs in chain:
-        v = _eval_asc(cs, x)
-        s = 0 if v == 0.0 else (1 if v > 0 else -1)
-        if s != 0:
-            if prev != 0 and s != prev:
-                count += 1
-            prev = s
-    return count
+def _divexact(num: list[int], den: list[int]) -> list[int]:
+    """num / den for integer polynomials where den divides num in Z[x]."""
+    num = list(num)
+    quot = [0] * (len(num) - len(den) + 1)
+    for k in reversed(range(len(quot))):
+        quot[k] = c = num[k + len(den) - 1] // den[-1]
+        for i, d in enumerate(den):
+            num[k + i] -= c * d
+    return quot
 
 
-def _refine_root(p: Polynomial, dp: Polynomial, lo: float, hi: float) -> float:
-    flo = p(lo)
-    fhi = p(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi < 0:
-        # bisection until the bracket is tight, then Newton
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= 1e-14 * (1.0 + abs(mid)):
-                break
-            fm = p(mid)
-            if fm == 0.0:
-                return mid
-            if flo * fm < 0:
-                hi, fhi = mid, fm
-            else:
-                lo, flo = mid, fm
-        x = 0.5 * (lo + hi)
-    else:
-        x = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_STEPS):
-        fx = p(x)
-        dfx = dp(x)
-        if dfx == 0.0:
-            break
-        step = fx / dfx
-        x_new = x - step
-        if not (lo - (hi - lo) <= x_new <= hi + (hi - lo)):
-            break
-        x = x_new
-        if abs(step) <= 1e-16 * (1.0 + abs(x)):
-            break
-    return x
+def _primitive(coeffs: list[int]) -> list[int]:
+    g = math.gcd(*coeffs)
+    return [c // g for c in coeffs]
 
 
-def roots_in(p: Polynomial, lo: float, hi: float, tol: float) -> list[float]:
-    """All real roots of ``p`` in [lo, hi], multiplicities collapsed.
+def _prem(num: list[int], den: list[int]) -> list[int]:
+    """A positive multiple of the remainder of num / den, in integers: each
+    step scales num by |lead(den)| so that no division is needed."""
+    num = list(num)
+    scale = abs(den[-1])
+    sign = 1 if den[-1] > 0 else -1
+    while len(num) >= len(den):
+        c = sign * num.pop()
+        k = len(num) - len(den) + 1
+        num = [scale * a for a in num]
+        for i, d in enumerate(den[:-1]):
+            num[k + i] -= c * d
+        while num and num[-1] == 0:
+            num.pop()
+    return num
 
-    Sturm-sequence isolation with interval bisection, then Newton polish.
-    Every returned root r satisfies |p(r)| <= tol * max|coeff|.  Raises
-    IdenticallyZeroError for the zero polynomial (the caller must handle
-    that degenerate case itself).
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """Sturm chain of p's square-free part.  The primitive pseudo-remainder
+    sequence p, p', -rem, ... keeps each remainder's sign; its last element
+    is gcd(p, p'), and dividing every element by it leaves a chain whose
+    first element is the square-free part and whose last is constant."""
+    chain = [_primitive(p), _primitive([k * c for k, c in enumerate(p)][1:])]
+    while rem := _prem(chain[-2], chain[-1]):
+        chain.append([-c for c in _primitive(rem)])
+    if len(chain[-1]) > 1:
+        chain = [_divexact(c, chain[-1]) for c in chain]
+    return chain
+
+
+def _sign_variations(chain: list[list[int]], x: int) -> int:
+    signs = [v > 0 for v in (_eval_asc(cs, x) for cs in chain) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def roots_in(p: Sequence[int], lo: int, hi: int) -> list[tuple[int, int]]:
+    """The distinct real roots of the integer polynomial ``p`` (ascending
+    coefficients) in [lo, hi], for integers lo < hi, in increasing order.
+
+    A root at an integer v is reported as (v, v), any other root as the
+    cell (v, v + 1) that holds it, once per root in that cell.  Sturm
+    counts on the square-free part are exact, so no tolerance is involved;
+    bisection runs on the integers.  Raises IdenticallyZeroError for the
+    zero polynomial (the caller must handle that degenerate case itself).
     """
-    if p.is_zero:
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    if not p:
         raise IdenticallyZeroError("polynomial identically zero on interval")
     if not lo < hi:
         raise DomainError("need lo < hi")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    scale = p.coeff_scale()
-    if p.degree() == 0:
+    if len(p) == 1:
         return []
-
-    chain = _sturm_chain(list(p.coeffs))
-    dp = p.derivative()
-
-    def count(a: float, b: float) -> int:
-        return _sign_variations(chain, a) - _sign_variations(chain, b)
-
-    found: list[float] = []
-    # include an endpoint root explicitly; Sturm counts (a, b] only
-    if abs(p(lo)) <= tol * scale:
-        found.append(lo)
-
-    stack = [(lo, hi, count(lo, hi))]
-    min_width = max(tol, 1e-13) * max(1.0, abs(lo), abs(hi))
+    chain = _sturm_chain(p)
+    sqf = chain[0]
+    found = [(lo, lo)] if _eval_asc(sqf, lo) == 0 else []
+    # (a, b, V(a), V(b)): V(a) - V(b) distinct roots lie in (a, b]
+    stack = [(lo, hi, _sign_variations(chain, lo), _sign_variations(chain, hi))]
     while stack:
-        a, b, n = stack.pop()
-        if n <= 0:
+        a, b, va, vb = stack.pop()
+        n = va - vb
+        if n == 0:
             continue
-        if n == 1 or b - a <= min_width:
-            found.append(_refine_root(p, dp, a, b))
-            if n > 1:
-                # unresolved cluster: keep looking either side of the root
-                r = found[-1]
-                for aa, bb in ((a, r - min_width), (r + min_width, b)):
-                    if aa < bb:
-                        m = count(aa, bb)
-                        if m > 0:
-                            stack.append((aa, bb, m))
-            continue
-        mid = 0.5 * (a + b)
-        nl = count(a, mid)
-        stack.append((a, mid, nl))
-        stack.append((mid, b, n - nl))
-
-    found = [r for r in found if lo - min_width <= r <= hi + min_width
-             and abs(p(r)) <= tol * max(scale, 1e-300)]
-    return collapse_roots(min(max(r, lo), hi) for r in found)
+        fa, fb = _eval_asc(sqf, a), _eval_asc(sqf, b)
+        if fb == 0 and (n == 1 or b - a == 1):
+            found.append((b, b))
+            n -= 1
+        if b - a == 1:
+            found += [(a, b)] * n
+        elif n == 1 and fa != 0 and fb != 0:
+            # one simple root inside: follow the sign change of sqf
+            while b - a > 1:
+                m = (a + b) // 2
+                fm = _eval_asc(sqf, m)
+                if fm == 0:
+                    a = b = m
+                elif (fm > 0) == (fa > 0):
+                    a = m
+                else:
+                    b = m
+            found.append((a, b))
+        elif n > 0:
+            m = (a + b) // 2
+            vm = _sign_variations(chain, m)
+            stack += [(m, b, vm, vb), (a, m, va, vm)]
+    return sorted(found)
 
 
 def collapse_roots(roots: Iterable[float]) -> list[float]:

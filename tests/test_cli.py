@@ -88,6 +88,17 @@ def test_enumerate_ok(tmp_path):
     assert (tmp_path / "catalog_entry_0.csv").exists()
 
 
+def test_enumerate_split_double_root_passes_oracle(tmp_path):
+    # one ReLU neuron with a small slope: the kink equation has a double
+    # root at the breakpoint that rounding splits
+    target = tmp_path / "t.json"
+    target.write_text(json.dumps({"kind": "piecewise_poly", "breakpoints": [0, 0.95, 1],
+                                  "pieces": [[0.3], [0.2999905, 1e-05]]}))
+    res = run_cli(["enumerate", "--target", str(target), "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert "oracle PASS" in res.output
+
+
 def test_enumerate_normalizes_and_isolates_roots_once_per_orientation(tmp_path, monkeypatch):
     from reluland import enumeration
     calls = {"_on_unit": 0, "_kink_roots": 0}

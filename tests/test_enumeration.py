@@ -1,4 +1,6 @@
+import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from reluland import (BenchmarkTarget, Params, PolyTarget, enum_affine,
                       enum_constant, enumerate_all, grad, grid_oracle,
                       l2_distance, oracle_check)
-from reluland.enumeration import _kink_residual, _kink_roots, _on_unit
+from reluland.enumeration import (_grid_moments, _kink_equations, _kink_residual,
+                                  _kink_roots, _on_unit)
 from reluland.errors import DegenerateEnumerationError, FinitenessError
 from reluland.network import Realization, canonical
 from reluland.polyalg import PiecewisePolynomial, Polynomial, reparametrize
@@ -312,17 +315,18 @@ def _reference_oracle_check(t, resolution=1e-3):
     """The former ``oracle_check(t)``: normalizes and reflects t again,
     rescans both orientations and re-isolates their roots."""
     f01 = _normalized01(t)
-    for pp in (f01, _reflect01(f01)):
+    g = _grid_moments(t.pp)
+    for decreasing, pp in ((False, f01), (True, _reflect01(f01))):
         brackets, degenerate = _scalar_scan(pp, resolution)
         if degenerate:
             try:
-                roots = list(_kink_roots(pp).admissible)
+                roots = list(_kink_roots(pp, g, decreasing).admissible)
             except DegenerateEnumerationError:
                 return False
             if roots:
                 return False
             continue
-        kr = _kink_roots(pp)
+        kr = _kink_roots(pp, g, decreasing)
         roots, excluded = list(kr.admissible), list(kr.excluded)
         candidates = sorted(roots + excluded)
         used = [False] * len(candidates)
@@ -358,3 +362,44 @@ def test_oracle_check_reads_catalog_like_rescan(pp):
     except DegenerateEnumerationError:
         return  # no catalog, so the command never runs the oracle
     assert oracle_check(cat, _oracle_reports(cat)) == _reference_oracle_check(t)
+
+
+def test_single_relu_with_kink_on_breakpoint_passes_oracle():
+    # one ReLU neuron of slope +-1e-5 with its kink on the breakpoint k, flat
+    # on the left or the right: the kink equation has a double root at k
+    # that rounding of the parsed target can split
+    rng = rng_for(777)
+    for i in range(100):
+        k = float(rng.uniform(0.05, 0.95))
+        c0 = float(rng.uniform(-1.0, 1.0))
+        s = 1e-5 * float(rng.choice([-1, 1]))
+        ramp = [c0 - s * k, s]
+        pieces = [[c0], ramp] if rng.uniform() < 0.5 else [ramp, [c0]]
+        cat = enumerate_all(poly_target([0.0, k, 1.0], pieces))
+        assert oracle_check(cat, _oracle_reports(cat)), (i, k, pieces)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(piecewise_polys(), st.sampled_from(("increasing", "decreasing")))
+@example(_ORACLE_EXAMPLES[0], "increasing")
+@example(_ORACLE_EXAMPLES[2], "increasing")
+@example(_ORACLE_EXAMPLES[2], "decreasing")
+def test_exact_kink_equation_has_the_sign_of_the_residual(pp, orientation):
+    # D_inc and D_dec, exact at the rational grid point v = q S (in the
+    # orientation's own q), against the float residual the oracle scans
+    decreasing = orientation == "decreasing"
+    f01 = _oriented01(pp, orientation)
+    g = _grid_moments(pp)
+    equations = _kink_equations(g, decreasing)
+    qs = np.arange(1, 1000) / 1000
+    tol = 1e-9 * (1.0 + f01.coeff_scale())
+    for q, r in zip(qs.tolist(), _kink_residual(f01, qs).tolist()):
+        if abs(r) <= tol:
+            continue
+        v = (1 - Fraction(q) if decreasing else Fraction(q)) * g.cuts[-1]
+        j = min(bisect.bisect_right(g.cuts, v) - 1, len(equations) - 1)
+        D = equations[j]
+        # den**deg * D(num / den), with the sign of D(v)
+        exact = sum(c * v.numerator ** i * v.denominator ** (len(D) - 1 - i)
+                    for i, c in enumerate(D))
+        assert (exact > 0) == (r > 0) and exact != 0, (q, r)

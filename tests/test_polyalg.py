@@ -146,49 +146,83 @@ def test_cum_moments_bit_identical_to_cum_moment(data):
 
 
 def test_roots_simple():
-    assert roots_in(Polynomial([-0.25, 0.0, 1.0]), 0.0, 1.0, 1e-12) == pytest.approx([0.5])
+    assert roots_in([-25, 0, 1], 0, 10) == [(5, 5)]
+    assert roots_in([-2, 0, 1], 0, 10) == [(1, 2)]
 
 
 def test_roots_quartic_interior():
-    # (q-1)^2 (3q-1)(q+1) expanded; of the real roots {-1, 1/3, 1 (double)}
-    # only 1/3 is interior once the margin clears the tol-ball of the
-    # double root at 1 (|p| <= tol*scale within ~1e-6 of it)
-    p = Polynomial([-1.0, 4.0, -2.0, -4.0, 3.0])
-    roots = roots_in(p, 1e-5, 1.0 - 1e-5, 1e-12)
-    assert len(roots) == 1
-    assert roots[0] == pytest.approx(1.0 / 3.0, abs=1e-9)
-    scale = p.coeff_scale()
-    for r in roots_in(p, 0.0, 1.0, 1e-12):
-        assert abs(p(r)) <= 1e-12 * scale and 0.0 <= r <= 1.0
+    # (v - 1000)^2 (3v - 1000)(v + 1000): of the real roots
+    # {-1000, 1000/3, 1000 (double)} a double root at an end is exact
+    p = [1]
+    for f in ([-1000, 1], [-1000, 1], [-1000, 3], [1000, 1]):
+        p = [sum(p[i] * f[k - i] for i in range(len(p)) if 0 <= k - i < len(f))
+             for k in range(len(p) + len(f) - 1)]
+    assert roots_in(p, 1, 999) == [(333, 334)]
+    assert roots_in(p, 0, 1000) == [(333, 334), (1000, 1000)]
+    assert roots_in(p, -1000, 0) == [(-1000, -1000)]
 
 
 def test_roots_none():
-    assert roots_in(Polynomial([1.0, 0.0, 1.0]), 0.0, 1.0, 1e-12) == []
+    assert roots_in([1, 0, 1], 0, 1) == []
+    assert roots_in([7], 0, 1) == []
 
 
 def test_roots_zero_poly_raises():
     with pytest.raises(IdenticallyZeroError):
-        roots_in(Polynomial([]), 0.0, 1.0, 1e-12)
+        roots_in([], 0, 1)
+    with pytest.raises(IdenticallyZeroError):
+        roots_in([0, 0], 0, 1)
 
 
 def test_roots_never_miss_planted():
+    # a double r = n / 2**k in (0, 1) is the integer r * 2**64 on the grid
     rng = rng_for(202)
     for _ in range(20):
-        planted = sorted(rng.uniform(0.05, 0.95, 3))
-        lead = float(rng.uniform(0.5, 2.0)) * (1 if rng.uniform() < 0.5 else -1)
-        p = Polynomial([lead])
+        planted = sorted(int(float(r) * 2 ** 64) for r in rng.uniform(0.05, 0.95, 3))
+        p = [int(rng.integers(1, 2 ** 40)) * (1 if rng.uniform() < 0.5 else -1)]
         for r in planted:
-            p = p * Polynomial([-r, 1.0])
-        found = roots_in(p, 0.0, 1.0, 1e-12)
-        for r in planted:
-            assert any(abs(r - f) < 1e-9 for f in found), (planted, found)
+            p = [0] + p
+            for i in range(len(p) - 1):
+                p[i] -= r * p[i + 1]
+        assert roots_in(p, 0, 2 ** 64) == [(r, r) for r in planted]
 
 
 def test_roots_clustered_pair():
-    # nearly repeated roots a cluster apart still isolate
-    p = Polynomial([-0.3, 1.0]) * Polynomial([-0.30002, 1.0])
-    found = roots_in(p, 0.0, 1.0, 1e-12)
-    assert len(found) == 2
+    # distinct roots a tenth apart, one of them an integer
+    assert roots_in([30001 * 3000, -30001 - 30000, 10], 0, 10 ** 4) == [
+        (3000, 3000), (3000, 3001)]
+    # two roots in one cell are reported once each
+    assert roots_in([30001 * 30002, -10 * (30001 + 30002), 100], 0, 10 ** 4) == [
+        (3000, 3001), (3000, 3001)]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(-60, 60), st.integers(1, 5), st.integers(1, 3)),
+                min_size=1, max_size=5),
+       st.integers(-2 ** 80, 2 ** 80).filter(bool), st.integers(-12, 0), st.integers(1, 12))
+def test_roots_in_reports_each_planted_root_once(factors, lead, lo, hi):
+    # planted roots n / d with multiplicity m, some of them integers
+    mult: dict[Fraction, int] = {}
+    for n, d, m in factors:
+        mult[Fraction(n, d)] = mult.get(Fraction(n, d), 0) + m
+    p = [lead]
+    for r, m in mult.items():
+        for _ in range(m):  # times (den * v - num)
+            p = [a * r.denominator - b * r.numerator
+                 for a, b in zip([0] + p, p + [0])]
+    inside = [r for r in mult if lo <= r <= hi]
+    want = sorted((r.numerator, r.numerator) if r.denominator == 1
+                  else (math.floor(r), math.floor(r) + 1) for r in inside)
+    assert roots_in(p, lo, hi) == want
+    for r in inside:
+        cell = math.floor(r)
+        alone = sum(cell <= s <= cell + 1 for s in mult) == 1
+        if r.denominator > 1 and alone and mult[r] % 2:
+            assert _eval(p, cell) * _eval(p, cell + 1) < 0
+
+
+def _eval(p, x):
+    return sum(c * x ** k for k, c in enumerate(p))
 
 
 def test_arithmetic_identities():
