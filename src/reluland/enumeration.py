@@ -290,9 +290,6 @@ class CriticalCatalog:
     orientations: tuple[KinkRoots, KinkRoots]  # (increasing, decreasing)
     entries: tuple[CatalogEntry, ...]  # deduplicated, sorted by risk
 
-    def min_risk(self) -> float:
-        return self.entries[0].risk
-
 
 def _lift_constant(t: Target, level: float) -> Params:
     a, b = t.domain

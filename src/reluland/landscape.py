@@ -230,14 +230,6 @@ class HessianReport:
     def max_abs_eigenvalue(self) -> float:
         return max(abs(self.eigenvalues[0]), abs(self.eigenvalues[-1]))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "matrix": [list(row) for row in self.matrix],
-            "eigenvalues": list(self.eigenvalues),
-            "numerical_rank": self.numerical_rank,
-            "rank_tol": self.rank_tol,
-        }
-
 
 def _report_from_matrix(mat: np.ndarray) -> HessianReport:
     # eigvalsh fails to converge on inf/NaN entries instead of reporting them

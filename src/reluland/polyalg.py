@@ -7,6 +7,8 @@ polynomial p reads one running-integral table per power k, the single
 implementation of the running integral of x**k * p (``cum_moment``);
 ``cum_moments`` reads the same table at a whole sorted array of points,
 one numpy slice per piece, bit for bit as ``cum_moment`` at each point.
+The table builder ``_running_table`` and the continuity test
+``_discontinuous`` also serve ``target.BenchmarkTarget``.
 Real-root isolation (``roots_in``) is exact: it takes a polynomial with
 integer coefficients and integer ends, counts roots with an integer Sturm
 chain and bisects on the integers, so it needs no tolerance.
@@ -56,9 +58,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, x: float) -> float:
         # elementwise on an ndarray, with the same operations per element
         acc = 0.0
@@ -74,9 +73,6 @@ class Polynomial:
         for i, c in enumerate(b):
             out[i] += c
         return Polynomial(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1.0)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
@@ -95,9 +91,6 @@ class Polynomial:
         if self.is_zero:
             return self
         return Polynomial((0.0,) * k + self.coeffs)
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def antiderivative(self) -> "Polynomial":
         """Antiderivative with zero constant term."""
@@ -119,6 +112,24 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
+
+
+def _discontinuous(left: float, right: float) -> bool:
+    """Whether two one-sided values at a breakpoint differ by more than
+    1e-12 relative to their size.  A NaN gap is not a discontinuity; the
+    callers' finiteness checks reject it."""
+    return abs(left - right) > 1e-12 * (1.0 + abs(left) + abs(right))
+
+
+def _running_table(antis: Sequence, breakpoints: Sequence[float]) -> tuple:
+    """Running-integral table of a piecewise function from each piece's
+    antiderivative A_i on [x_i, x_{i+1}]: (A_i, A_i(x_i), the integral over
+    [x_0, x_i]) per piece i, read on piece i as prefix[i] + A_i(x) - starts[i]."""
+    starts = [anti(x0) for anti, x0 in zip(antis, breakpoints)]
+    prefix = [0.0]
+    for anti, start, x1 in zip(antis, starts, breakpoints[1:-1]):
+        prefix.append(prefix[-1] + anti(x1) - start)
+    return antis, starts, prefix
 
 
 class PiecewisePolynomial:
@@ -146,9 +157,7 @@ class PiecewisePolynomial:
         ps = tuple(p if isinstance(p, Polynomial) else Polynomial(p) for p in pieces)
         if continuous:
             for i in range(1, len(bps) - 1):
-                left = ps[i - 1](bps[i])
-                right = ps[i](bps[i])
-                if abs(left - right) > 1e-12 * (1.0 + abs(left) + abs(right)):
+                if _discontinuous(ps[i - 1](bps[i]), ps[i](bps[i])):
                     raise ValueError(f"discontinuity at breakpoint {bps[i]!r}")
         self.breakpoints = bps
         self.pieces = ps
@@ -168,9 +177,6 @@ class PiecewisePolynomial:
         i = bisect.bisect_right(self.breakpoints, x) - 1
         return min(max(i, 0), len(self.pieces) - 1)
 
-    def __call__(self, x: float) -> float:
-        return self.eval(x)
-
     def eval(self, x: float) -> float:
         if x < self.lo or x > self.hi:
             raise DomainError(f"{x!r} outside domain [{self.lo!r}, {self.hi!r}]")
@@ -180,12 +186,8 @@ class PiecewisePolynomial:
         """(A_i, A_i(x_i), integral of x**k * p over [lo, x_i]) per piece i."""
         table = self._tables.get(k)
         if table is None:
-            antis = [p.shift_up(k).antiderivative() for p in self.pieces]
-            starts = [anti(x0) for anti, x0 in zip(antis, self.breakpoints)]
-            prefix = [0.0]
-            for anti, start, x1 in zip(antis, starts, self.breakpoints[1:]):
-                prefix.append(prefix[-1] + anti(x1) - start)
-            table = self._tables[k] = (antis, starts, prefix)
+            table = self._tables[k] = _running_table(
+                [p.shift_up(k).antiderivative() for p in self.pieces], self.breakpoints)
         return table
 
     def cum_moment(self, k: int, x: float) -> float:

@@ -65,7 +65,10 @@ def _gk_panel(f: Callable[[float], float], a: float, b: float):
     g = 0.0
     k = 0.0
     for z, wg, wk in _G7K15:
-        fz = f(mid + half * z)
+        x = mid + half * z
+        fz = f(x)
+        if not math.isfinite(fz):
+            raise DomainError(f"integrand is not finite at x={x!r}")
         g += wg * fz
         k += wk * fz
     g *= half
@@ -82,8 +85,9 @@ def adaptive_gauss_kronrod(f: Callable[[float], float], a: float, b: float,
     """Globally adaptive G7/K15 integration of f over [a, b].
 
     The worst panel is bisected until the summed error estimate falls
-    below tol.  Raises ValueError unless tol > 0, and AccuracyError
-    (carrying the best estimate) if the panel budget is exhausted first.
+    below tol.  Raises ValueError unless tol > 0, DomainError, naming the
+    point, if f returns a non-finite value, and AccuracyError (carrying the
+    best estimate) if the panel budget is exhausted first.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -138,6 +142,10 @@ def _adaptive_simpson_rec(f, a, fa, b, fb, m, fm, whole, tol, depth):
     if abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
     if depth <= 0:
+        # a non-finite value keeps every panel that holds it from converging
+        for x, fx in ((a, fa), (lm, flm), (m, fm), (rm, frm), (b, fb)):
+            if not math.isfinite(fx):
+                raise DomainError(f"integrand is not finite at x={x!r}")
         raise AccuracyError("Simpson recursion depth exhausted",
                             estimate=left + right + delta / 15.0,
                             error=abs(delta) / 15.0)
@@ -149,7 +157,8 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
                      tol: float = DEFAULT_TOL,
                      breakpoints: Iterable[float] | None = None,
                      max_depth: int = MAX_DEPTH) -> float:
-    """Adaptive Simpson integration of f over [a, b] to absolute tol > 0."""
+    """Adaptive Simpson integration of f over [a, b] to absolute tol > 0;
+    raises DomainError, naming the point, if f returns a non-finite value."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if a == b:

@@ -8,8 +8,9 @@ Two kinds are supported and share one duck-typed interface:
   domain integral that ``sq_integral`` returns).
 * ``BenchmarkTarget`` is the Lipschitz three-piece function on [0, 1]
   (affine / algebraic / quadratic across [0, alpha], (alpha, beta],
-  (beta, 1]) rescaled to [a, b].  Its running integrals of f and x*f have
-  closed forms; only the integral of f**2 needs quadrature.
+  (beta, 1]) rescaled to [a, b].  Its running integrals of f and x*f are
+  read from ``polyalg``'s running-integral tables of its three closed-form
+  pieces; only the integral of f**2 needs quadrature.
 
 ``cum_int_xint(x)`` returns the running integrals of f and x*f up to x,
 so that risk and gradient evaluations stay closed-form and fast;
@@ -28,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError
-from .polyalg import PiecewisePolynomial, Polynomial
+from .polyalg import PiecewisePolynomial, Polynomial, _discontinuous, _running_table
 from .quadrature import adaptive_gauss_kronrod, adaptive_simpson
 
 __all__ = [
@@ -60,19 +61,11 @@ class PolyTarget:
             raise DomainError("the integral of f**2 over the domain is not finite")
 
     @property
-    def kind(self) -> str:
-        return "piecewise_poly"
-
-    @property
     def domain(self) -> tuple[float, float]:
         return self.pp.lo, self.pp.hi
 
     def breakpoints(self) -> tuple[float, ...]:
         return self.pp.breakpoints
-
-    def _check(self, x: float) -> None:
-        if x < self.pp.lo or x > self.pp.hi:
-            raise DomainError(f"{x!r} outside target domain")
 
     def eval(self, x: float) -> float:
         return self.pp.eval(x)
@@ -92,7 +85,8 @@ class PolyTarget:
 
     def cum_int_xint(self, x: float) -> tuple[float, float]:
         """(cum_int(x), cum_xint(x)) from one domain check."""
-        self._check(x)
+        if x < self.pp.lo or x > self.pp.hi:
+            raise DomainError(f"{x!r} outside target domain")
         return self.pp.cum_moment(0, x), self.pp.cum_moment(1, x)
 
     def cum_int(self, x: float) -> float:
@@ -163,29 +157,18 @@ class BenchmarkTarget:
         # looser test would admit wrong values, risks and quadratures
         for u0, lhs, rhs in ((al, self._left(al), _mid_eval(al)),
                              (be, _mid_eval(be), self._right(be))):
-            if abs(lhs - rhs) > 1e-12 * (1.0 + abs(lhs) + abs(rhs)):
+            if _discontinuous(lhs, rhs):
                 raise DomainError(f"target discontinuous at u={u0!r}")
 
-        la0 = self._left.antiderivative()
-        la1 = self._left.shift_up(1).antiderivative()
-        ra0 = self._right.antiderivative()
-        ra1 = self._right.shift_up(1).antiderivative()
-        self._left_anti = (la0, la1)
-        self._right_anti = (ra0, ra1)
-        # antiderivatives at the left end of each piece, for _cum01
-        self._left_start = (la0(0.0), la1(0.0))
-        self._mid_start = (_mid_anti(al), _mid_xanti(al))
-        self._right_start = (ra0(be), ra1(be))
-        # running integrals of f and u*f up to alpha and beta (unscaled)
-        self._F_alpha = la0(al) - la0(0.0)
-        self._G_alpha = la1(al) - la1(0.0)
-        self._F_beta = self._F_alpha + _mid_anti(be) - _mid_anti(al)
-        self._G_beta = self._G_alpha + _mid_xanti(be) - _mid_xanti(al)
+        # unscaled running integrals of f and u*f on (0, alpha, beta, 1):
+        # one row (A0, A0 start, F prefix, A1, A1 start, G prefix) per piece
+        bps = (0.0, al, be, 1.0)
+        f_table = _running_table((self._left.antiderivative(), _mid_anti,
+                                  self._right.antiderivative()), bps)
+        g_table = _running_table((self._left.shift_up(1).antiderivative(), _mid_xanti,
+                                  self._right.shift_up(1).antiderivative()), bps)
+        self._rows = tuple(zip(*f_table, *g_table))
         self._sq_cache: dict[str, float] = {}
-
-    @property
-    def kind(self) -> str:
-        return "benchmark"
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -228,17 +211,9 @@ class BenchmarkTarget:
 
     def _cum01(self, u: float) -> tuple[float, float]:
         """Unscaled running integrals of f and u*f over [0, u]."""
-        if u <= self.alpha:
-            a0, a1 = self._left_anti
-            s0, s1 = self._left_start
-            return a0(u) - s0, a1(u) - s1
-        if u <= self.beta:
-            s0, s1 = self._mid_start
-            return (self._F_alpha + _mid_anti(u) - s0,
-                    self._G_alpha + _mid_xanti(u) - s1)
-        a0, a1 = self._right_anti
-        s0, s1 = self._right_start
-        return self._F_beta + a0(u) - s0, self._G_beta + a1(u) - s1
+        a0, s0, f0, a1, s1, g0 = self._rows[
+            0 if u <= self.alpha else 1 if u <= self.beta else 2]
+        return f0 + a0(u) - s0, g0 + a1(u) - s1
 
     def cum_int_xint(self, x: float) -> tuple[float, float]:
         """(cum_int(x), cum_xint(x)) from one normalization and piece choice."""

@@ -170,7 +170,7 @@ def test_catalog_xsq(xsq):
         assert e.grad_norm < 1e-9
     kink = next(e for e in cat.entries if e.kind == "kink_increasing")
     assert kink.q == pytest.approx(1.0 / 3.0, abs=1e-9)
-    assert cat.min_risk() == pytest.approx(4.0 / 3645.0, rel=1e-9)
+    assert cat.entries[0].risk == pytest.approx(4.0 / 3645.0, rel=1e-9)
 
 
 def test_catalog_exact_fit():

@@ -185,6 +185,13 @@ def test_vector_simpson_rejects_non_finite_values():
                              0.0, 1.0, 1, 1e-12)
 
 
+@pytest.mark.parametrize("backend", [adaptive_gauss_kronrod, adaptive_simpson])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_scalar_backends_reject_non_finite_values(backend, bad):
+    with pytest.raises(DomainError, match="x=0.5"):
+        backend(lambda x: bad if x == 0.5 else x * x, 0.0, 1.0, 1e-12)
+
+
 def test_vector_simpson_bounds_live_panels():
     # no panel of sin(50 x) meets tol = 1e-300, so every level doubles
     sizes = []

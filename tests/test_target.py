@@ -323,3 +323,69 @@ def test_poly_running_integrals_bit_identical_to_prefix_lists(case):
     for x in xs:
         got = [v.hex() for v in t.cum_int_xint(x)]
         assert got == [v.hex() for v in ref.cum_int_xint(x)], x
+
+
+class _FieldReference:
+    """The former BenchmarkTarget running integrals: per-piece
+    antiderivatives, their values at each piece's left end, and the
+    integrals of f and u f up to alpha and beta as separate fields."""
+
+    def __init__(self, t):
+        from reluland.target import _mid_anti, _mid_xanti
+        self.t = t
+        al, be = t.alpha, t.beta
+        la0 = t._left.antiderivative()
+        la1 = t._left.shift_up(1).antiderivative()
+        ra0 = t._right.antiderivative()
+        ra1 = t._right.shift_up(1).antiderivative()
+        self.mid = (_mid_anti, _mid_xanti)
+        self.left_anti = (la0, la1)
+        self.right_anti = (ra0, ra1)
+        self.left_start = (la0(0.0), la1(0.0))
+        self.mid_start = (_mid_anti(al), _mid_xanti(al))
+        self.right_start = (ra0(be), ra1(be))
+        self.F_alpha = la0(al) - la0(0.0)
+        self.G_alpha = la1(al) - la1(0.0)
+        self.F_beta = self.F_alpha + _mid_anti(be) - _mid_anti(al)
+        self.G_beta = self.G_alpha + _mid_xanti(be) - _mid_xanti(al)
+
+    def _cum01(self, u):
+        if u <= self.t.alpha:
+            a0, a1 = self.left_anti
+            s0, s1 = self.left_start
+            return a0(u) - s0, a1(u) - s1
+        if u <= self.t.beta:
+            a0, a1 = self.mid
+            s0, s1 = self.mid_start
+            return self.F_alpha + a0(u) - s0, self.G_alpha + a1(u) - s1
+        a0, a1 = self.right_anti
+        s0, s1 = self.right_start
+        return self.F_beta + a0(u) - s0, self.G_beta + a1(u) - s1
+
+    def cum_int_xint(self, x):
+        t = self.t
+        w = t.b - t.a
+        F, G = self._cum01(t._to_u(x))
+        return t.scale * w * F, t.scale * (t.a * w * F + w * w * G)
+
+
+@st.composite
+def _benchmark_case(draw):
+    alpha = draw(st.floats(1e-3, 0.9))
+    beta = draw(st.floats(alpha, 0.95, exclude_min=True))
+    a = draw(st.floats(-10.0, 10.0))
+    b = a + draw(st.floats(1e-3, 10.0))
+    t = BenchmarkTarget(alpha, beta, a, b, draw(st.floats(-5.0, 5.0)))
+    inside = draw(st.lists(st.floats(a, b), max_size=8))
+    # a + alpha (b - a) and a + beta (b - a) can round past b
+    return t, [x for x in (*t.breakpoints(), *inside) if a <= x <= b]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_benchmark_case())
+def test_benchmark_running_integrals_bit_identical_to_fields(case):
+    t, xs = case
+    ref = _FieldReference(t)
+    for x in xs:
+        got = [v.hex() for v in t.cum_int_xint(x)]
+        assert got == [v.hex() for v in ref.cum_int_xint(x)], x
