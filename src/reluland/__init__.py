@@ -22,8 +22,8 @@ from .landscape import (CritClass, GradientVector, HessianReport, classify,
 from .minima import (GapCertificate, MinimaSample, certify_gap, minima_risk,
                      sample_M, two_kink_witness, verify_zero_integrals)
 from .enumeration import (CatalogEntry, CriticalCatalog, GridOracleReport,
-                          KinkRoots, KinkSolution, enum_affine, enum_constant,
-                          enumerate_all, grid_oracle, oracle_check)
+                          KinkRoots, KinkSolution, enumerate_all, grid_oracle,
+                          oracle_check)
 from .train import (Cluster, EnsembleReport, GFRun, TrainConfig, TrainRun,
                     ensemble, gd_run, gf_run, xavier_init)
 

@@ -6,10 +6,11 @@ catalog for a piecewise-polynomial target), ``train`` (GD ensemble with
 greedy L2 deduplication) and ``gf`` (gradient-flow integration).
 
 Exit codes: 0 success, 1 certificate/assertion failure, 2 usage or input
-error; the command group maps the library's input errors to exit 2 in one
-place.  Reports are JSON (schema_version 1; schemas in docs/schemas/),
-realizations export as CSV, and ``train --svg`` also emits a minimal
-polyline overlay plot.
+error.  The library checks its own inputs, and the command group maps its
+input errors to exit 2 in one place; ``train`` and ``enumerate`` take
+their defaults from ``TrainConfig`` and ``DEDUP_DEFAULT``.  Reports are
+JSON (schema_version 1; schemas in docs/schemas/), realizations export
+as CSV, and ``train --svg`` also emits a minimal polyline overlay plot.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (AccuracyError, DegenerateEnumerationError, DomainError,
 from .landscape import _coord_indices, closed_hessian_M, grad, hessian_fd, risk
 from .minima import certify_gap, minima_risk, sample_M, verify_zero_integrals
 from .network import params_from_json, uniform_grid, write_realization_csv
-from .enumeration import enumerate_all, grid_oracle, oracle_check
+from .enumeration import DEDUP_DEFAULT, enumerate_all, grid_oracle, oracle_check
 from .target import BenchmarkTarget, parse_target_json
 from .train import TrainConfig, ensemble, gf_run, xavier_init, xavier_var
 
@@ -123,8 +124,6 @@ def cmd_minima(alpha, beta, a_, b_, width, samples, xs, y_, seed, gap, p_, eps,
     """Certify zero gradient, constant risk and Hessian structure on the
     single-kink local-minimum family of the benchmark target."""
     t = BenchmarkTarget(alpha, beta, a_, b_)
-    if not y_ > 0.0:
-        raise click.UsageError("--y must be positive")
     if xs:
         positions = list(xs)
     else:
@@ -132,9 +131,6 @@ def cmd_minima(alpha, beta, a_, b_, width, samples, xs, y_, seed, gap, p_, eps,
             raise click.UsageError("--samples must be >= 1")
         positions = [alpha + (beta - alpha) * (k + 1) / (samples + 1)
                      for k in range(samples)]
-    for x in positions:
-        if not (alpha < x < beta):
-            raise click.UsageError(f"sample x={x!r} outside (alpha, beta)")
 
     ref_risk = minima_risk(t)
     ref_risk_simpson = minima_risk(t, method="simpson")
@@ -195,7 +191,7 @@ def cmd_minima(alpha, beta, a_, b_, width, samples, xs, y_, seed, gap, p_, eps,
 
 @main.command("enumerate")
 @click.option("--target", "target_file", required=True, type=click.Path())
-@click.option("--dedup", type=RATIONAL, default=1e-8, show_default=True)
+@click.option("--dedup", type=RATIONAL, default=DEDUP_DEFAULT, show_default=True)
 @click.option("--grid", "grid_n", type=click.IntRange(min=2), default=256,
               show_default=True, help="Samples per realization in the CSV export.")
 @click.option("--out", "out_dir", default=".", show_default=True)
@@ -232,14 +228,14 @@ def _default_benchmark() -> BenchmarkTarget:
 @main.command("train")
 @click.option("--target", "target_file", type=click.Path(), default=None,
               help="Target spec JSON; defaults to the benchmark target.")
-@click.option("--h", "--H", "width", type=click.IntRange(min=1), default=4,
+@click.option("--h", "--H", "width", type=click.IntRange(min=1), default=TrainConfig.H,
               show_default=True)
-@click.option("--lr", type=RATIONAL, default=1 / 20, show_default="1/20")
-@click.option("--grad-tol", type=RATIONAL, default=1e-4, show_default=True)
-@click.option("--max-iters", type=int, default=10_000_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--runs", type=int, default=50, show_default=True)
-@click.option("--dedup", type=RATIONAL, default=1e-4, show_default=True)
+@click.option("--lr", type=RATIONAL, default=TrainConfig.lr, show_default="1/20")
+@click.option("--grad-tol", type=RATIONAL, default=TrainConfig.grad_tol, show_default=True)
+@click.option("--max-iters", type=int, default=TrainConfig.max_iters, show_default=True)
+@click.option("--seed", type=int, default=TrainConfig.master_seed, show_default=True)
+@click.option("--runs", type=int, default=TrainConfig.runs, show_default=True)
+@click.option("--dedup", type=RATIONAL, default=TrainConfig.dedup_l2, show_default=True)
 @click.option("--grid", "grid_n", type=click.IntRange(min=2), default=256,
               show_default=True, help="Samples per realization in the CSV export.")
 @click.option("--svg", is_flag=True, help="Also plot target + clusters.")
@@ -300,8 +296,6 @@ def cmd_train(target_file, width, lr, grad_tol, max_iters, seed, runs, dedup,
 @click.option("--force", is_flag=True)
 def cmd_gf(target_file, width, theta_file, seed, t_end, rtol, out_dir, force):
     """Integrate the gradient-flow ODE and report the risk trajectory."""
-    if t_end <= 0 or rtol <= 0:
-        raise click.UsageError("t-end and rtol must be positive")
     t = _load_target(target_file) if target_file else _default_benchmark()
     if theta_file:
         try:
@@ -336,8 +330,9 @@ _PALETTE = ["#000000", "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
             "#9467bd", "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
 
 
-def write_svg(path, curves, labels, width=640, height=400, margin=50):
+def write_svg(path, curves, labels):
     """Minimal polyline overlay plot; no plotting dependency."""
+    width, height, margin = 640, 400, 50  # pixels
     xs = [x for c in curves for x, _ in c]
     ys = [y for c in curves for _, y in c]
     x0, x1 = min(xs), max(xs)

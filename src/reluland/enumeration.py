@@ -4,7 +4,8 @@ For a continuous piecewise-polynomial target on [a, b] the zeros of the
 generalized gradient realize only finitely many functions, split into four
 structural cases: constant, affine, single kink with positive inner weight
 (flat left of the kink) and single kink with negative inner weight (flat
-right of it).  The kink cases reduce to real roots of an explicit
+right of it).  The lifts ``_lift_constant`` and ``_lift_affine`` fit the
+first two by moments.  The kink cases reduce to real roots of an explicit
 polynomial in the kink position, decided exactly: every double is a
 rational with a power-of-two denominator, so on a fine enough integer grid
 the target's running integrals, and with them each orientation's kink
@@ -20,7 +21,8 @@ the target's running integrals of f and x f (``cum_moments``), bit for bit
 as three scalar moments per point would.  It never expands D in q, and the
 exact roots come from the target's doubles, not from the normalized
 target, so an error in either route cannot hide in both;
-``oracle_check`` matches its brackets against the catalog's roots.
+``oracle_check`` matches its brackets against the catalog's roots.  The
+catalog keeps the first entry of each ``network._greedy_groups`` group.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .errors import (DegenerateEnumerationError, FinitenessError,
                      NonsmoothPointError)
 from .landscape import CritClass, classify, grad, hessian_fd, risk
-from .network import Params, Realization, canonical, l2_distance
+from .network import Params, Realization, _greedy_groups, canonical
 from .polyalg import (PiecewisePolynomial, _divexact, _eval_asc, collapse_roots,
                       reparametrize, roots_in)
 from .target import BenchmarkTarget, Target
@@ -44,8 +46,6 @@ __all__ = [
     "CatalogEntry",
     "CriticalCatalog",
     "GridOracleReport",
-    "enum_constant",
-    "enum_affine",
     "enumerate_all",
     "grid_oracle",
     "oracle_check",
@@ -83,40 +83,9 @@ class KinkRoots:
 
 def _on_unit(pp: PiecewisePolynomial, lo: float, hi: float) -> PiecewisePolynomial:
     """u -> pp(lo + (hi - lo) u) on [0, 1], where lo and hi are pp's domain
-    ends (swapped to reflect).  The mapped ends are snapped to 0 and 1, and
-    pp's continuity flag is kept without a re-check, as in ``reparametrize``."""
+    ends (swapped to reflect).  The mapped ends are snapped to 0 and 1."""
     out = reparametrize(pp, hi - lo, lo)
-    f01 = PiecewisePolynomial((0.0, *out.breakpoints[1:-1], 1.0), out.pieces)
-    f01.continuous = pp.continuous
-    return f01
-
-
-def enum_constant(t: Target) -> Realization:
-    """The unique constant critical realization: the target's mean value."""
-    a, b = t.domain
-    mean = (t.cum_int_xint(b)[0] - t.cum_int_xint(a)[0]) / (b - a)
-    return Realization(a, b, (), (0.0,), mean)
-
-
-def enum_affine(t: Target) -> Realization:
-    """The unique critical realization affine on the whole interval.
-
-    Matching the zeroth and first moments of the target gives a 2x2 linear
-    system for (slope, intercept) whose determinant -(b-a)^4/12 never
-    vanishes.
-    """
-    a, b = t.domain
-    m0 = b - a
-    m1 = (b * b - a * a) / 2.0
-    m2 = (b ** 3 - a ** 3) / 3.0
-    Fa, Ga = t.cum_int_xint(a)
-    Fb, Gb = t.cum_int_xint(b)
-    f0 = Fb - Fa
-    f1 = Gb - Ga
-    det = m1 * m1 - m0 * m2  # = -(b-a)^4 / 12
-    slope = (f0 * m1 - f1 * m0) / det
-    intercept = (f1 * m1 - f0 * m2) / det
-    return Realization(a, b, (), (slope,), slope * a + intercept)
+    return PiecewisePolynomial((0.0, *out.breakpoints[1:-1], 1.0), out.pieces)
 
 
 @dataclass(frozen=True)
@@ -291,14 +260,32 @@ class CriticalCatalog:
     entries: tuple[CatalogEntry, ...]  # deduplicated, sorted by risk
 
 
-def _lift_constant(t: Target, level: float) -> Params:
+def _lift_constant(t: Target) -> Params:
+    """The constant critical realization, the target's mean, at width 1."""
     a, b = t.domain
+    mean = (t.cum_int_xint(b)[0] - t.cum_int_xint(a)[0]) / (b - a)
     # kink parked right of the domain: the neuron never activates
-    return Params.from_parts([1.0], [-(b + 0.5 * (b - a))], [1.0], level)
+    return Params.from_parts([1.0], [-(b + 0.5 * (b - a))], [1.0], mean)
 
 
-def _lift_affine(t: Target, slope: float, intercept: float) -> Params:
+def _lift_affine(t: Target) -> Params:
+    """The critical realization affine on the whole interval, at width 1.
+
+    Matching the zeroth and first moments of the target gives a 2x2 linear
+    system for (slope, intercept) whose determinant -(b-a)^4/12 never
+    vanishes.
+    """
     a, b = t.domain
+    m0 = b - a
+    m1 = (b * b - a * a) / 2.0
+    m2 = (b ** 3 - a ** 3) / 3.0
+    Fa, Ga = t.cum_int_xint(a)
+    Fb, Gb = t.cum_int_xint(b)
+    f0 = Fb - Fa
+    f1 = Gb - Ga
+    det = m1 * m1 - m0 * m2  # = -(b-a)^4 / 12
+    slope = (f0 * m1 - f1 * m0) / det
+    intercept = (f1 * m1 - f0 * m2) / det
     b0 = -a + (b - a)  # active on all of [a, b] with a one-width margin
     return Params.from_parts([1.0], [b0], [slope], intercept - slope * b0)
 
@@ -352,8 +339,6 @@ def enumerate_all(t: Target, dedup: float = DEDUP_DEFAULT) -> CriticalCatalog:
             "finiteness hypothesis violated: enumeration needs a piecewise-"
             "polynomial target")
     f01 = _on_unit(t.pp, *t.domain)
-    const_real = enum_constant(t)
-    affine_real = enum_affine(t)
     g = _grid_moments(t.pp)
     inc = _kink_roots(f01, g, False)
     kinks = [_increasing_solution(f01, q) for q in inc.admissible]
@@ -361,17 +346,12 @@ def enumerate_all(t: Target, dedup: float = DEDUP_DEFAULT) -> CriticalCatalog:
     kinks += sorted((_decreasing_solution(f01, _increasing_solution(dec.f01, q))
                      for q in dec.admissible), key=lambda s: s.q)
 
-    slope = affine_real.slopes[0]
-    intercept = affine_real.offset - slope * t.domain[0]
-    entries = [_entry(t, "constant", _lift_constant(t, const_real.offset)),
-               _entry(t, "affine", _lift_affine(t, slope, intercept))]
+    entries = [_entry(t, "constant", _lift_constant(t)),
+               _entry(t, "affine", _lift_affine(t))]
     for sol in kinks:
         entries.append(_entry(t, f"kink_{sol.orientation}", _lift_kink(t, sol), sol))
 
-    kept: list[CatalogEntry] = []
-    for e in entries:
-        if all(l2_distance(e.realization, k.realization) >= dedup for k in kept):
-            kept.append(e)
+    kept = [entries[g[0]] for g in _greedy_groups([e.realization for e in entries], dedup)]
     kept.sort(key=lambda e: e.risk)
     return CriticalCatalog(kinks=tuple(kinks), orientations=(inc, dec),
                            entries=tuple(kept))

@@ -255,17 +255,23 @@ def _coord_indices(H: int, coords: str) -> list[int]:
     raise ValueError("coords must be 'all' or 'restricted4'")
 
 
+def _central(fn, th: list[float], i: int, h: float):
+    """fn(th) with th[i] moved by +h, then by -h; th[i] is restored."""
+    orig = th[i]
+    th[i] = orig + h
+    up = fn(th)
+    th[i] = orig - h
+    down = fn(th)
+    th[i] = orig
+    return up, down
+
+
 def fd_gradient(p: Params, t: Target, h: float = 1e-6) -> GradientVector:
     """Central finite differences of the exact risk (test oracle)."""
     th = list(p.theta)
     out = []
     for i in range(len(th)):
-        orig = th[i]
-        th[i] = orig + h
-        rp = risk_theta(th, p.H, t)
-        th[i] = orig - h
-        rm = risk_theta(th, p.H, t)
-        th[i] = orig
+        rp, rm = _central(lambda th: risk_theta(th, p.H, t), th, i, h)
         out.append((rp - rm) / (2.0 * h))
     return GradientVector(tuple(out))
 
@@ -287,12 +293,7 @@ def hessian_fd(p: Params, t: Target, coords: str = "all") -> HessianReport:
     n = len(idx)
     mat = np.empty((n, n))
     for row, i in enumerate(idx):
-        orig = th[i]
-        th[i] = orig + h
-        gp = grad_theta(th, p.H, t)
-        th[i] = orig - h
-        gm = grad_theta(th, p.H, t)
-        th[i] = orig
+        gp, gm = _central(lambda th: grad_theta(th, p.H, t), th, i, h)
         for col, k in enumerate(idx):
             mat[row, col] = (gp[k] - gm[k]) / (2.0 * h)
     return _report_from_matrix(mat)

@@ -64,6 +64,14 @@ def _draw_inactive(rng: np.random.Generator, count: int, a: float, b: float):
     return out
 
 
+def _family_params(t: BenchmarkTarget, active, c: float, count: int, seed: int):
+    """Params with the active neurons (w, b, v), then ``count`` inactive ones
+    drawn from Philox(seed), and offset c; and the drawn neurons."""
+    inactive = _draw_inactive(_rng(seed), count, t.a, t.b)
+    w, bias, v = zip(*active, *inactive)
+    return Params.from_parts(w, bias, v, c), inactive
+
+
 def sample_M(t: BenchmarkTarget, H: int, x: float, y: float, seed: int = 0) -> MinimaSample:
     """Sample the critical family at normalized kink x in (alpha, beta) and
     inner scale y > 0; neurons j >= 2 are drawn strictly inactive."""
@@ -73,18 +81,13 @@ def sample_M(t: BenchmarkTarget, H: int, x: float, y: float, seed: int = 0) -> M
         raise DomainError("y must be positive")
     if H < 1:
         raise DomainError("H must be >= 1")
-    a, b = t.a, t.b
-    width = b - a
+    width = t.b - t.a
     w1 = y / width
-    b1 = -y * (x + a / width)
+    b1 = -y * (x + t.a / width)
     v1 = t.scale / (2.0 * y * (1.0 - x) ** 1.5 * math.sqrt(1.0 + 3.0 * x))
     c = -t.scale * math.sqrt(1.0 - x) / (4.0 * math.sqrt(1.0 + 3.0 * x))
-    inactive = _draw_inactive(_rng(seed), H - 1, a, b)
-    w = [w1] + [ia[0] for ia in inactive]
-    bias = [b1] + [ia[1] for ia in inactive]
-    v = [v1] + [ia[2] for ia in inactive]
-    return MinimaSample(x=x, y=y, inactive=tuple(inactive),
-                        theta=Params.from_parts(w, bias, v, c))
+    theta, inactive = _family_params(t, [(w1, b1, v1)], c, H - 1, seed)
+    return MinimaSample(x=x, y=y, inactive=tuple(inactive), theta=theta)
 
 
 def minima_risk(t: BenchmarkTarget, method: str = "gauss_kronrod") -> float:
@@ -122,17 +125,10 @@ def two_kink_witness(t: BenchmarkTarget, H: int, p: float, eps: float,
 
     cp = -math.sqrt(1.0 - p) / (4.0 * math.sqrt(1.0 + 3.0 * p))
     half_slope = 1.0 / (4.0 * (1.0 - p) ** 1.5 * math.sqrt(1.0 + 3.0 * p))
-    a, b = t.a, t.b
-    width = b - a
-    w = [1.0 / width, 1.0 / width]
-    bias = [-a / width - p + eps, -a / width - p - eps]
-    v = [t.scale * half_slope, t.scale * half_slope]
-    c = t.scale * cp
-    inactive = _draw_inactive(_rng(seed), H - 2, a, b)
-    w += [ia[0] for ia in inactive]
-    bias += [ia[1] for ia in inactive]
-    v += [ia[2] for ia in inactive]
-    return Params.from_parts(w, bias, v, c)
+    width = t.b - t.a
+    active = [(1.0 / width, -t.a / width - p + eps, t.scale * half_slope),
+              (1.0 / width, -t.a / width - p - eps, t.scale * half_slope)]
+    return _family_params(t, active, t.scale * cp, H - 2, seed)[0]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ a kink on a domain endpoint.
 piecewise-linear function given by sorted interior kinks, per-segment
 slopes and the value at the left endpoint.  Distinct parameter vectors
 with the same realization canonicalize identically, which is what the
-L2 deduplication machinery relies on.
+L2 grouping ``_greedy_groups`` of GD runs and catalog entries relies on.
 """
 
 from __future__ import annotations
@@ -324,6 +324,20 @@ def l2_distance(u: Realization, v: Realization) -> float:
     nodes = [u.a, *sorted(set(u.kinks) | set(v.kinks)), u.b]
     diffs = [u.eval(x) - v.eval(x) for x in nodes]
     return math.sqrt(max(_pl_sq_integral(nodes, diffs), 0.0))
+
+
+def _greedy_groups(reals: Sequence[Realization], tol: float) -> list[list[int]]:
+    """Index groups, in input order: each realization joins the first group
+    whose first member lies within L2 distance < tol, else starts one."""
+    groups = []
+    for i, r in enumerate(reals):
+        for g in groups:
+            if l2_distance(r, reals[g[0]]) < tol:
+                g.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
 
 
 def params_to_json(p: Params) -> str:

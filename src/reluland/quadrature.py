@@ -73,8 +73,10 @@ def _gk_panel(f: Callable[[float], float], a: float, b: float):
         k += wk * fz
     g *= half
     k *= half
+    if not (math.isfinite(g) and math.isfinite(k)):
+        raise DomainError(f"integrand overflows on [{a!r}, {b!r}]")
     d = abs(k - g)
-    err = min(d, (200.0 * d) ** 1.5) if d > 0 else 0.0
+    err = min(d, (200.0 * d) ** 1.5) if d < 1.0 else d  # d >= 1: the min, no overflow
     return k, err
 
 
@@ -85,9 +87,9 @@ def adaptive_gauss_kronrod(f: Callable[[float], float], a: float, b: float,
     """Globally adaptive G7/K15 integration of f over [a, b].
 
     The worst panel is bisected until the summed error estimate falls
-    below tol.  Raises ValueError unless tol > 0, DomainError, naming the
-    point, if f returns a non-finite value, and AccuracyError (carrying the
-    best estimate) if the panel budget is exhausted first.
+    below tol.  Raises ValueError unless tol > 0, DomainError if f is not
+    finite at a point or a panel sum overflows, and AccuracyError (carrying
+    the best estimate) if the panel budget is exhausted first.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -142,10 +144,12 @@ def _adaptive_simpson_rec(f, a, fa, b, fb, m, fm, whole, tol, depth):
     if abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
     if depth <= 0:
-        # a non-finite value keeps every panel that holds it from converging
+        # a non-finite value or sum keeps every panel that holds it from converging
         for x, fx in ((a, fa), (lm, flm), (m, fm), (rm, frm), (b, fb)):
             if not math.isfinite(fx):
                 raise DomainError(f"integrand is not finite at x={x!r}")
+        if not math.isfinite(left + right):
+            raise DomainError(f"integrand overflows on [{a!r}, {b!r}]")
         raise AccuracyError("Simpson recursion depth exhausted",
                             estimate=left + right + delta / 15.0,
                             error=abs(delta) / 15.0)
@@ -158,7 +162,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
                      breakpoints: Iterable[float] | None = None,
                      max_depth: int = MAX_DEPTH) -> float:
     """Adaptive Simpson integration of f over [a, b] to absolute tol > 0;
-    raises DomainError, naming the point, if f returns a non-finite value."""
+    raises DomainError if f is not finite at a point or the sum overflows."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if a == b:

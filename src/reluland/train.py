@@ -7,7 +7,7 @@ random number generator is the 64-bit counter-based Philox generator
 reproducibility; draw order is documented on ``xavier_init``.
 Iterates with a kink on a domain endpoint are counted with the geometry
 kernel's ``network._kink_near_endpoint`` test, the one ``hessian_fd``
-refuses with.
+refuses with; ensemble clusters are the groups of ``network._greedy_groups``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .landscape import grad_theta, risk_theta
-from .network import Params, Realization, _kink_near_endpoint, canonical, l2_distance
+from .network import Params, Realization, _greedy_groups, _kink_near_endpoint, canonical
 from .target import Target
 
 __all__ = [
@@ -162,31 +162,18 @@ class EnsembleReport:
 
 
 def ensemble(t: Target, cfg: TrainConfig) -> EnsembleReport:
-    """Train runs seeds master_seed..master_seed+runs-1, then greedily
-    deduplicate realizations in run order at L2 distance dedup_l2.
+    """Train runs seeds master_seed..master_seed+runs-1, then cluster their
+    realizations with ``network._greedy_groups`` at L2 distance dedup_l2.
 
     Diverged runs are reported but excluded from clustering.  The report
     is a pure function of (target, config).
     """
     runs = [gd_run(xavier_init(cfg.H, seed), t, cfg, seed=seed)
             for seed in range(cfg.master_seed, cfg.master_seed + cfg.runs)]
-
-    reps: list[Realization] = []
-    members: list[list[int]] = []
-    risks: list[float] = []
-    for run in runs:
-        if run.diverged:
-            continue
-        for i, rep in enumerate(reps):
-            if l2_distance(run.realization, rep) < cfg.dedup_l2:
-                members[i].append(run.seed)
-                break
-        else:
-            reps.append(run.realization)
-            members.append([run.seed])
-            risks.append(run.risk)
-    clusters = [Cluster(representative=r, seeds=tuple(m), risk=k)
-                for r, m, k in zip(reps, members, risks)]
+    kept = [run for run in runs if not run.diverged]
+    clusters = [Cluster(representative=kept[g[0]].realization,
+                        seeds=tuple(kept[i].seed for i in g), risk=kept[g[0]].risk)
+                for g in _greedy_groups([run.realization for run in kept], cfg.dedup_l2)]
     clusters.sort(key=lambda cl: cl.risk)
     return EnsembleReport(config=cfg, runs=tuple(runs), clusters=tuple(clusters))
 
@@ -208,7 +195,8 @@ def gf_run(p0: Params, t: Target, t_end: float, rtol: float = 1e-8) -> GFRun:
 
     A step is accepted when the full-step/two-half-steps discrepancy,
     relative to the iterate size, is below rtol; accepted steps may double
-    the next step size.  Steps shrinking below 1e-12 abort with a partial
+    the next step size.  Each iterate's slope is computed once, for all
+    the attempts from it.  Steps shrinking below 1e-12 abort with a partial
     result flagged ``step_underflow``.  Beyond GF_MAX_SAMPLES accepted
     steps, the (time, risk) samples are thinned with a constant stride,
     keeping the last one.
@@ -222,8 +210,7 @@ def gf_run(p0: Params, t: Target, t_end: float, rtol: float = 1e-8) -> GFRun:
         g = grad_theta(y, H, t)
         return [-x for x in g]
 
-    def rk4(y, h):
-        k1 = rhs(y)
+    def rk4(y, h, k1):
         k2 = rhs([y[i] + 0.5 * h * k1[i] for i in range(n)])
         k3 = rhs([y[i] + 0.5 * h * k2[i] for i in range(n)])
         k4 = rhs([y[i] + h * k3[i] for i in range(n)])
@@ -237,14 +224,19 @@ def gf_run(p0: Params, t: Target, t_end: float, rtol: float = 1e-8) -> GFRun:
     rejected = 0
     underflow = False
     samples = [(0.0, risk_theta(y, H, t))]
+    k1 = None  # the slope at y, shared by every attempt from y
     while t_now < t_end:
         h = min(h, t_end - t_now)
-        y_full = rk4(y, h)
-        y_half = rk4(rk4(y, 0.5 * h), 0.5 * h)
+        if k1 is None:
+            k1 = rhs(y)
+        y_full = rk4(y, h, k1)
+        y_mid = rk4(y, 0.5 * h, k1)
+        y_half = rk4(y_mid, 0.5 * h, rhs(y_mid))
         err = max(abs(y_full[i] - y_half[i]) for i in range(n))
         scale = 1.0 + max(abs(x) for x in y_half)
         if err <= rtol * scale:
             y = y_half
+            k1 = None
             t_now += h
             accepted += 1
             samples.append((t_now, risk_theta(y, H, t)))

@@ -236,6 +236,8 @@ INPUT_ERRORS = {
     "minima-y-inf": (["minima", "--y", "1e400"], "minima_report.json"),
     # the benchmark target rejects it before any quadrature runs
     "minima-beta-near-one": (["minima", "--beta", "0.999"], "minima_report.json"),
+    "minima-x-outside": (["minima", "--x", "0.9"], "minima_report.json"),
+    "gf-t-end-0": (["gf", "--t-end", "0"], "gf_report.json"),
     "train-h-0": (["train", "--h", "0"], "ensemble_report.json"),
 }
 

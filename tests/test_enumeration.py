@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reluland import (BenchmarkTarget, Params, PolyTarget, enum_affine,
-                      enum_constant, enumerate_all, grad, grid_oracle,
-                      l2_distance, oracle_check)
+from reluland import (BenchmarkTarget, Params, PolyTarget, enumerate_all, grad,
+                      grid_oracle, l2_distance, oracle_check)
 from reluland.enumeration import (_grid_moments, _kink_equations, _kink_residual,
                                   _kink_roots, _on_unit)
 from reluland.errors import DegenerateEnumerationError, FinitenessError
@@ -40,22 +39,26 @@ XSQ_RISKS = {"constant": 4.0 / 45.0, "affine": 1.0 / 180.0,
              "kink_increasing": 4.0 / 3645.0}
 
 
+def _entry_realization(t, kind):
+    return next(e.realization for e in enumerate_all(t).entries if e.kind == kind)
+
+
 def test_enum_constant_examples():
-    assert enum_constant(poly_target([0.0, 1.0], [[3.0]])).offset == pytest.approx(3.0)
-    assert enum_constant(poly_target([0.0, 1.0], [[0.0, 1.0]])).offset == pytest.approx(0.5)
-    assert enum_constant(poly_target([0.0, 1.0], [[0.0, 0.0, 1.0]])).offset == pytest.approx(1.0 / 3.0)
+    for pieces, mean in (([[3.0]], 3.0), ([[0.0, 1.0]], 0.5), ([[0.0, 0.0, 1.0]], 1.0 / 3.0)):
+        r = _entry_realization(poly_target([0.0, 1.0], pieces), "constant")
+        assert r.slopes == (0.0,)
+        assert r.offset == pytest.approx(mean)
 
 
 def test_enum_affine_examples(xsq):
-    r = enum_affine(poly_target([0.0, 1.0], [[0.0, 2.0]]))
+    # the slope-0 fit of a constant target is deduplicated into the constant
+    # entry: test_catalog_constant_target_single_entry
+    r = _entry_realization(poly_target([0.0, 1.0], [[0.0, 2.0]]), "affine")
     assert r.slopes[0] == pytest.approx(2.0)
     assert r.offset == pytest.approx(0.0, abs=1e-14)
-    r = enum_affine(xsq)
+    r = _entry_realization(xsq, "affine")
     assert r.slopes[0] == pytest.approx(1.0, rel=1e-12)
     assert r.offset == pytest.approx(-1.0 / 6.0, rel=1e-12)
-    r = enum_affine(poly_target([0.0, 1.0], [[5.0]]))
-    assert r.slopes[0] == pytest.approx(0.0, abs=1e-13)
-    assert r.offset == pytest.approx(5.0)
 
 
 def test_kink_increasing_xsq(xsq):

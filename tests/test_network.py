@@ -8,7 +8,8 @@ from reluland import (Params, SmoothActivation, canonical, l2_distance,
                       params_from_json, params_to_json, realize, realize_smooth,
                       sample_M, write_realization_csv)
 from reluland.errors import DomainError
-from reluland.network import KINK_MERGE_TOL, Realization, _active_spans, _geometry_nodes
+from reluland.network import (KINK_MERGE_TOL, Realization, _active_spans, _geometry_nodes,
+                              _greedy_groups)
 
 from conftest import rng_for
 
@@ -189,6 +190,22 @@ def test_l2_distance_examples():
     assert l2_distance(zero, zero) == 0.0
     assert l2_distance(zero, one) == pytest.approx(1.0)
     assert l2_distance(zero, ramp) == pytest.approx(1.0 / math.sqrt(3.0))
+
+
+def test_greedy_groups():
+    # constants on [0, 1]: their L2 distance is the difference of levels
+    def groups(levels, tol=1.0):
+        reals = [Realization(0.0, 1.0, (), (0.0,), c) for c in levels]
+        return _greedy_groups(reals, tol)
+
+    assert groups([]) == []
+    assert groups([0.0, 10.0, 0.5, 10.5]) == [[0, 2], [1, 3]]
+    # 1.6 is within tol of the member 0.8, but not of the group's first member
+    assert groups([0.0, 0.8, 1.6]) == [[0, 1], [2]]
+    # a distance of exactly tol is not within it
+    assert groups([0.0, 1.0]) == [[0], [1]]
+    # within tol of both first members: the earlier group wins
+    assert groups([0.0, 1.5, 0.75]) == [[0, 2], [1]]
 
 
 def test_l2_distance_domain_mismatch():

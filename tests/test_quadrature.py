@@ -192,6 +192,21 @@ def test_scalar_backends_reject_non_finite_values(backend, bad):
         backend(lambda x: bad if x == 0.5 else x * x, 0.0, 1.0, 1e-12)
 
 
+@pytest.mark.parametrize("backend", [adaptive_gauss_kronrod, adaptive_simpson])
+def test_scalar_backends_reject_overflowing_sums(backend):
+    # every value is finite, but the panel sums overflow: Gauss-Kronrod once
+    # returned inf, and Simpson ran out of depth on a NaN estimate
+    with pytest.raises(DomainError, match="integrand overflows"):
+        backend(lambda x: 1e308, 0.0, 10.0, 1e-12)
+
+
+def test_gauss_kronrod_huge_panel_error_is_accuracy_error():
+    # the rounding error of a 1e301 panel misses tol; its error estimate
+    # once raised OverflowError from (200 d) ** 1.5
+    with pytest.raises(AccuracyError):
+        adaptive_gauss_kronrod(lambda x: 1e300, 0.0, 10.0, 1e-12)
+
+
 def test_vector_simpson_bounds_live_panels():
     # no panel of sin(50 x) meets tol = 1e-300, so every level doubles
     sizes = []

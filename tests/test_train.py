@@ -168,6 +168,23 @@ def test_gf_converges_to_catalog_minimum(xsq):
     assert abs(run.final_risk - best.risk) < 1e-6
 
 
+def test_gf_computes_each_iterate_slope_once(xsq, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return grad_theta(*args)
+
+    monkeypatch.setattr("reluland.train.grad_theta", counted)
+    run = gf_run(xavier_init(1, seed=0), xsq, t_end=2.0, rtol=1e-8)
+    attempts = run.steps_accepted + run.steps_rejected
+    assert run.steps_rejected > 0 and not run.step_underflow
+    # a full step and two half steps once cost 12 slopes per attempt; an
+    # iterate's slope is now shared by all the attempts from it
+    assert len(calls) == 10 * attempts + run.steps_accepted
+    assert len(calls) < 12 * attempts
+
+
 def test_gf_validation(bench):
     p = xavier_init(1, seed=0)
     with pytest.raises(DomainError):
