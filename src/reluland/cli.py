@@ -91,7 +91,10 @@ class _Main(click.Group):
         try:
             return super().invoke(ctx)
         except _INPUT_ERRORS as exc:
-            raise click.UsageError(str(exc)) from exc
+            msg = str(exc)
+            if isinstance(exc, AccuracyError):
+                msg += f" (estimate {exc.estimate!r}, error {exc.error!r})"
+            raise click.UsageError(msg) from exc
 
 
 @click.group(cls=_Main)

@@ -11,7 +11,9 @@ classical gradient wherever the latter exists.
 Risk and gradient read the network's geometry from the shared kernel
 ``network._geometry_nodes`` (the same node list that ``canonical`` and
 ``l2_distance`` use), through ``_Geometry``; the gradient reads each
-neuron's active span from ``network._active_spans``.  ``hessian_fd``
+neuron's active span from ``network._active_spans``.  The running
+integrals of f and x*f at a and b are the target's ``end_ints``, so a
+geometry evaluates the target only at its interior kinks.  ``hessian_fd``
 refuses a kink on a domain endpoint through the kernel's
 ``_kink_near_endpoint``, the same test that gradient descent counts with.
 """
@@ -79,7 +81,9 @@ class _Geometry:
     (``net0``, ``net1``) and of f and x*f (``F``, ``G``) are evaluated once,
     so that S0 = int (N - f) and S1 = int x (N - f) between two nodes,
     which is all the gradient and risk formulas need, are differences of
-    node values.
+    node values.  Each node's square and cube are computed once, for the
+    two segments it ends and starts; F and G at a and b are the target's
+    ``end_ints``, so ``t.cum_int_xint`` runs only at the interior kinks.
     """
 
     __slots__ = ("nodes", "vals", "slopes", "net0", "net1", "F", "G")
@@ -90,8 +94,11 @@ class _Geometry:
         slopes = []
         net0 = [0.0]
         net1 = [0.0]
+        x0 = nodes[0]
+        p2, p3 = x0 ** 2, x0 ** 3
         for i in range(last + 1):
-            x0, x1 = nodes[i], nodes[i + 1]
+            x1 = nodes[i + 1]
+            q2, q3 = x1 ** 2, x1 ** 3
             y0 = vals[i]
             m = (vals[i + 1] - y0) / (x1 - x0)
             k = y0 - m * x0
@@ -101,13 +108,15 @@ class _Geometry:
             y1 = vals[i + 1] if i < last else y0 + m * (x1 - x0)
             slopes.append(m)
             net0.append(net0[-1] + (x1 - x0) * (y0 + y1) * 0.5)
-            net1.append(net1[-1] + m * (x1 ** 3 - x0 ** 3) / 3.0 + k * (x1 ** 2 - x0 ** 2) * 0.5)
+            net1.append(net1[-1] + m * (q3 - p3) / 3.0 + k * (q2 - p2) * 0.5)
+            x0, p2, p3 = x1, q2, q3
         self.nodes = nodes
         self.vals = vals
         self.slopes = slopes
         self.net0 = net0
         self.net1 = net1
-        self.F, self.G = zip(*map(t.cum_int_xint, nodes))
+        ends_a, ends_b = t.end_ints
+        self.F, self.G = zip(ends_a, *map(t.cum_int_xint, nodes[1:-1]), ends_b)
 
     def net_sq_int(self) -> float:
         return _pl_sq_integral(self.nodes, self.vals)

@@ -229,13 +229,13 @@ def adaptive_simpson_vec(f: Callable[[np.ndarray], np.ndarray], a: float, b: flo
     accepted panels are summed per component with ``math.fsum``, which
     rounds once, so the result does not depend on the order of the panels.
 
-    Raises ValueError unless tol > 0, and DomainError, naming the point,
-    if ``f`` returns a non-finite value.  Raises AccuracyError when a
-    panel is unconverged after ``max_depth`` levels or the next level
-    would hold more than ``MAX_LIVE_PANELS`` panels; it carries the
-    estimate of the whole integral (the accepted panels plus the
-    unconverged panels' estimates) and the sum of the unconverged panels'
-    error estimates.
+    Raises ValueError unless tol > 0, and DomainError if ``f`` returns a
+    non-finite value (naming the point) or a panel's sums overflow.
+    Raises AccuracyError when a panel is unconverged after ``max_depth``
+    levels or the next level would hold more than ``MAX_LIVE_PANELS``
+    panels; it carries the estimate of the whole integral (the accepted
+    panels plus the unconverged panels' estimates) and the sum of the
+    unconverged panels' error estimates.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -248,7 +248,8 @@ def adaptive_simpson_vec(f: Callable[[np.ndarray], np.ndarray], a: float, b: flo
     # one row per live panel: its points (lo, m, hi), f there, its Simpson value
     x = np.stack((pts[:-1], mids, pts[1:]), axis=1)
     fx = np.stack((fp[:n], fp[n + 1:], fp[1:n + 1]), axis=1)
-    whole = _simpson_rows(x, fx)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked in level one's est
+        whole = _simpson_rows(x, fx)
     tol_ = tol / n
     accepted = []
     for depth in range(max(max_depth, 0), -1, -1):
@@ -262,12 +263,17 @@ def adaptive_simpson_vec(f: Callable[[np.ndarray], np.ndarray], a: float, b: flo
         f5[:, 1::2] = _eval_rows(f, quarter.ravel(), dim).reshape(k, 2, dim)
         # each panel's halves (lo, lm, m) and (m, rm, hi): (k, 2, 3) points
         x, fx = x5.take(_HALVES, axis=1), f5.take(_HALVES, axis=1)
-        halves = _simpson_rows(x, fx)  # (k, 2, dim): left, right
-        both = halves[:, 0] + halves[:, 1]
-        delta = both - whole
+        with np.errstate(over="ignore", invalid="ignore"):
+            halves = _simpson_rows(x, fx)  # (k, 2, dim): left, right
+            both = halves[:, 0] + halves[:, 1]
+            delta = both - whole
+            est = both + delta / 15.0
+        bad = ~np.isfinite(est).all(axis=1)
+        if bad.any():
+            lo, hi = x5[bad][0, ::4].tolist()
+            raise DomainError(f"integrand overflows on [{lo!r}, {hi!r}]")
         err = np.abs(delta).max(axis=1)
         done = err <= 15.0 * tol_
-        est = both + delta / 15.0
         accepted.append(est[done])
         live = np.flatnonzero(~done)
         if not len(live):

@@ -14,7 +14,8 @@ Two kinds are supported and share one duck-typed interface:
 
 ``cum_int_xint(x)`` returns the running integrals of f and x*f up to x,
 so that risk and gradient evaluations stay closed-form and fast;
-``sq_integral(method)`` is the integral of f**2 over the whole
+``end_ints`` holds its values at a and b, computed once by the
+constructor; ``sq_integral(method)`` is the integral of f**2 over the whole
 domain.  Each constructor rejects non-finite fields and a target whose
 integral of f**2 overflows, so ``scaled(c)`` and the JSON parser inherit
 the checks.
@@ -59,6 +60,7 @@ class PolyTarget:
         # finite coefficients can still overflow every risk evaluation
         if not math.isfinite(self._sq_int):
             raise DomainError("the integral of f**2 over the domain is not finite")
+        self.end_ints = (self.cum_int_xint(pp.lo), self.cum_int_xint(pp.hi))
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -168,6 +170,7 @@ class BenchmarkTarget:
         g_table = _running_table((self._left.shift_up(1).antiderivative(), _mid_xanti,
                                   self._right.shift_up(1).antiderivative()), bps)
         self._rows = tuple(zip(*f_table, *g_table))
+        self.end_ints = (self.cum_int_xint(self.a), self.cum_int_xint(self.b))
         self._sq_cache: dict[str, float] = {}
 
     @property

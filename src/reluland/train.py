@@ -117,18 +117,17 @@ def gd_run(p0: Params, t: Target, cfg: TrainConfig, seed: int | None = None) -> 
     gm = math.inf
     while True:
         g = grad_theta(theta, H, t)
-        gm = max(abs(x) for x in g)
+        gm = max(map(abs, g))
         if gm < cfg.grad_tol:
             converged = True
             break
         if iterations >= cfg.max_iters:
             break
-        for i in range(len(theta)):
-            theta[i] -= lr * g[i]
+        theta = [x - lr * gx for x, gx in zip(theta, g)]
         iterations += 1
         if _kink_near_endpoint(theta, H, a, b, NONSMOOTH_EPS):
             nonsmooth += 1
-        if max(abs(x) for x in theta) > DIVERGENCE_NORM:
+        if max(map(abs, theta)) > DIVERGENCE_NORM:
             diverged = True
             break
     p = Params(H, tuple(theta))

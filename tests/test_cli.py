@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from reluland.cli import _write_json, main
-from reluland.errors import DegenerateEnumerationError
+from reluland.errors import AccuracyError, DegenerateEnumerationError
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -276,6 +276,18 @@ def test_enumerate_degenerate_input_exits_2(tmp_path, monkeypatch):
     assert res.exit_code == 2, res.output
     assert sum(line.startswith("Error:") for line in res.output.splitlines()) == 1
     assert not (tmp_path / "out" / "catalog.json").exists()
+
+
+def test_accuracy_error_exit_2_prints_estimate_and_error(tmp_path, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise AccuracyError("Simpson recursion depth exhausted", estimate=0.125, error=3e-09)
+
+    monkeypatch.setattr("reluland.target.adaptive_simpson", exhausted)
+    res = run_cli(["minima", "--samples", "1", "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert [line for line in res.output.splitlines() if line.startswith("Error:")] == [
+        "Error: Simpson recursion depth exhausted (estimate 0.125, error 3e-09)"]
+    assert not (tmp_path / "out" / "minima_report.json").exists()
 
 
 def test_reports_refuse_nan(tmp_path):

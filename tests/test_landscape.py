@@ -576,3 +576,39 @@ def test_node_kernel_bit_identical_to_per_interval_formula(case):
     got = [x.hex() for x in grad_theta(theta, H, t)]
     assert got == [x.hex() for x in _ref_grad(theta, H, t)]
     assert risk_theta(theta, H, t).hex() == _ref_risk(theta, H, t).hex()
+
+
+@pytest.mark.parametrize("t", BIT_TARGETS + tuple(t.scaled(-3.0) for t in BIT_TARGETS),
+                         ids=[f"{kind}{c}" for c in ("", "-scaled") for kind in
+                              ("benchmark", "benchmark-moved", "poly")])
+def test_end_ints_are_the_running_integrals_at_the_ends(t):
+    a, b = t.domain
+    got = [x.hex() for pair in t.end_ints for x in pair]
+    assert got == [x.hex() for x in (*t.cum_int_xint(a), *t.cum_int_xint(b))]
+
+
+# kinks of four neurons on [0, 1], and how many distinct ones lie inside
+@pytest.mark.parametrize("kinks, k", [
+    ((0.25, 0.5, 0.75, 0.6), 4),
+    ((0.25, 0.25, 0.75, 1.0), 2),  # a shared kink and one on b
+    ((0.5, 0.5, 0.5, 0.5), 1),
+    ((0.0, 1.0, -0.5, 1.5), 0),
+])
+@pytest.mark.parametrize("make", [lambda: BenchmarkTarget(1 / 3, 2 / 3),
+                                  lambda: poly_target([0.0, 1.0], [[0.0, 0.0, 1.0]])],
+                         ids=["benchmark", "xsq"])
+def test_geometry_evaluates_target_only_at_interior_kinks(monkeypatch, make, kinks, k):
+    t = make()
+    w = [1.0, -1.0, 1.0, -1.0]
+    theta = w + [-wj * q for wj, q in zip(w, kinks)] + [0.3, -0.2, 0.5, 0.1, 0.05]
+    calls = []
+    cum_int_xint = t.cum_int_xint
+
+    def counted(x):
+        calls.append(x)
+        return cum_int_xint(x)
+
+    monkeypatch.setattr(t, "cum_int_xint", counted)
+    grad_theta(theta, 4, t)
+    assert len(calls) == k
+    assert sorted(calls) == sorted({q for q in kinks if 0.0 < q < 1.0})

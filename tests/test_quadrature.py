@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,22 @@ def test_scalar_backends_reject_overflowing_sums(backend):
     # returned inf, and Simpson ran out of depth on a NaN estimate
     with pytest.raises(DomainError, match="integrand overflows"):
         backend(lambda x: 1e308, 0.0, 10.0, 1e-12)
+
+
+def test_vector_simpson_rejects_overflowing_sums():
+    # finite values whose panel sums overflow: the engine once ran to its
+    # panel limit, with numpy overflow warnings, and raised AccuracyError
+    calls = []
+
+    def f(xs):
+        calls.append(len(xs))
+        return np.full((len(xs), 1), 1e308)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"integrand overflows on \[0.0, 10.0\]"):
+            adaptive_simpson_vec(f, 0.0, 10.0, 1, 1e-12)
+    assert len(calls) == 2
 
 
 def test_gauss_kronrod_huge_panel_error_is_accuracy_error():
