@@ -9,18 +9,18 @@ gradient-flow experiments.
 
 from .errors import (AccuracyError, DegenerateEnumerationError, DomainError,
                      FinitenessError, IdenticallyZeroError, NonsmoothPointError,
-                     NotCriticalError, WitnessError)
+                     NotCriticalError)
 from .polyalg import PiecewisePolynomial, Polynomial, reparametrize, roots_in
-from .target import (BenchmarkTarget, PolyTarget, Target, parse_target_json,
-                     target_to_json)
+from .target import BenchmarkTarget, PolyTarget, Target, parse_target_json
 from .network import (Params, Realization, SmoothActivation, canonical,
-                      l2_distance, params_from_json, params_to_json, realize,
-                      realize_smooth, write_realization_csv)
+                      l2_distance, params_from_json, realize, realize_smooth,
+                      write_realization_csv)
 from .landscape import (CritClass, GradientVector, HessianReport, classify,
                         closed_hessian_M, fd_gradient, grad, grad_smooth,
                         hessian_fd, risk)
-from .minima import (GapCertificate, MinimaSample, certify_gap, minima_risk,
-                     sample_M, two_kink_witness, verify_zero_integrals)
+from .minima import (FamilyCertificate, GapCertificate, MinimaSample,
+                     SampleCertificate, certify_family, certify_gap, minima_risk,
+                     sample_M, verify_zero_integrals)
 from .enumeration import (CatalogEntry, CriticalCatalog, GridOracleReport,
                           KinkRoots, KinkSolution, enumerate_all, grid_oracle,
                           oracle_check)

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: ``minima`` (zero-gradient / constant-risk / Hessian / gap
-certificates for the benchmark target), ``enumerate`` (width-1 critical
-catalog for a piecewise-polynomial target), ``train`` (GD ensemble with
-greedy L2 deduplication) and ``gf`` (gradient-flow integration).
+Subcommands: ``minima`` (writes the zero-gradient / constant-risk /
+Hessian / gap certificate that ``minima.certify_family`` decides for the
+benchmark target), ``enumerate`` (width-1 critical catalog for a
+piecewise-polynomial target), ``train`` (GD ensemble with greedy L2
+deduplication) and ``gf`` (gradient-flow integration).
 
 Exit codes: 0 success, 1 certificate/assertion failure, 2 usage or input
 error.  The library checks its own inputs, and the command group maps its
@@ -24,9 +25,8 @@ import click
 
 from . import __version__
 from .errors import (AccuracyError, DegenerateEnumerationError, DomainError,
-                     FinitenessError, WitnessError)
-from .landscape import _coord_indices, closed_hessian_M, grad, hessian_fd, risk
-from .minima import certify_gap, minima_risk, sample_M, verify_zero_integrals
+                     FinitenessError)
+from .minima import certify_family
 from .network import params_from_json, uniform_grid, write_realization_csv
 from .enumeration import DEDUP_DEFAULT, enumerate_all, grid_oracle, oracle_check
 from .target import BenchmarkTarget, parse_target_json
@@ -110,7 +110,7 @@ def main():
 @click.option("--b", "b_", type=RATIONAL, default=1.0, show_default=True)
 @click.option("--h", "--H", "width", type=click.IntRange(min=1), default=4,
               show_default=True)
-@click.option("--samples", type=int, default=10, show_default=True,
+@click.option("--samples", type=click.IntRange(min=1), default=10, show_default=True,
               help="Evenly spaced kink positions inside (alpha, beta).")
 @click.option("--x", "xs", type=RATIONAL, multiple=True,
               help="Explicit kink positions (overrides --samples).")
@@ -127,69 +127,31 @@ def cmd_minima(alpha, beta, a_, b_, width, samples, xs, y_, seed, gap, p_, eps,
     """Certify zero gradient, constant risk and Hessian structure on the
     single-kink local-minimum family of the benchmark target."""
     t = BenchmarkTarget(alpha, beta, a_, b_)
-    if xs:
-        positions = list(xs)
-    else:
-        if samples < 1:
-            raise click.UsageError("--samples must be >= 1")
-        positions = [alpha + (beta - alpha) * (k + 1) / (samples + 1)
-                     for k in range(samples)]
-
-    ref_risk = minima_risk(t)
-    ref_risk_simpson = minima_risk(t, method="simpson")
-    ok = abs(ref_risk - ref_risk_simpson) <= 1e-10 * max(1.0, abs(ref_risk))
-    rows = []
-    # the (w_1, b_1, v_1, c) block is what coords="restricted4" computes
-    idx = _coord_indices(width, "restricted4")
-    for k, x in enumerate(positions):
-        s = sample_M(t, width, x, y_, seed=seed + k)
-        gn = grad(s.theta, t).max_norm()
-        r = risk(s.theta, t)
-        full = hessian_fd(s.theta, t, coords="all")
-        closed = closed_hessian_M(x, s.theta.w(0), t)
-        rel = max(abs(full.matrix[i][j] - closed.matrix[row][col])
-                  / max(abs(closed.matrix[row][col]), 1e-300)
-                  for row, i in enumerate(idx) for col, j in enumerate(idx))
-        res = verify_zero_integrals(t, x)
-        row_ok = (gn < 1e-10
-                  and abs(r - ref_risk) <= 1e-9 * max(abs(ref_risk), 1e-300)
-                  and full.numerical_rank == 2
-                  and full.min_eigenvalue > -1e-8
-                  and rel < 1e-5
-                  and max(abs(v) for v in res) < 1e-10)
-        ok = ok and row_ok
-        rows.append({
-            "x": x, "y": y_, "grad_max_norm": gn, "risk": r,
-            "zero_integral_residuals": list(res),
-            "hessian_summary": {
-                "full_rank": full.numerical_rank,
-                "full_min_eigenvalue": full.min_eigenvalue,
-                "restricted_vs_closed_rel": rel,
-            },
-            "pass": row_ok,
-        })
+    positions = list(xs) or [alpha + (beta - alpha) * (k + 1) / (samples + 1)
+                             for k in range(samples)]
+    cert = certify_family(t, width, positions, y_, seed=seed, gap=(p_, eps) if gap else None)
     doc = {
         "kind": "minima_report",
         "target": {"alpha": alpha, "beta": beta, "a": a_, "b": b_},
         "H": width,
-        "reference_risk": ref_risk,
-        "reference_risk_cross_check": ref_risk_simpson,
-        "samples": rows,
+        "reference_risk": cert.reference_risk,
+        "reference_risk_cross_check": cert.reference_risk_cross_check,
+        "samples": [{"x": s.sample.x, "y": s.sample.y, "grad_max_norm": s.grad_max_norm,
+                     "risk": s.risk, "zero_integral_residuals": list(s.residuals),
+                     "hessian_summary": {"full_rank": s.hessian.numerical_rank,
+                                         "full_min_eigenvalue": s.hessian.min_eigenvalue,
+                                         "restricted_vs_closed_rel": s.closed_rel},
+                     "pass": s.passed} for s in cert.samples],
     }
-    if gap:
-        try:
-            cert = certify_gap(t, width, p_, eps, seed=seed)
-            doc["gap"] = {"p": p_, "eps": eps, "risk_theta": cert.risk_theta,
-                          "risk_witness": cert.risk_witness, "gap": cert.gap,
-                          "pass": cert.gap > 0.0}
-        except WitnessError as exc:
-            doc["gap"] = {"p": p_, "eps": eps, "error": str(exc), "pass": False}
-            ok = False
-    doc["pass"] = ok
+    if cert.gap is not None:
+        doc["gap"] = {"p": p_, "eps": eps, "risk_theta": cert.gap.risk_theta,
+                      "risk_witness": cert.gap.risk_witness, "gap": cert.gap.gap,
+                      "pass": cert.gap.passed}
+    doc["pass"] = cert.passed
     _write_json(_out_path(out_dir, "minima_report.json", force), doc)
-    click.echo(f"minima report: {'PASS' if ok else 'FAIL'} "
-               f"({len(rows)} samples, risk {ref_risk:.12g})")
-    sys.exit(0 if ok else 1)
+    click.echo(f"minima report: {'PASS' if cert.passed else 'FAIL'} "
+               f"({len(cert.samples)} samples, risk {cert.reference_risk:.12g})")
+    sys.exit(0 if cert.passed else 1)
 
 
 @main.command("enumerate")

@@ -37,8 +37,3 @@ class NonsmoothPointError(ValueError):
 
 class NotCriticalError(ValueError):
     """Classification requires the gradient norm to be (numerically) zero."""
-
-
-class WitnessError(RuntimeError):
-    """The two-kink comparison construction is infeasible for the given
-    half-width."""

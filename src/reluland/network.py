@@ -44,7 +44,6 @@ __all__ = [
     "realize_smooth",
     "canonical",
     "l2_distance",
-    "params_to_json",
     "params_from_json",
     "write_realization_csv",
 ]
@@ -338,10 +337,6 @@ def _greedy_groups(reals: Sequence[Realization], tol: float) -> list[list[int]]:
         else:
             groups.append([i])
     return groups
-
-
-def params_to_json(p: Params) -> str:
-    return json.dumps({"H": p.H, "theta": list(p.theta)})
 
 
 def params_from_json(text: str) -> Params:

@@ -55,8 +55,7 @@ def _split_points(a: float, b: float, breakpoints: Iterable[float] | None):
     pts = [a, b]
     if breakpoints:
         pts.extend(x for x in breakpoints if a < x < b)
-    pts = sorted(set(pts))
-    return pts
+    return sorted(set(pts))
 
 
 def _gk_panel(f: Callable[[float], float], a: float, b: float):
@@ -93,8 +92,6 @@ def adaptive_gauss_kronrod(f: Callable[[float], float], a: float, b: float,
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if a == b:
-        return 0.0
     pts = _split_points(a, b, breakpoints)
     heap = []  # (-err, lo, hi, value)
     total = 0.0
@@ -133,7 +130,8 @@ def _simpson(a, fa, b, fb, fm):
     return (b - a) * (fa + 4.0 * fm + fb) / 6.0
 
 
-def _adaptive_simpson_rec(f, a, fa, b, fb, m, fm, whole, tol, depth):
+def _adaptive_simpson_rec(f, a, fa, b, fb, m, fm, whole, tol, depth, outside):
+    # outside: accepted values left of [a, b] plus one-level values right of it
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
     flm = f(lm)
@@ -151,10 +149,12 @@ def _adaptive_simpson_rec(f, a, fa, b, fb, m, fm, whole, tol, depth):
         if not math.isfinite(left + right):
             raise DomainError(f"integrand overflows on [{a!r}, {b!r}]")
         raise AccuracyError("Simpson recursion depth exhausted",
-                            estimate=left + right + delta / 15.0,
+                            estimate=outside + (left + right + delta / 15.0),
                             error=abs(delta) / 15.0)
-    return (_adaptive_simpson_rec(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1)
-            + _adaptive_simpson_rec(f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1))
+    lpart = _adaptive_simpson_rec(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1,
+                                  outside + right)
+    return lpart + _adaptive_simpson_rec(f, m, fm, b, fb, rm, frm, right, tol / 2.0,
+                                         depth - 1, outside + lpart)
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
@@ -162,21 +162,21 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
                      breakpoints: Iterable[float] | None = None,
                      max_depth: int = MAX_DEPTH) -> float:
     """Adaptive Simpson integration of f over [a, b] to absolute tol > 0;
-    raises DomainError if f is not finite at a point or the sum overflows."""
+    raises DomainError if f is not finite at a point or the sum overflows,
+    and AccuracyError, estimating the whole integral, past max_depth."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if a == b:
-        return 0.0
     pts = _split_points(a, b, breakpoints)
-    n = len(pts) - 1
-    total = 0.0
+    panels = []
     for lo, hi in zip(pts, pts[1:]):
         fa, fb = f(lo), f(hi)
         m = 0.5 * (lo + hi)
         fm = f(m)
-        whole = _simpson(lo, fa, hi, fb, fm)
-        total += _adaptive_simpson_rec(f, lo, fa, hi, fb, m, fm, whole,
-                                       tol / n, max_depth)
+        panels.append((lo, fa, hi, fb, m, fm, _simpson(lo, fa, hi, fb, fm)))
+    total = 0.0
+    for i, panel in enumerate(panels):
+        outside = total + math.fsum(p[-1] for p in panels[i + 1:])
+        total += _adaptive_simpson_rec(f, *panel, tol / len(panels), max_depth, outside)
     return total
 
 
@@ -198,8 +198,11 @@ def _simpson_rows(x: np.ndarray, fx: np.ndarray) -> np.ndarray:
     return h[..., None] * (fx[..., 0, :] + 4.0 * fx[..., 1, :] + fx[..., 2, :])
 
 
-def _fsum_columns(rows: list[np.ndarray]) -> list[float]:
-    return [math.fsum(col) for col in np.concatenate(rows).T.tolist()]
+def _fsum_columns(rows: list[np.ndarray], a: float, b: float) -> list[float]:
+    try:
+        return [math.fsum(col) for col in np.concatenate(rows).T.tolist()]
+    except OverflowError:  # finite panel values whose sum overflows
+        raise DomainError(f"integrand overflows on [{a!r}, {b!r}]") from None
 
 
 # a bisected panel's points (lo, lm, m, rm, hi) -> its two children's (lo, m, hi)
@@ -283,10 +286,10 @@ def adaptive_simpson_vec(f: Callable[[np.ndarray], np.ndarray], a: float, b: flo
             raise AccuracyError(
                 "vector Simpson depth exhausted" if depth == 0
                 else f"vector Simpson level exceeds {MAX_LIVE_PANELS} panels",
-                estimate=_fsum_columns(accepted),
+                estimate=_fsum_columns(accepted, a, b),
                 error=math.fsum(err[live].tolist()) / 15.0)
         x = x[live].reshape(-1, 3)
         fx = fx[live].reshape(-1, 3, dim)
         whole = halves[live].reshape(-1, dim)
         tol_ /= 2.0
-    return _fsum_columns(accepted)
+    return _fsum_columns(accepted, a, b)

@@ -38,7 +38,6 @@ __all__ = [
     "PolyTarget",
     "Target",
     "parse_target_json",
-    "target_to_json",
 ]
 
 # absolute tolerance of the quadrature of the normalized integral of f**2
@@ -301,13 +300,3 @@ def parse_target_json(text: str) -> Target:
         return BenchmarkTarget(*fields)
     raise DomainError(f"unknown target kind {kind!r}")
 
-
-def target_to_json(t: Target) -> str:
-    if isinstance(t, PolyTarget):
-        doc = {"kind": "piecewise_poly",
-               "breakpoints": list(t.pp.breakpoints),
-               "pieces": [list(p.coeffs) for p in t.pp.pieces]}
-    else:
-        doc = {"kind": "benchmark", "alpha": t.alpha, "beta": t.beta,
-               "a": t.a, "b": t.b, "scale": t.scale}
-    return json.dumps(doc)

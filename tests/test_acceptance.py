@@ -181,9 +181,9 @@ def test_criterion_09_training_reproduction(bench_t):
     # determinism: the pinned seed reproduces the frozen digest exactly
     deterministic = (len(rep.clusters) == ENSEMBLE_N_CLUSTERS
                      and rep.clusters[0].risk == pytest.approx(
-                         ENSEMBLE_MIN_RISK, rel=1e-12)
+                         ENSEMBLE_MIN_RISK, rel=1e-12, abs=0)
                      and rep.risk_spread() == pytest.approx(
-                         ENSEMBLE_SPREAD, rel=1e-12))
+                         ENSEMBLE_SPREAD, rel=1e-12, abs=0))
     report(9, ok and separated and deterministic and elapsed < 120.0,
            f"({len(rep.clusters)} clusters, spread = {rep.risk_spread():.3e}, "
            f"{elapsed:.0f}s)")

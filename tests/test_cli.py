@@ -1,3 +1,4 @@
+import ast
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -38,15 +39,15 @@ def test_minima_ok(tmp_path):
 
 
 def test_minima_one_hessian_per_sample(tmp_path, monkeypatch):
-    from reluland import cli
+    from reluland import minima
     calls = []
-    hessian_fd = cli.hessian_fd
+    hessian_fd = minima.hessian_fd
 
     def counted(*args, **kwargs):
         calls.append(kwargs.get("coords"))
         return hessian_fd(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "hessian_fd", counted)
+    monkeypatch.setattr(minima, "hessian_fd", counted)
     res = run_cli(["minima", "--samples", "3", "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
     assert calls == ["all"] * 3
@@ -207,7 +208,25 @@ def test_minima_failed_gap_certificate_exits_1(tmp_path):
     doc = json.loads((tmp_path / "minima_report.json").read_text())
     jsonschema.validate(doc, load_schema("minima_report.schema.json"))
     assert doc["gap"]["pass"] is False
+    assert doc["gap"]["gap"] < 0.0
+    assert doc["gap"]["gap"] == doc["gap"]["risk_theta"] - doc["gap"]["risk_witness"]
     assert doc["pass"] is False
+
+
+def test_cli_imports_no_private_or_certificate_names():
+    # the CLI serializes what the library decides: no private helper, and
+    # nothing that the family certificate computes or checks
+    from reluland import cli
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names = [(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.level or node.module.split(".")[0] == "reluland")
+             for alias in node.names]
+    assert names
+    assert [n for n in names if n[1].startswith("_") and not n[1].endswith("__")] == []
+    checks = {"grad", "risk", "hessian_fd", "closed_hessian_M", "sample_M",
+              "verify_zero_integrals", "certify_gap", "minima_risk"}
+    assert [n for n in names if n[1] in checks] == []
 
 
 # each case: command line (file names resolve in tmp_path) and its report
@@ -232,6 +251,7 @@ INPUT_ERRORS = {
     "enumerate-lossy-reflection": (["enumerate", "--target", "lossy_target.json"],
                                    "catalog.json"),
     "minima-h-0": (["minima", "--h", "0"], "minima_report.json"),
+    "minima-samples-0": (["minima", "--samples", "0"], "minima_report.json"),
     "minima-y-0": (["minima", "--y", "0"], "minima_report.json"),
     "minima-y-inf": (["minima", "--y", "1e400"], "minima_report.json"),
     # the benchmark target rejects it before any quadrature runs

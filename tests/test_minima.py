@@ -1,11 +1,13 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from reluland import (BenchmarkTarget, canonical, certify_gap, closed_hessian_M,
-                      grad, hessian_fd, l2_distance, minima_risk, risk, sample_M,
-                      two_kink_witness, verify_zero_integrals)
-from reluland.errors import DomainError, WitnessError
+from reluland import (BenchmarkTarget, canonical, certify_family, certify_gap,
+                      closed_hessian_M, grad, hessian_fd, l2_distance, minima_risk,
+                      risk, sample_M, verify_zero_integrals)
+from reluland.errors import DomainError
+from reluland.minima import CLOSED_HESSIAN_RTOL, MIN_EIGENVALUE_TOL
 from reluland.polyalg import PiecewisePolynomial, Polynomial
 
 from conftest import rng_for
@@ -120,7 +122,7 @@ def test_hessian_certificate(bench):
 
 
 def test_witness_kinks(bench):
-    w = two_kink_witness(bench, 4, 0.5, 0.05, seed=0)
+    w = certify_gap(bench, 4, 0.5, 0.05, seed=0).witness
     r = canonical(w, bench.a, bench.b)
     assert len(r.kinks) == 2
     assert r.kinks[0] == pytest.approx(0.45, abs=1e-12)
@@ -129,35 +131,35 @@ def test_witness_kinks(bench):
 
 def test_witness_preconditions(bench):
     with pytest.raises(DomainError):
-        two_kink_witness(bench, 1, 0.5, 0.05)
+        certify_gap(bench, 1, 0.5, 0.05)
     with pytest.raises(DomainError):
-        two_kink_witness(bench, 2, 0.5, 0.5)
+        certify_gap(bench, 2, 0.5, 0.5)
 
 
 def test_gap_certificate_decides_half_width():
     # the exact gap is the certificate: eps = 0.2 and 0.3 pass although the
     # target does not stay above the witness's chord on (p - eps, p + eps)
     wide = BenchmarkTarget(0.05, 0.95, 0.0, 1.0)
-    gap = certify_gap(wide, 2, 0.5, 0.2, seed=0).gap
-    assert gap == pytest.approx(1.0674555622883636e-3, rel=1e-10)
-    assert certify_gap(wide, 2, 0.5, 0.3, seed=0).gap > 0.0
-    with pytest.raises(WitnessError, match="non-positive risk gap"):
-        certify_gap(wide, 2, 0.5, 0.40, seed=0)
+    cert = certify_gap(wide, 2, 0.5, 0.2, seed=0)
+    assert cert.gap == pytest.approx(1.0674555622883636e-3, rel=1e-10)
+    assert cert.passed
+    assert certify_gap(wide, 2, 0.5, 0.3, seed=0).passed
+    failed = certify_gap(wide, 2, 0.5, 0.40, seed=0)
+    assert failed.gap < 0.0
+    assert not failed.passed
 
 
 def test_witness_converges_to_family_realization(bench):
-    p = 0.5
-    s = sample_M(bench, 4, p, 1.0, seed=0)
-    family = canonical(s.theta, bench.a, bench.b)
-    w = two_kink_witness(bench, 4, p, 1e-3, seed=0)
-    assert l2_distance(canonical(w, bench.a, bench.b), family) < 1e-2
+    cert = certify_gap(bench, 4, 0.5, 1e-3, seed=0)
+    family = canonical(cert.theta, bench.a, bench.b)
+    assert l2_distance(canonical(cert.witness, bench.a, bench.b), family) < 1e-2
 
 
 def test_gap_positive_on_grid(bench):
     for p in (0.4, 0.45, 0.5, 0.55, 0.6):
         for eps in (0.02, 0.04, 0.05):
             cert = certify_gap(bench, 4, p, eps, seed=0)
-            assert cert.gap > 0.0
+            assert cert.gap > 0.0 and cert.passed
 
 
 def test_gap_frozen_value(bench):
@@ -175,3 +177,71 @@ def test_sample_determinism(bench):
     a = sample_M(bench, 4, 0.5, 1.0, seed=123)
     b = sample_M(bench, 4, 0.5, 1.0, seed=123)
     assert a.theta == b.theta
+
+
+@st.composite
+def _family_case(draw):
+    alpha = draw(st.floats(0.1, 0.45))
+    beta = draw(st.floats(0.55, 0.9))
+    a = draw(st.floats(-2.0, 2.0))
+    b = a + draw(st.floats(0.5, 3.0))
+    H = draw(st.integers(1, 5))
+    xs = [alpha + (beta - alpha) * u
+          for u in draw(st.lists(st.floats(0.02, 0.98), min_size=1, max_size=3))]
+    y = draw(st.floats(0.3, 3.0))
+    gap = None
+    if H >= 2:
+        p = alpha + (beta - alpha) * draw(st.floats(0.2, 0.8))
+        gap = (p, min(p - alpha, beta - p, 0.2) / 4.0)
+    return BenchmarkTarget(alpha, beta, a, b), H, xs, y, draw(st.integers(0, 2 ** 32)), gap
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_family_case())
+def test_family_certificate_passes(case):
+    t, H, xs, y, seed, gap = case
+    cert = certify_family(t, H, xs, y, seed=seed, gap=gap)
+    # two fixed thresholds misjudge some true minima, about 1 case in 100
+    # here (pinned by the xfail tests below); every other check must pass
+    assume(all(s.hessian.min_eigenvalue > -MIN_EIGENVALUE_TOL
+               and s.closed_rel < CLOSED_HESSIAN_RTOL for s in cert.samples))
+    assert cert.passed
+    assert len(cert.samples) == len(xs)
+    assert (cert.gap is None) == (H < 2)
+
+
+@pytest.mark.xfail(strict=True, reason="absolute eigenvalue floor vs FD noise")
+def test_family_certificate_large_hessian():
+    # the largest Hessian eigenvalue is about 487, and FD noise in the flat
+    # directions puts the smallest at -1.7e-7, below -MIN_EIGENVALUE_TOL
+    cert = certify_family(BenchmarkTarget(1 / 3, 0.9, 0.0, 2.0), 1, [0.85], 0.3)
+    assert cert.passed
+
+
+@pytest.mark.xfail(strict=True, reason="relative error at a vanishing closed-form entry")
+def test_family_certificate_vanishing_closed_entry():
+    # a (1 - q^2) + b (1 + 4q + q^2) = 0: the closed form's (w_1, b_1) entry
+    # rounds to 6e-17 and the FD one to about 1e-10, a relative error of 2e6
+    cert = certify_family(BenchmarkTarget(0.1, 0.7, -1.15, 0.6), 1, [0.2], 1.0)
+    assert cert.passed
+
+
+def test_family_certificate_matches_its_parts(bench):
+    cert = certify_family(bench, 4, [0.4, 0.6], 1.3, seed=7, gap=(0.5, 0.05))
+    assert cert.passed
+    assert cert.reference_risk == minima_risk(bench)
+    assert cert.reference_risk_cross_check == minima_risk(bench, method="simpson")
+    for k, s in enumerate(cert.samples):
+        assert s.sample == sample_M(bench, 4, s.sample.x, 1.3, seed=7 + k)
+        assert s.grad_max_norm == grad(s.sample.theta, bench).max_norm()
+        assert s.risk == risk(s.sample.theta, bench)
+        assert s.residuals == verify_zero_integrals(bench, s.sample.x)
+    assert cert.gap == certify_gap(bench, 4, 0.5, 0.05, seed=7)
+
+
+def test_family_certificate_fails_with_its_gap():
+    wide = BenchmarkTarget(0.05, 0.95, 0.0, 1.0)
+    cert = certify_family(wide, 2, [0.5], 1.0, gap=(0.5, 0.40))
+    assert cert.samples[0].passed
+    assert not cert.gap.passed
+    assert not cert.passed

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reluland import (Params, SmoothActivation, canonical, l2_distance,
-                      params_from_json, params_to_json, realize, realize_smooth,
-                      sample_M, write_realization_csv)
+                      params_from_json, realize, realize_smooth, sample_M,
+                      write_realization_csv)
 from reluland.errors import DomainError
 from reluland.network import (KINK_MERGE_TOL, Realization, _active_spans, _geometry_nodes,
                               _greedy_groups)
@@ -217,7 +218,7 @@ def test_l2_distance_domain_mismatch():
 
 def test_params_json_roundtrip():
     p = Params.from_parts([1.0, -0.5], [0.1, 0.2], [2.0, 3.0], -1.0)
-    assert params_from_json(params_to_json(p)) == p
+    assert params_from_json(json.dumps({"H": p.H, "theta": list(p.theta)})) == p
 
 
 def test_realization_csv(tmp_path):

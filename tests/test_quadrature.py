@@ -217,6 +217,14 @@ def test_vector_simpson_rejects_overflowing_sums():
     assert len(calls) == 2
 
 
+def test_vector_simpson_rejects_overflowing_total():
+    # every panel's estimate is finite, but their fsum once raised a bare
+    # OverflowError
+    f = lambda xs: np.full((len(xs), 2), 2e307)
+    with pytest.raises(DomainError, match=r"integrand overflows on \[0.0, 16.0\]"):
+        adaptive_simpson_vec(f, 0.0, 16.0, 2, 1e-12, breakpoints=[8.0])
+
+
 def test_gauss_kronrod_huge_panel_error_is_accuracy_error():
     # the rounding error of a 1e301 panel misses tol; its error estimate
     # once raised OverflowError from (200 d) ** 1.5
@@ -237,6 +245,21 @@ def test_vector_simpson_bounds_live_panels():
     assert max(sizes) <= 2 * MAX_LIVE_PANELS  # two new points per panel
     assert len(sizes) <= 20
     assert err.value.estimate[0] == pytest.approx((1.0 - math.cos(50.0)) / 50.0, abs=1e-9)
+
+
+def test_simpson_accuracy_error_estimates_whole_integral():
+    # the estimate once covered only the exhausted panel: 0.0607 here
+    calls = []
+
+    def spiky(x):
+        calls.append(x)
+        return math.sqrt(abs(x - 0.3))
+
+    with pytest.raises(AccuracyError) as err:
+        adaptive_simpson(spiky, 0.0, 1.0, max_depth=3)
+    assert err.value.estimate == pytest.approx((2.0 / 3.0) * (0.3 ** 1.5 + 0.7 ** 1.5), abs=1e-2)
+    # the panel's three points and two per panel visited: none for the estimate
+    assert len(calls) == 3 + 2 * 4
 
 
 def test_vector_simpson_accuracy_error_estimates_whole_integral():
