@@ -51,6 +51,9 @@ __all__ = [
 # hessian_fd's step; the rank threshold relative to the largest |eigenvalue|
 FD_STEP = 1e-5
 RANK_TOL = 1e-6
+# grad_smooth's panels end where r z - sqrt(r) is -S, 0 and +S for each
+# neuron; beyond +-S the softplus's sigmoid is within e^-S of 0 or 1
+SMOOTH_SPAN = 40.0
 
 
 @dataclass(frozen=True)
@@ -179,15 +182,26 @@ def risk(p: Params, t: Target, method: str = "gauss_kronrod") -> float:
 # smoothed-activation gradient
 # ---------------------------------------------------------------------------
 
-def _smooth_breakpoints(theta, H, t):
+def _smooth_breakpoints(theta, H, t, r):
+    """The target's breakpoints, the ReLU kinks, and each neuron's softplus
+    transition at sharpness r: the x with r (b_j + w_j x) - sqrt(r) equal
+    to -SMOOTH_SPAN, 0 and +SMOOTH_SPAN (``_split_points`` drops those
+    outside (a, b) and non-finite ones)."""
     a, b = t.domain
-    return list(t.breakpoints()) + _geometry_nodes(theta, H, a, b)[0][1:-1]
+    zs = [(s + math.sqrt(r)) / r for s in (-SMOOTH_SPAN, 0.0, SMOOTH_SPAN)]
+    bends = [(z - theta[H + j]) / theta[j]
+             for j in range(H) if theta[j] != 0.0 for z in zs]
+    return list(t.breakpoints()) + _geometry_nodes(theta, H, a, b)[0][1:-1] + bends
 
 
 def grad_smooth(p: Params, t: Target, r: float, tol: float = 1e-10) -> GradientVector:
     """Gradient of the smoothed risk (chain rule through the C1 activation),
     integrated adaptively with a shared vector integrand that evaluates
-    every point of a bisection level and every neuron at once."""
+    every point of a bisection level and every neuron at once.
+
+    The panels split at each neuron's softplus transition, a width of
+    about 1/r around z = 1/sqrt(r), so no panel has to bisect down to that
+    width and the number of levels does not grow with r."""
     act = SmoothActivation(r)
     H = p.H
     th = np.array(p.theta)
@@ -207,7 +221,7 @@ def grad_smooth(p: Params, t: Target, r: float, tol: float = 1e-10) -> GradientV
         return out.T
 
     vals = adaptive_simpson_vec(integrand, a, b, 3 * H + 1, tol,
-                                breakpoints=_smooth_breakpoints(p.theta, H, t))
+                                breakpoints=_smooth_breakpoints(p.theta, H, t, r))
     return GradientVector(tuple(vals))
 
 

@@ -111,8 +111,7 @@ def risk_smooth(p, t, r, tol):
 
     a, b = t.domain
     return adaptive_simpson(integrand, a, b, tol,
-                            breakpoints=_smooth_breakpoints(p.theta, p.H, t),
-                            max_depth=55)
+                            breakpoints=_smooth_breakpoints(p.theta, p.H, t, r))
 
 
 def test_risk_smooth_converges(bench):
@@ -164,7 +163,7 @@ def former_grad_smooth(p, t, r, tol):
 
     a, b = t.domain
     return recursive_simpson_vec(integrand, a, b, dim, tol,
-                                 breakpoints=_smooth_breakpoints(th, H, t))
+                                 breakpoints=_smooth_breakpoints(th, H, t, r))
 
 
 @pytest.mark.parametrize("H", [1, 4])
@@ -186,8 +185,8 @@ def test_grad_smooth_matches_former_scalar_integrand(H):
             assert max(abs(x - y) for x, y in zip(got, ref)) < 1e-15
 
 
-def test_grad_smooth_calls_integrand_once_per_level(monkeypatch, bench):
-    # the former scalar integrand was called about 650 times here
+def count_integrand_calls(monkeypatch) -> list[int]:
+    """The number of points of each integrand call that grad_smooth makes."""
     calls = []
 
     def counting(f, *args, **kwargs):
@@ -197,11 +196,29 @@ def test_grad_smooth_calls_integrand_once_per_level(monkeypatch, bench):
         return adaptive_simpson_vec(counted, *args, **kwargs)
 
     monkeypatch.setattr(landscape, "adaptive_simpson_vec", counting)
-    p = Params.from_parts([1.0, -0.9, 1.1, 0.95], [-0.3, 0.6, -0.7, -0.2],
-                          [0.05, -0.03, 0.04, 0.06], 0.01)
-    grad_smooth(p, bench, 10 ** 6, tol=1e-10)
-    assert 0 < len(calls) <= MAX_DEPTH + 15 + 2
+    return calls
+
+
+FOUR_NEURONS = Params.from_parts([1.0, -0.9, 1.1, 0.95], [-0.3, 0.6, -0.7, -0.2],
+                                 [0.05, -0.03, 0.04, 0.06], 0.01)
+
+
+def test_grad_smooth_calls_integrand_once_per_level(monkeypatch, bench):
+    # the former scalar integrand was called about 650 times here
+    calls = count_integrand_calls(monkeypatch)
+    grad_smooth(FOUR_NEURONS, bench, 10 ** 6, tol=1e-10)
+    assert 0 < len(calls) <= MAX_DEPTH + 2
     assert sum(calls) > 300
+
+
+@pytest.mark.parametrize("r", [10 ** 2, 10 ** 6, 10 ** 10, 10 ** 14])
+def test_grad_smooth_levels_do_not_grow_with_sharpness(monkeypatch, bench, r):
+    # panels split at each softplus transition, so no panel bisects down to
+    # the ~1/r transition width: 7-9 levels for every r here
+    calls = count_integrand_calls(monkeypatch)
+    gs = grad_smooth(FOUR_NEURONS, bench, r, tol=1e-10)
+    assert len(calls) <= 10
+    assert max(abs(x - y) for x, y in zip(gs, grad(FOUR_NEURONS, bench))) < 1.0 / math.sqrt(r)
 
 
 @pytest.mark.parametrize("r", [0.5, math.nan, math.inf])

@@ -225,6 +225,12 @@ def test_vector_simpson_rejects_overflowing_total():
         adaptive_simpson_vec(f, 0.0, 16.0, 2, 1e-12, breakpoints=[8.0])
 
 
+def test_simpson_rejects_overflowing_total():
+    # both panels are 1.6e308, but their sum is not finite
+    with pytest.raises(DomainError, match=r"integrand overflows on \[0.0, 16.0\]"):
+        adaptive_simpson(lambda x: 2e307, 0.0, 16.0, breakpoints=[8.0])
+
+
 def test_gauss_kronrod_huge_panel_error_is_accuracy_error():
     # the rounding error of a 1e301 panel misses tol; its error estimate
     # once raised OverflowError from (200 d) ** 1.5
