@@ -8,12 +8,13 @@ form.  The gradient formula is defined everywhere, including configurations
 where the risk is not classically differentiable; it agrees with the
 classical gradient wherever the latter exists.
 
-Risk and gradient read the network's geometry from the shared kernel
-``network._geometry_nodes`` (the same node list that ``canonical`` and
-``l2_distance`` use), through ``_Geometry``; the gradient reads each
-neuron's active span from ``network._active_spans``.  The running
-integrals of f and x*f at a and b are the target's ``end_ints``, so a
-geometry evaluates the target only at its interior kinks.  ``hessian_fd``
+Risk and gradient read the network's geometry, and the gradient each
+neuron's active span, from the one kernel ``network._geometry_nodes``
+(the node list that ``canonical`` uses too).  Each is one pass over its
+segments; the gradient's (``_running_sums``) keeps running integrals at
+every node, the risk's only its cross term.  The running integrals of f
+and x*f at a and b are the target's ``end_ints``, so an evaluation reads
+the target only at its interior kinks.  ``hessian_fd``
 refuses a kink on a domain endpoint through the kernel's
 ``_kink_near_endpoint``, the same test that gradient descent counts with.
 """
@@ -28,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NonsmoothPointError, NotCriticalError
-from .network import (Params, SmoothActivation, _active_spans, _geometry_nodes,
-                      _kink_near_endpoint, _pl_sq_integral)
+from .network import (Params, SmoothActivation, _geometry_nodes, _kink_near_endpoint,
+                      _pl_sq_integral)
 from .quadrature import adaptive_simpson_vec
 from .target import BenchmarkTarget, Target
 
@@ -75,63 +76,45 @@ class GradientVector:
         return self.values[i]
 
 
-class _Geometry:
-    """Piecewise-linear geometry of the network plus target antiderivatives.
-
-    ``nodes`` and ``vals`` come from the shared kernel
-    ``network._geometry_nodes``: a, the distinct kinks inside (a, b), b and
-    N there.  At every node the running integrals from a of N and x*N
-    (``net0``, ``net1``) and of f and x*f (``F``, ``G``) are evaluated once,
-    so that S0 = int (N - f) and S1 = int x (N - f) between two nodes,
-    which is all the gradient and risk formulas need, are differences of
-    node values.  Each node's square and cube are computed once, for the
-    two segments it ends and starts; F and G at a and b are the target's
-    ``end_ints``, so ``t.cum_int_xint`` runs only at the interior kinks.
-    """
-
-    __slots__ = ("nodes", "vals", "slopes", "net0", "net1", "F", "G")
-
-    def __init__(self, theta: Sequence[float], H: int, t: Target):
-        nodes, vals = _geometry_nodes(theta, H, *t.domain)
-        last = len(nodes) - 2  # the segment that ends at b
-        slopes = []
-        net0 = [0.0]
-        net1 = [0.0]
-        x0 = nodes[0]
-        p2, p3 = x0 ** 2, x0 ** 3
-        for i in range(last + 1):
-            x1 = nodes[i + 1]
-            q2, q3 = x1 ** 2, x1 ** 3
-            y0 = vals[i]
-            m = (vals[i + 1] - y0) / (x1 - x0)
-            k = y0 - m * x0
-            # b ends the last segment, where the running integral takes N
-            # from the slope; at an interior node that formula adds exactly
-            # +-0.0 to these prefix sums, so they are its values there.
-            y1 = vals[i + 1] if i < last else y0 + m * (x1 - x0)
-            slopes.append(m)
-            net0.append(net0[-1] + (x1 - x0) * (y0 + y1) * 0.5)
-            net1.append(net1[-1] + m * (q3 - p3) / 3.0 + k * (q2 - p2) * 0.5)
-            x0, p2, p3 = x1, q2, q3
-        self.nodes = nodes
-        self.vals = vals
-        self.slopes = slopes
-        self.net0 = net0
-        self.net1 = net1
-        ends_a, ends_b = t.end_ints
-        self.F, self.G = zip(ends_a, *map(t.cum_int_xint, nodes[1:-1]), ends_b)
-
-    def net_sq_int(self) -> float:
-        return _pl_sq_integral(self.nodes, self.vals)
-
-    def net_f_int(self) -> float:
-        total = 0.0
-        F, G = self.F, self.G
-        for i in range(len(self.slopes)):
-            m = self.slopes[i]
-            k = self.vals[i] - m * self.nodes[i]
-            total += m * (G[i + 1] - G[i]) + k * (F[i + 1] - F[i])
-        return total
+def _running_sums(theta: Sequence[float], H: int, t: Target):
+    """The kernel's nodes and spans, and the running integrals from a of N,
+    x*N, f and x*f at every node (``net0``, ``net1``, ``F``, ``G``), in one
+    pass: S0 = int (N - f) and S1 = int x (N - f) between two nodes are
+    differences of node values.  Each node is raised to a power once."""
+    nodes, vals, spans = _geometry_nodes(theta, H, *t.domain)
+    cum_int_xint = t.cum_int_xint
+    (f, g), ends_b = t.end_ints
+    last = len(nodes) - 2  # the segment that ends at b
+    s0 = s1 = 0.0
+    net0 = [s0]
+    net1 = [s1]
+    F = [f]
+    G = [g]
+    x0 = nodes[0]
+    p2, p3 = x0 ** 2, x0 ** 3
+    for i in range(last + 1):
+        x1 = nodes[i + 1]
+        q2, q3 = x1 ** 2, x1 ** 3
+        y0 = vals[i]
+        m = (vals[i + 1] - y0) / (x1 - x0)
+        k = y0 - m * x0
+        # b ends the last segment, where the running integral takes N from
+        # the slope; at an interior node that formula adds exactly +-0.0 to
+        # these prefix sums, so they are its values there
+        if i < last:
+            y1 = vals[i + 1]
+            f, g = cum_int_xint(x1)
+        else:
+            y1 = y0 + m * (x1 - x0)
+            f, g = ends_b
+        s0 = s0 + (x1 - x0) * (y0 + y1) * 0.5
+        s1 = s1 + m * (q3 - p3) / 3.0 + k * (q2 - p2) * 0.5
+        net0.append(s0)
+        net1.append(s1)
+        F.append(f)
+        G.append(g)
+        x0, p2, p3 = x1, q2, q3
+    return nodes, spans, net0, net1, F, G
 
 
 def grad_theta(theta: Sequence[float], H: int, t: Target) -> list[float]:
@@ -140,11 +123,10 @@ def grad_theta(theta: Sequence[float], H: int, t: Target) -> list[float]:
     Neuron j contributes over its active span, the geometry nodes that
     bound I_j = {x in [a, b] : b_j + w_j x > 0}.
     """
-    geo = _Geometry(theta, H, t)
-    last = len(geo.nodes) - 1
-    net0, net1, F, G = geo.net0, geo.net1, geo.F, geo.G
+    nodes, spans, net0, net1, F, G = _running_sums(theta, H, t)
+    last = len(nodes) - 1
     g = [0.0] * (3 * H + 1)
-    for j, lo, hi in _active_spans(theta, H, geo.nodes):
+    for j, lo, hi in spans:
         s0 = (net0[hi] - net0[lo]) - (F[hi] - F[lo])
         s1 = (net1[hi] - net1[lo]) - (G[hi] - G[lo])
         v = theta[2 * H + j]
@@ -165,11 +147,27 @@ def grad(p: Params, t: Target) -> GradientVector:
     return GradientVector(tuple(grad_theta(p.theta, p.H, t)))
 
 
+def _unclamped_risk(theta: Sequence[float], H: int, t: Target, method: str) -> float:
+    """int N**2 - 2 int N f + int f**2, before ``risk_theta`` clamps it at 0;
+    the cross term is one pass over the kernel's segments."""
+    nodes, vals, _ = _geometry_nodes(theta, H, *t.domain)
+    cum_int_xint = t.cum_int_xint
+    (f0, g0), ends_b = t.end_ints
+    last = len(nodes) - 2  # the segment that ends at b
+    cross = 0.0
+    for i in range(last + 1):
+        x0, x1 = nodes[i], nodes[i + 1]
+        f1, g1 = cum_int_xint(x1) if i < last else ends_b
+        m = (vals[i + 1] - vals[i]) / (x1 - x0)
+        k = vals[i] - m * x0
+        cross += m * (g1 - g0) + k * (f1 - f0)
+        f0, g0 = f1, g1
+    return _pl_sq_integral(nodes, vals) - 2.0 * cross + t.sq_integral(method)
+
+
 def risk_theta(theta: Sequence[float], H: int, t: Target,
                method: str = "gauss_kronrod") -> float:
-    geo = _Geometry(theta, H, t)
-    val = geo.net_sq_int() - 2.0 * geo.net_f_int() + t.sq_integral(method)
-    return max(val, 0.0)
+    return max(_unclamped_risk(theta, H, t, method), 0.0)
 
 
 def risk(p: Params, t: Target, method: str = "gauss_kronrod") -> float:

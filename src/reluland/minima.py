@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .landscape import (HessianReport, _Geometry, _coord_indices, closed_hessian_M,
+from .landscape import (HessianReport, _coord_indices, _running_sums, closed_hessian_M,
                         grad, hessian_fd, risk, risk_theta)
 from .network import Params
 from .target import BenchmarkTarget
@@ -112,8 +112,8 @@ def verify_zero_integrals(t: BenchmarkTarget, q: float) -> tuple[float, float, f
     """Residuals of the three defining identities of the single-kink family
     at normalized kink q in (alpha, beta): the integrals of (N - f) left and
     right of the kink and of x(N - f) right of it.  All should vanish."""
-    geo = _Geometry(sample_M(t, 1, q, 1.0, seed=0).theta.theta, 1, t)
-    n0, n1, F, G = geo.net0, geo.net1, geo.F, geo.G  # nodes a, the kink, b
+    # nodes a, the kink, b
+    _, _, n0, n1, F, G = _running_sums(sample_M(t, 1, q, 1.0, seed=0).theta.theta, 1, t)
     return ((n0[1] - n0[0]) - (F[1] - F[0]),
             (n0[2] - n0[1]) - (F[2] - F[1]),
             (n1[2] - n1[1]) - (G[2] - G[1]))

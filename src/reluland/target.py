@@ -54,6 +54,8 @@ class PolyTarget:
         if not pp.continuous:
             pp = PiecewisePolynomial(pp.breakpoints, pp.pieces, continuous=True)
         self.pp = pp
+        # one row (A0, A0 start, F prefix, A1, A1 start, G prefix) per piece
+        self._rows = tuple(zip(*pp._table(0), *pp._table(1)))
         sq = PiecewisePolynomial(pp.breakpoints, [p * p for p in pp.pieces])
         self._sq_int = sq.moment(0, pp.lo, pp.hi)
         # finite coefficients can still overflow every risk evaluation
@@ -88,7 +90,9 @@ class PolyTarget:
         """(cum_int(x), cum_xint(x)) from one domain check."""
         if x < self.pp.lo or x > self.pp.hi:
             raise DomainError(f"{x!r} outside target domain")
-        return self.pp.cum_moment(0, x), self.pp.cum_moment(1, x)
+        # pp.cum_moment(0, x) and pp.cum_moment(1, x), one piece lookup
+        a0, s0, f0, a1, s1, g0 = self._rows[self.pp._piece_index(x)]
+        return f0 + a0(x) - s0, g0 + a1(x) - s1
 
     def cum_int(self, x: float) -> float:
         return self.cum_int_xint(x)[0]
@@ -169,6 +173,9 @@ class BenchmarkTarget:
         g_table = _running_table((self._left.shift_up(1).antiderivative(), _mid_xanti,
                                   self._right.shift_up(1).antiderivative()), bps)
         self._rows = tuple(zip(*f_table, *g_table))
+        # cum_int_xint's factors; scale * w * F is (scale * w) * F, bit for bit
+        w = self.b - self.a
+        self._sw, self._aw, self._ww = self.scale * w, self.a * w, w * w
         self.end_ints = (self.cum_int_xint(self.a), self.cum_int_xint(self.b))
         self._sq_cache: dict[str, float] = {}
 
@@ -219,9 +226,8 @@ class BenchmarkTarget:
 
     def cum_int_xint(self, x: float) -> tuple[float, float]:
         """(cum_int(x), cum_xint(x)) from one normalization and piece choice."""
-        w = self.b - self.a
         F, G = self._cum01(self._to_u(x))
-        return self.scale * w * F, self.scale * (self.a * w * F + w * w * G)
+        return self._sw * F, self.scale * (self._aw * F + self._ww * G)
 
     def cum_int(self, x: float) -> float:
         return self.cum_int_xint(x)[0]

@@ -7,10 +7,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from reluland import (BenchmarkTarget, CritClass, Params, PolyTarget, classify,
                       closed_hessian_M, fd_gradient, grad, grad_smooth,
-                      hessian_fd, realize_smooth, risk, sample_M)
+                      hessian_fd, realize_smooth, risk, sample_M,
+                      verify_zero_integrals)
 from reluland.errors import DomainError, NonsmoothPointError, NotCriticalError
-from reluland.landscape import (HessianReport, _Geometry, _coord_indices,
-                                _report_from_matrix, _smooth_breakpoints, grad_theta,
+from reluland.landscape import (HessianReport, _coord_indices, _report_from_matrix,
+                                _smooth_breakpoints, _unclamped_risk, grad_theta,
                                 risk_theta)
 from reluland.network import canonical
 from reluland.polyalg import PiecewisePolynomial, Polynomial
@@ -319,8 +320,7 @@ def _risk_case(draw):
 def test_unclamped_risk_not_below_rounding(case):
     # risk_theta's value before its final max(val, 0.0)
     t, p = case
-    geo = _Geometry(p.theta, p.H, t)
-    val = geo.net_sq_int() - 2.0 * geo.net_f_int() + t.sq_integral()
+    val = _unclamped_risk(p.theta, p.H, t, "gauss_kronrod")
     assert val >= -1e-12 * (1.0 + t.sq_integral())
 
 
@@ -602,6 +602,31 @@ def test_end_ints_are_the_running_integrals_at_the_ends(t):
     a, b = t.domain
     got = [x.hex() for pair in t.end_ints for x in pair]
     assert got == [x.hex() for x in (*t.cum_int_xint(a), *t.cum_int_xint(b))]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_zero_integrals_bit_identical_to_per_interval_formula(data):
+    # the residuals are S0 on [a, kink] and [kink, b] and S1 on [kink, b]
+    t = data.draw(st.sampled_from(BIT_TARGETS[:2]))
+    q = data.draw(st.floats(t.alpha, t.beta, exclude_min=True, exclude_max=True))
+    ref = _RefIntegrals(sample_M(t, 1, q, 1.0, seed=0).theta.theta, 1, t)
+    a, kink, b = ref.nodes
+    got = [x.hex() for x in verify_zero_integrals(t, q)]
+    assert got == [x.hex() for x in (ref.s0(a, kink), ref.s0(kink, b), ref.s1(kink, b))]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+@pytest.mark.parametrize("t", BIT_TARGETS[:2] + tuple(t.scaled(-3.0) for t in BIT_TARGETS[:2]),
+                         ids=["benchmark", "benchmark-moved", "benchmark-scaled",
+                              "benchmark-moved-scaled"])
+def test_benchmark_running_integrals_bit_identical_to_unhoisted_factors(t, data):
+    x = data.draw(st.floats(*t.domain))
+    F, G = t._cum01(t._to_u(x))
+    want = (t.scale * (t.b - t.a) * F,
+            t.scale * (t.a * (t.b - t.a) * F + (t.b - t.a) * (t.b - t.a) * G))
+    assert [v.hex() for v in t.cum_int_xint(x)] == [v.hex() for v in want]
 
 
 # kinks of four neurons on [0, 1], and how many distinct ones lie inside

@@ -9,7 +9,7 @@ from reluland import (Params, SmoothActivation, canonical, l2_distance,
                       params_from_json, realize, realize_smooth, sample_M,
                       write_realization_csv)
 from reluland.errors import DomainError
-from reluland.network import (KINK_MERGE_TOL, Realization, _active_spans, _geometry_nodes,
+from reluland.network import (KINK_MERGE_TOL, Realization, _geometry_nodes,
                               _greedy_groups)
 
 from conftest import rng_for
@@ -158,8 +158,8 @@ def test_geometry_spans_bound_active_sets():
         bias = [-wj * q if wj != 0.0 else float(rng.choice([-1.0, 0.0, 1.0]))
                 for wj, q in zip(w, kinks)]
         theta = w + bias + [1.0] * H + [0.0]
-        nodes, _ = _geometry_nodes(theta, H, a, b)
-        spans = {j: (lo, hi) for j, lo, hi in _active_spans(theta, H, nodes)}
+        nodes, _, spans = _geometry_nodes(theta, H, a, b)
+        spans = {j: (lo, hi) for j, lo, hi in spans}
         for j in range(H):
             span = spans.get(j)
             active = [bias[j] + w[j] * 0.5 * (x0 + x1) > 0.0
