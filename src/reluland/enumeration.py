@@ -272,8 +272,8 @@ def _lift_affine(t: Target) -> Params:
     """The critical realization affine on the whole interval, at width 1.
 
     Matching the zeroth and first moments of the target gives a 2x2 linear
-    system for (slope, intercept) whose determinant -(b-a)^4/12 never
-    vanishes.
+    system for (slope, intercept) whose determinant is -(b-a)^4/12; in
+    floats it underflows to 0 on a width of 1e-100, which is degenerate.
     """
     a, b = t.domain
     m0 = b - a
@@ -284,6 +284,9 @@ def _lift_affine(t: Target) -> Params:
     f0 = Fb - Fa
     f1 = Gb - Ga
     det = m1 * m1 - m0 * m2  # = -(b-a)^4 / 12
+    if not det < 0.0:
+        raise DegenerateEnumerationError(
+            f"affine catalog lift is degenerate (moment determinant {det:g})")
     slope = (f0 * m1 - f1 * m0) / det
     intercept = (f1 * m1 - f0 * m2) / det
     b0 = -a + (b - a)  # active on all of [a, b] with a one-width margin

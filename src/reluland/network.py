@@ -25,7 +25,6 @@ L2 grouping ``_greedy_groups`` of GD runs and catalog entries relies on.
 from __future__ import annotations
 
 import bisect
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -40,7 +39,6 @@ __all__ = [
     "Realization",
     "SmoothActivation",
     "realize",
-    "realize_smooth",
     "canonical",
     "l2_distance",
     "params_from_json",
@@ -137,16 +135,6 @@ class SmoothActivation:
         return _sigmoid(r * z - math.sqrt(r))
 
 
-def realize_smooth(p: Params, x: float, r: int) -> float:
-    act = SmoothActivation(r)
-    H = p.H
-    th = p.theta
-    acc = th[3 * H]
-    for j in range(H):
-        acc += th[2 * H + j] * act(th[H + j] + th[j] * x)
-    return acc
-
-
 @dataclass(frozen=True)
 class Realization:
     """Canonical continuous piecewise-linear function on [a, b]."""
@@ -182,8 +170,18 @@ class Realization:
     __call__ = eval
 
     def sample(self, n: int) -> list[tuple[float, float]]:
-        """(x, value) pairs on ``uniform_grid(a, b, n)``."""
-        return [(x, self.eval(x)) for x in uniform_grid(self.a, self.b, n)]
+        """(x, value) pairs on ``uniform_grid(a, b, n)``, bit for bit as
+        ``eval``: the grid never decreases, so one sweep advances the
+        segment while ``kinks[i] <= x``, as ``bisect_right`` would."""
+        slopes, nodes, values = self.slopes, self._nodes, self._values
+        ends = self.kinks + (math.inf,)  # no grid point passes the sentinel
+        i = 0
+        out = []
+        for x in uniform_grid(self.a, self.b, n):
+            while ends[i] <= x:
+                i += 1
+            out.append((x, values[i] + slopes[i] * (x - nodes[i])))
+        return out
 
 
 def uniform_grid(a: float, b: float, n: int) -> list[float]:
@@ -340,8 +338,7 @@ def params_from_json(text: str) -> Params:
 
 
 def write_realization_csv(r: Realization, path, grid: int = 256) -> None:
+    """Header ``x,y``, then ``repr(x),repr(y)`` per grid point, CRLF line
+    ends: ``csv.writer``'s bytes, as no float repr needs quoting."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for x, y in r.sample(grid):
-            writer.writerow([repr(x), repr(y)])
+        fh.write("x,y\r\n" + "".join(f"{x!r},{y!r}\r\n" for x, y in r.sample(grid)))

@@ -203,18 +203,17 @@ def gf_run(p0: Params, t: Target, t_end: float, rtol: float = 1e-8) -> GFRun:
     if not (0.0 < t_end < math.inf and 0.0 < rtol < math.inf):
         raise DomainError("t_end and rtol must be positive and finite")
     H = p0.H
-    n = len(p0.theta)
 
-    def rhs(y):
-        g = grad_theta(y, H, t)
-        return [-x for x in g]
-
+    # k1..k4 are gradients G, not slopes -G, so each stage subtracts; as
+    # negation is exact, the iterates keep the bits of RK4 on -G
     def rk4(y, h, k1):
-        k2 = rhs([y[i] + 0.5 * h * k1[i] for i in range(n)])
-        k3 = rhs([y[i] + 0.5 * h * k2[i] for i in range(n)])
-        k4 = rhs([y[i] + h * k3[i] for i in range(n)])
-        return [y[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                for i in range(n)]
+        hh = 0.5 * h
+        h6 = h / 6.0
+        k2 = grad_theta([u - hh * d for u, d in zip(y, k1)], H, t)
+        k3 = grad_theta([u - hh * d for u, d in zip(y, k2)], H, t)
+        k4 = grad_theta([u - h * d for u, d in zip(y, k3)], H, t)
+        return [u - h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+                for u, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
 
     y = list(p0.theta)
     t_now = 0.0
@@ -227,11 +226,11 @@ def gf_run(p0: Params, t: Target, t_end: float, rtol: float = 1e-8) -> GFRun:
     while t_now < t_end:
         h = min(h, t_end - t_now)
         if k1 is None:
-            k1 = rhs(y)
+            k1 = grad_theta(y, H, t)
         y_full = rk4(y, h, k1)
         y_mid = rk4(y, 0.5 * h, k1)
-        y_half = rk4(y_mid, 0.5 * h, rhs(y_mid))
-        err = max(abs(y_full[i] - y_half[i]) for i in range(n))
+        y_half = rk4(y_mid, 0.5 * h, grad_theta(y_mid, H, t))
+        err = max(abs(u - v) for u, v in zip(y_full, y_half))
         scale = 1.0 + max(abs(x) for x in y_half)
         if err <= rtol * scale:
             y = y_half

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from reluland import BenchmarkTarget, PolyTarget
+from reluland import BenchmarkTarget, PolyTarget, SmoothActivation
 from reluland.polyalg import PiecewisePolynomial, Polynomial
 
 
@@ -19,6 +19,18 @@ def xsq():
 def poly_target(breakpoints, pieces):
     return PolyTarget(PiecewisePolynomial(
         breakpoints, [Polynomial(cs) for cs in pieces], continuous=True))
+
+
+def realize_smooth(p, x, r):
+    """N_theta(x) with the ReLU replaced by the sharpness-r softplus
+    surrogate."""
+    act = SmoothActivation(r)
+    H = p.H
+    th = p.theta
+    acc = th[3 * H]
+    for j in range(H):
+        acc += th[2 * H + j] * act(th[H + j] + th[j] * x)
+    return acc
 
 
 def rng_for(seed):

@@ -250,6 +250,9 @@ INPUT_ERRORS = {
     # affine lift now misses the absolute criticality tolerance instead
     "enumerate-lossy-reflection": (["enumerate", "--target", "lossy_target.json"],
                                    "catalog.json"),
+    # the affine lift's moment determinant -(b-a)^4/12 underflows to 0
+    "enumerate-narrow-domain": (["enumerate", "--target", "narrow_target.json"],
+                                "catalog.json"),
     "minima-h-0": (["minima", "--h", "0"], "minima_report.json"),
     "minima-samples-0": (["minima", "--samples", "0"], "minima_report.json"),
     "minima-y-0": (["minima", "--y", "0"], "minima_report.json"),
@@ -276,6 +279,8 @@ def test_input_error_exits_2_without_report(tmp_path, case):
         '{"kind": "piecewise_poly", "breakpoints": [0.0, 0.22, 1.0], "pieces": '
         '[[4.0, -15.0, -16.0, 20.0, 7.0, 6.0, 5.0], [601.9490598512639, -3776.0, '
         '3753.0, 4070.0, 1058.0, 2027.0, 3739.0]]}')
+    (tmp_path / "narrow_target.json").write_text(
+        '{"kind": "piecewise_poly", "breakpoints": [0, 1e-100], "pieces": [[1.0, 2.0]]}')
     (tmp_path / "huge_scale.json").write_text(
         '{"kind": "benchmark", "alpha": 0.25, "beta": 0.5, "scale": 1e160}')
     args, report = INPUT_ERRORS[case]

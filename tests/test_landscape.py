@@ -7,8 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from reluland import (BenchmarkTarget, CritClass, Params, PolyTarget, classify,
                       closed_hessian_M, fd_gradient, grad, grad_smooth,
-                      hessian_fd, realize_smooth, risk, sample_M,
-                      verify_zero_integrals)
+                      hessian_fd, risk, sample_M, verify_zero_integrals)
 from reluland.errors import DomainError, NonsmoothPointError, NotCriticalError
 from reluland.landscape import (HessianReport, _coord_indices, _report_from_matrix,
                                 _smooth_breakpoints, _unclamped_risk, grad_theta,
@@ -18,7 +17,7 @@ from reluland.polyalg import PiecewisePolynomial, Polynomial
 from reluland import landscape
 from reluland.quadrature import MAX_DEPTH, adaptive_simpson, adaptive_simpson_vec
 
-from conftest import piecewise_polys, poly_target, rng_for
+from conftest import piecewise_polys, poly_target, realize_smooth, rng_for
 from test_quadrature import recursive_simpson_vec
 
 SQ_INT_F_13_23 = 0.024983326680593343

@@ -1,18 +1,18 @@
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reluland import (Params, SmoothActivation, canonical, l2_distance,
-                      params_from_json, realize, realize_smooth, sample_M,
-                      write_realization_csv)
+                      params_from_json, realize, sample_M, write_realization_csv)
 from reluland.errors import DomainError
 from reluland.network import (KINK_MERGE_TOL, Realization, _geometry_nodes,
-                              _greedy_groups)
+                              _greedy_groups, uniform_grid)
 
-from conftest import rng_for
+from conftest import realize_smooth, rng_for
 
 
 def random_params(rng, H, span=2.0):
@@ -230,6 +230,54 @@ def test_realization_csv(tmp_path):
     assert len(lines) == 12
     x, y = (float(s) for s in lines[-1].split(","))
     assert (x, y) == (1.0, 2.0)
+
+
+def _former_write_csv(r, path, grid):
+    """The csv.writer export that write_realization_csv replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y"])
+        for x, y in [(x, r.eval(x)) for x in uniform_grid(r.a, r.b, grid)]:
+            writer.writerow([repr(x), repr(y)])
+
+
+_level = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)),
+                   st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@st.composite
+def _sampled_realization(draw):
+    """A realization on a shifted or negative domain with 0-6 kinks, some
+    of them exactly on points of its sample grid, and a grid size."""
+    a = draw(st.one_of(st.sampled_from((0.0, -1.0, -7.25, 3.0)),
+                       st.floats(-1e3, 1e3, allow_nan=False)))
+    b = a + draw(st.one_of(st.sampled_from((1.0, 0.5, 2.5)), st.floats(1e-6, 1e3)))
+    n = draw(st.integers(2, 300))
+    on_grid = [x for x in uniform_grid(a, b, n) if a < x < b]
+    pool = st.floats(a, b, exclude_min=True, exclude_max=True)
+    if on_grid:
+        pool = st.one_of(st.sampled_from(on_grid), pool)
+    kinks = tuple(sorted(set(draw(st.lists(pool, max_size=6)))))
+    slopes = tuple(draw(st.lists(_level, min_size=len(kinks) + 1,
+                                 max_size=len(kinks) + 1)))
+    return Realization(a, b, kinks, slopes, draw(_level)), n
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_sampled_realization())
+# -0.0 up to a kink on the grid, rising after it: eval reads the right
+# segment there and gives +0.0, the left one would give -0.0
+@example((Realization(0.0, 1.0, (0.5,), (-0.0, 1.0), -0.0), 3))
+@example((Realization(-2.0, -0.5, (-1.25,), (-0.0, 2.0), -0.0), 5))
+def test_csv_and_sample_bytes_match_former_writer(tmp_path_factory, case):
+    r, n = case
+    got = r.sample(n)
+    want = [(x, r.eval(x)) for x in uniform_grid(r.a, r.b, n)]
+    assert [(x.hex(), y.hex()) for x, y in got] == [(x.hex(), y.hex()) for x, y in want]
+    d = tmp_path_factory.mktemp("csv")
+    write_realization_csv(r, d / "new.csv", grid=n)
+    _former_write_csv(r, d / "old.csv", n)
+    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

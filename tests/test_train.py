@@ -7,7 +7,8 @@ import pytest
 from reluland import (Params, TrainConfig, enumerate_all, ensemble, gd_run,
                       gf_run, grad, l2_distance, risk, sample_M, xavier_init)
 from reluland.errors import DomainError
-from reluland.landscape import grad_theta
+from reluland.landscape import grad_theta, risk_theta
+from reluland.train import GF_MAX_SAMPLES
 
 from conftest import poly_target, rng_for
 
@@ -183,6 +184,67 @@ def test_gf_computes_each_iterate_slope_once(xsq, monkeypatch):
     # iterate's slope is now shared by all the attempts from it
     assert len(calls) == 10 * attempts + run.steps_accepted
     assert len(calls) < 12 * attempts
+
+
+def _former_gf_run(p0, t, t_end, rtol):
+    """The RK4 of gf_run before its stages subtracted the gradient: slopes
+    are negated copies, step factors are formed per entry.  Returns the
+    final theta, the (time, risk) samples and the step counts."""
+    H = p0.H
+    n = len(p0.theta)
+
+    def rhs(y):
+        return [-x for x in grad_theta(y, H, t)]
+
+    def rk4(y, h, k1):
+        k2 = rhs([y[i] + 0.5 * h * k1[i] for i in range(n)])
+        k3 = rhs([y[i] + 0.5 * h * k2[i] for i in range(n)])
+        k4 = rhs([y[i] + h * k3[i] for i in range(n)])
+        return [y[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+                for i in range(n)]
+
+    y = list(p0.theta)
+    t_now, h, accepted, rejected = 0.0, min(1e-2, t_end), 0, 0
+    samples = [(0.0, risk_theta(y, H, t))]
+    k1 = None
+    while t_now < t_end:
+        h = min(h, t_end - t_now)
+        if k1 is None:
+            k1 = rhs(y)
+        y_full = rk4(y, h, k1)
+        y_mid = rk4(y, 0.5 * h, k1)
+        y_half = rk4(y_mid, 0.5 * h, rhs(y_mid))
+        err = max(abs(y_full[i] - y_half[i]) for i in range(n))
+        scale = 1.0 + max(abs(x) for x in y_half)
+        if err <= rtol * scale:
+            y, k1 = y_half, None
+            t_now += h
+            accepted += 1
+            samples.append((t_now, risk_theta(y, H, t)))
+            if err <= rtol * scale / 64.0:
+                h *= 2.0
+        else:
+            rejected += 1
+            h *= 0.5
+            assert h >= 1e-12
+    assert len(samples) <= GF_MAX_SAMPLES
+    return y, samples, accepted, rejected
+
+
+@pytest.mark.parametrize("case", ["xsq", "cubic"])
+def test_gf_bit_identical_to_former_rk4(xsq, case):
+    if case == "xsq":
+        t, p0 = xsq, xavier_init(1, seed=0)
+    else:
+        # continuous at 0.4, where both pieces are 0.268
+        t = poly_target([0.0, 0.4, 1.0], [[0.1, 0.5, -1.0, 2.0], [0.492, -1.0, 0.5, 1.5]])
+        p0 = xavier_init(2, seed=3)
+    run = gf_run(p0, t, t_end=2.0, rtol=1e-8)
+    y, samples, accepted, rejected = _former_gf_run(p0, t, 2.0, 1e-8)
+    assert (run.steps_accepted, run.steps_rejected) == (accepted, rejected)
+    assert [x.hex() for x in run.final_theta.theta] == [x.hex() for x in y]
+    assert ([(s.hex(), r.hex()) for s, r in run.samples]
+            == [(s.hex(), r.hex()) for s, r in samples])
 
 
 def test_gf_validation(bench):
