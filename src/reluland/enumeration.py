@@ -11,6 +11,9 @@ rational with a power-of-two denominator, so on a fine enough integer grid
 the target's running integrals, and with them each orientation's kink
 equation, have integer coefficients (``_grid_moments``,
 ``_kink_equations``), and integer Sturm counts isolate their roots.
+On the same grid a root is excluded by a zero slope when it is a root of
+gcd(D, Z), Z the zero-slope numerator; a root whose q rounds to 0.0 or
+1.0 is a boundary kink; roots with the same q are one.
 ``enumerate_all`` builds that grid once, normalizes the target to [0, 1]
 once and reflects it once in floats for the decreasing orientation, and
 isolates each orientation's roots once; the catalog keeps both
@@ -21,7 +24,8 @@ the target's running integrals of f and x f (``cum_moments``), bit for bit
 as three scalar moments per point would.  It never expands D in q, and the
 exact roots come from the target's doubles, not from the normalized
 target, so an error in either route cannot hide in both;
-``oracle_check`` matches its brackets against the catalog's roots.  The
+``oracle_check`` matches its brackets against the catalog's roots.  Its
+degenerate-everywhere test is relative to the target's scale.  The
 catalog keeps the first entry of each ``network._greedy_groups`` group.
 """
 
@@ -36,8 +40,8 @@ from .errors import (DegenerateEnumerationError, FinitenessError,
                      NonsmoothPointError)
 from .landscape import CritClass, classify, grad, hessian_fd, risk
 from .network import Params, Realization, _greedy_groups, canonical
-from .polyalg import (PiecewisePolynomial, _divexact, _eval_asc, collapse_roots,
-                      reparametrize, roots_in)
+from .polyalg import (PiecewisePolynomial, _divexact, _eval_asc, _gcd, reparametrize,
+                      roots_in)
 from .target import BenchmarkTarget, Target
 
 __all__ = [
@@ -52,7 +56,6 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-9
-VW_EXCLUSION_TOL = 1e-12
 DEDUP_DEFAULT = 1e-8
 ORACLE_RESOLUTION = 1e-3
 
@@ -161,17 +164,18 @@ def _kink_equations(g: _GridMoments, decreasing: bool) -> list[list[int]]:
     return out
 
 
-def _kink_roots(f01: PiecewisePolynomial, g: _GridMoments, decreasing: bool) -> KinkRoots:
-    """Roots of one orientation's kink equation in (0,1), decided exactly
-    on g's grid, split into admissible kink positions and those excluded
-    by a vanishing slope.  f01 is that orientation's target on [0, 1]."""
+def _kink_roots(g: _GridMoments, decreasing: bool) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Roots of one orientation's kink equation in (0,1), in that
+    orientation's q, decided exactly on g's grid: the admissible kink
+    positions and those excluded by a vanishing slope, each sorted."""
     S = g.cuts[-1]
     last = len(g.cuts) - 2
-    found: set[tuple[int, int]] = set()
+    admissible, excluded = set(), set()
     for j, D in enumerate(_kink_equations(g, decreasing)):
+        # the zero-slope numerator q T0 - int_0^q f, up to sign and scale
+        Z = _combine(([0, g.t0], [1]), ([-S], g.p0[j]))
         if not D:
-            # the zero-slope numerator q T0 - int_0^q f, up to sign and scale
-            if _combine(([0, g.t0], [1]), ([-S], g.p0[j])):
+            if Z:
                 raise DegenerateEnumerationError(
                     f"kink equation vanished identically on piece {j} "
                     "without the zero-slope degeneracy")
@@ -182,22 +186,16 @@ def _kink_roots(f01: PiecewisePolynomial, g: _GridMoments, decreasing: bool) -> 
             D = _divexact(D, [0, 0, 1] if decreasing else [0, 1])
         if j == last:
             D = _divexact(D, [-S, 1] if decreasing else [S * S, -2 * S, 1])
-        found.update(roots_in(D, g.cuts[j], g.cuts[j + 1]))
-
-    T0 = f01.moment(0, 0.0, 1.0)
-    admissible: list[float] = []
-    excluded: list[float] = []
-    for a, b in found:
-        q = (2 * S - a - b if decreasing else a + b) / (2 * S)
-        if not (1e-9 < q < 1.0 - 1e-9):
-            continue  # boundary kinks reduce to the affine/constant cases
-        int0q = f01.moment(0, 0.0, q)
-        if abs(T0 - int0q / q) <= VW_EXCLUSION_TOL:
-            excluded.append(q)
-        else:
-            admissible.append(q)
-    return KinkRoots(f01, tuple(collapse_roots(admissible)),
-                     tuple(collapse_roots(excluded)))
+        lo, hi = g.cuts[j], g.cuts[j + 1]
+        cells = roots_in(D, lo, hi)
+        # a zero-slope root is a common root of D and Z
+        G = _gcd(D, Z) if cells else []
+        zero_slope = roots_in(G, lo, hi) if len(G) > 1 else []
+        for a, b in cells:
+            q = (2 * S - a - b if decreasing else a + b) / (2 * S)
+            if 0.0 < q < 1.0:
+                (excluded if (a, b) in zero_slope else admissible).add(q)
+    return tuple(sorted(admissible)), tuple(sorted(excluded))
 
 
 def _increasing_solution(f01: PiecewisePolynomial, q: float) -> KinkSolution:
@@ -343,9 +341,9 @@ def enumerate_all(t: Target, dedup: float = DEDUP_DEFAULT) -> CriticalCatalog:
             "polynomial target")
     f01 = _on_unit(t.pp, *t.domain)
     g = _grid_moments(t.pp)
-    inc = _kink_roots(f01, g, False)
+    inc = KinkRoots(f01, *_kink_roots(g, False))
     kinks = [_increasing_solution(f01, q) for q in inc.admissible]
-    dec = _kink_roots(_on_unit(f01, 1.0, 0.0), g, True)
+    dec = KinkRoots(_on_unit(f01, 1.0, 0.0), *_kink_roots(g, True))
     kinks += sorted((_decreasing_solution(f01, _increasing_solution(dec.f01, q))
                      for q in dec.admissible), key=lambda s: s.q)
 
@@ -392,8 +390,7 @@ def grid_oracle(f01: PiecewisePolynomial) -> GridOracleReport:
     m = int(round(1.0 / ORACLE_RESOLUTION))
     grid = np.arange(1, m) / m
     vals = _kink_residual(f01, grid)
-    scale = max(1.0, f01.coeff_scale())
-    if np.max(np.abs(vals)) <= 1e-12 * scale:
+    if np.max(np.abs(vals)) <= 1e-12 * f01.coeff_scale():
         return GridOracleReport(brackets=(), degenerate_everywhere=True)
     qs, vals = grid.tolist(), vals.tolist()
     brackets = []

@@ -22,6 +22,7 @@ from .landscape import (HessianReport, _coord_indices, _running_sums, closed_hes
                         grad, hessian_fd, risk, risk_theta)
 from .network import Params
 from .target import BenchmarkTarget
+from .train import _rng
 
 __all__ = [
     "MinimaSample",
@@ -53,10 +54,6 @@ class MinimaSample:
     y: float
     inactive: tuple[tuple[float, float, float], ...]  # (w_j, b_j, v_j), j >= 2
     theta: Params
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _draw_inactive(rng: np.random.Generator, count: int, a: float, b: float):

@@ -11,7 +11,8 @@ The table builder ``_running_table`` and the continuity test
 ``_discontinuous`` also serve ``target.BenchmarkTarget``.
 Real-root isolation (``roots_in``) is exact: it takes a polynomial with
 integer coefficients and integer ends, counts roots with an integer Sturm
-chain and bisects on the integers, so it needs no tolerance.
+chain and bisects on the integers, so it needs no tolerance; ``_gcd``
+holds the common roots of two integer polynomials, also exactly.
 All values are immutable and the operations are pure; the tables are
 caches built on first use.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,12 +31,8 @@ __all__ = [
     "Polynomial",
     "PiecewisePolynomial",
     "roots_in",
-    "collapse_roots",
     "reparametrize",
 ]
-
-# Roots closer than this are collapsed to a single representative.
-ROOT_CLUSTER_TOL = 1e-9
 
 
 class Polynomial:
@@ -301,6 +298,16 @@ def _prem(num: list[int], den: list[int]) -> list[int]:
     return num
 
 
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """A greatest common divisor of two integer polynomials, up to a
+    constant factor, by Euclid's algorithm on primitive pseudo-remainders."""
+    while b:
+        a, b = b, _prem(a, b)
+        if b:
+            b = _primitive(b)
+    return _primitive(a)
+
+
 def _sturm_chain(p: list[int]) -> list[list[int]]:
     """Sturm chain of p's square-free part.  The primitive pseudo-remainder
     sequence p, p', -rem, ... keeps each remainder's sign; its last element
@@ -372,12 +379,3 @@ def roots_in(p: Sequence[int], lo: int, hi: int) -> list[tuple[int, int]]:
             stack += [(m, b, vm, vb), (a, m, va, vm)]
     return sorted(found)
 
-
-def collapse_roots(roots: Iterable[float]) -> list[float]:
-    """The roots sorted, dropping each one closer than ROOT_CLUSTER_TOL to
-    the last one kept."""
-    out: list[float] = []
-    for r in sorted(roots):
-        if not (out and r - out[-1] < ROOT_CLUSTER_TOL):
-            out.append(r)
-    return out

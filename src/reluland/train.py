@@ -65,6 +65,11 @@ def xavier_var(H: int) -> float:
     return 2.0 / (1.0 + H)
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The Philox(seed) generator of every seeded draw in the package."""
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
 def xavier_init(H: int, seed: int) -> Params:
     """Zero-bias initialization with fan-scaled normal weights.
 
@@ -74,7 +79,7 @@ def xavier_init(H: int, seed: int) -> Params:
     """
     if H < 1:
         raise DomainError("H must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _rng(seed)
     sd = math.sqrt(xavier_var(H))
     w = rng.normal(0.0, sd, H)
     v = rng.normal(0.0, sd, H)

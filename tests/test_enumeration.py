@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from reluland import (BenchmarkTarget, Params, PolyTarget, enumerate_all, grad,
                       grid_oracle, l2_distance, oracle_check)
-from reluland.enumeration import (_grid_moments, _kink_equations, _kink_residual,
-                                  _kink_roots, _on_unit)
+from reluland.enumeration import (CriticalCatalog, KinkRoots, _grid_moments,
+                                  _kink_equations, _kink_residual, _kink_roots,
+                                  _on_unit)
 from reluland.errors import DegenerateEnumerationError, FinitenessError
 from reluland.network import Realization, canonical
 from reluland.polyalg import PiecewisePolynomial, Polynomial, reparametrize
@@ -264,7 +265,7 @@ def _scalar_scan(f01, resolution):
     m = int(round(1.0 / resolution))
     qs = [k / m for k in range(1, m)]
     vals = [_scalar_kink_residual(f01, q) for q in qs]
-    if max(abs(v) for v in vals) <= 1e-12 * max(1.0, f01.coeff_scale()):
+    if max(abs(v) for v in vals) <= 1e-12 * f01.coeff_scale():
         return (), True
     brackets = []
     for q0, q1, v0, v1 in zip(qs, qs[1:], vals, vals[1:]):
@@ -323,14 +324,13 @@ def _reference_oracle_check(t, resolution=1e-3):
         brackets, degenerate = _scalar_scan(pp, resolution)
         if degenerate:
             try:
-                roots = list(_kink_roots(pp, g, decreasing).admissible)
+                roots = list(_kink_roots(g, decreasing)[0])
             except DegenerateEnumerationError:
                 return False
             if roots:
                 return False
             continue
-        kr = _kink_roots(pp, g, decreasing)
-        roots, excluded = list(kr.admissible), list(kr.excluded)
+        roots, excluded = map(list, _kink_roots(g, decreasing))
         candidates = sorted(roots + excluded)
         used = [False] * len(candidates)
         for lo, hi in brackets:
@@ -365,6 +365,71 @@ def test_oracle_check_reads_catalog_like_rescan(pp):
     except DegenerateEnumerationError:
         return  # no catalog, so the command never runs the oracle
     assert oracle_check(cat, _oracle_reports(cat)) == _reference_oracle_check(t)
+
+
+def _roots_and_oracle(pp):
+    """Per orientation (admissible, excluded, oracle brackets), and the
+    oracle verdict; without the catalog lifts, whose residual tolerance is
+    absolute."""
+    f01 = _normalized01(PolyTarget(pp))
+    g = _grid_moments(pp)
+    orientations = tuple(KinkRoots(f, *_kink_roots(g, decreasing))
+                         for f, decreasing in ((f01, False), (_reflect01(f01), True)))
+    reports = tuple(grid_oracle(kr.f01) for kr in orientations)
+    verdict = oracle_check(CriticalCatalog((), orientations, ()), reports)
+    return [(kr.admissible, kr.excluded, rep.brackets)
+            for kr, rep in zip(orientations, reports)], verdict
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(piecewise_polys(), st.sampled_from((-60, -40, -20, 20)))
+# x^2 - 1 on [-1, -0.5]: at 2**-60 an absolute zero-slope tolerance once
+# excluded its decreasing kink root at q = 0.1196
+@example(PiecewisePolynomial([-1.0, -0.5], [Polynomial([-1.0, 0.0, 1.0])]), -60)
+def test_kink_roots_and_oracle_are_scale_invariant(pp, k):
+    # scaling by 2**k is exact in every float step, the integer kink
+    # equations only change by a positive factor, and the oracle's
+    # degenerate test is relative: no root, bracket or verdict may move
+    assume(all(abs(c) > 1e-200 for p in pp.pieces for c in p.coeffs if c))
+    assert _roots_and_oracle(pp.scale(2.0 ** k)) == _roots_and_oracle(pp)
+
+
+def test_small_breakpoint_root_target_passes_oracle():
+    # the breakpoint-root target times 1e-6; an absolute floor under the
+    # oracle's degenerate test once failed it
+    cat = enumerate_all(poly_target([-0.5, 0.0, 0.5],
+                                    [[5.00005e-07, 1e-11], [5.00005e-07]]))
+    assert oracle_check(cat, _oracle_reports(cat))
+
+
+def test_dyadic_target_excludes_its_exact_zero_slope_root():
+    # symmetric about 1/2; q = 1/2 is an exact common root of the kink
+    # equation and the zero-slope numerator in both orientations
+    cat = enumerate_all(poly_target([0.0, 0.5, 1.0], [[2, -24, 48], [26, -72, 48]]))
+    for kr in cat.orientations:
+        assert kr.excluded == (0.5,)
+        assert kr.admissible == (0.2689805364075844, 0.8931498239234456)
+    assert oracle_check(cat, _oracle_reports(cat))
+
+
+@pytest.mark.xfail(strict=True, raises=DegenerateEnumerationError,
+                   reason="absolute RESIDUAL_TOL on a correctly rounded affine lift")
+def test_catalog_large_coefficient_target():
+    # the affine lift's |grad| is 7.85e-9 beside coefficients of 4e3; no
+    # double lies much closer to the exact lift
+    cat = enumerate_all(poly_target([0.0, 0.22, 1.0], [
+        [4.0, -15.0, -16.0, 20.0, 7.0, 6.0, 5.0],
+        [601.9490598512639, -3776.0, 3753.0, 4070.0, 1058.0, 2027.0, 3739.0]]))
+    assert oracle_check(cat, _oracle_reports(cat))
+
+
+@pytest.mark.xfail(strict=True, raises=DegenerateEnumerationError,
+                   reason="affine lift solves raw-moment normal equations about 0")
+def test_catalog_affine_target_far_from_zero():
+    # 1 + 2x on [1000, 1000.5]: the ill-conditioned fit leaves |grad| =
+    # 0.00555 on the affine lift, which should fit the target exactly
+    cat = enumerate_all(poly_target([1000.0, 1000.5], [[1.0, 2.0]]))
+    assert cat.entries[0].kind == "affine"
 
 
 def test_single_relu_with_kink_on_breakpoint_passes_oracle():

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from reluland.errors import DomainError, IdenticallyZeroError
-from reluland.polyalg import PiecewisePolynomial, Polynomial, reparametrize, roots_in
+from reluland.polyalg import (PiecewisePolynomial, Polynomial, _gcd, _prem, reparametrize,
+                              roots_in)
 
 from conftest import (domain_points, piecewise_polys, random_continuous_piecewise,
                       rng_for)
@@ -219,6 +220,28 @@ def test_roots_in_reports_each_planted_root_once(factors, lead, lo, hi):
         alone = sum(cell <= s <= cell + 1 for s in mult) == 1
         if r.denominator > 1 and alone and mult[r] % 2:
             assert _eval(p, cell) * _eval(p, cell + 1) < 0
+
+
+def _times(a, b):
+    """The product of two integer polynomials, trailing zeros stripped."""
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+_int_polys = st.lists(st.integers(-50, 50), max_size=5)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_int_polys, _int_polys, _int_polys.filter(lambda p: p and p[-1]))
+def test_gcd_is_divisible_by_a_common_factor(a, b, c):
+    assume(any(a) or any(b))
+    g = _gcd(_times(a, c), _times(b, c))
+    assert g and not _prem(g, c)
 
 
 def _eval(p, x):
