@@ -8,10 +8,10 @@ deduplication) and ``gf`` (gradient-flow integration).
 
 Exit codes: 0 success, 1 certificate/assertion failure, 2 usage or input
 error.  The library checks its own inputs, and the command group maps its
-input errors to exit 2 in one place; ``train`` and ``enumerate`` take
-their defaults from ``TrainConfig`` and ``DEDUP_DEFAULT``.  Reports are
-JSON (schema_version 1; schemas in docs/schemas/), realizations export
-as CSV, and ``train --svg`` also emits a minimal polyline overlay plot.
+input errors to exit 2 in one place; ``train`` takes its defaults from
+``TrainConfig``.  Reports are JSON (schema_version 1; schemas in
+docs/schemas/), realizations export as CSV, and ``train --svg`` also
+emits a minimal polyline overlay plot.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (AccuracyError, DegenerateEnumerationError, DomainError,
                      FinitenessError)
 from .minima import certify_family
 from .network import params_from_json, uniform_grid, write_realization_csv
-from .enumeration import DEDUP_DEFAULT, enumerate_all, grid_oracle, oracle_check
+from .enumeration import enumerate_all, grid_oracle, oracle_check
 from .target import BenchmarkTarget, parse_target_json
 from .train import TrainConfig, ensemble, gf_run, xavier_init, xavier_var
 
@@ -156,16 +156,15 @@ def cmd_minima(alpha, beta, a_, b_, width, samples, xs, y_, seed, gap, p_, eps,
 
 @main.command("enumerate")
 @click.option("--target", "target_file", required=True, type=click.Path())
-@click.option("--dedup", type=RATIONAL, default=DEDUP_DEFAULT, show_default=True)
 @click.option("--grid", "grid_n", type=click.IntRange(min=2), default=256,
               show_default=True, help="Samples per realization in the CSV export.")
 @click.option("--out", "out_dir", default=".", show_default=True)
 @click.option("--force", is_flag=True)
-def cmd_enumerate(target_file, dedup, grid_n, out_dir, force):
+def cmd_enumerate(target_file, grid_n, out_dir, force):
     """Enumerate all width-1 critical realizations of a continuous
     piecewise-polynomial target and cross-check with the grid oracle."""
     t = _load_target(target_file)
-    catalog = enumerate_all(t, dedup=dedup)
+    catalog = enumerate_all(t)
     reports = tuple(grid_oracle(kr.f01) for kr in catalog.orientations)
     oracle_ok = oracle_check(catalog, reports)
     entries = [{"kind": e.kind, "q": e.q, "c": e.c, "vw": e.vw,

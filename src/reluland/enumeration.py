@@ -26,7 +26,8 @@ exact roots come from the target's doubles, not from the normalized
 target, so an error in either route cannot hide in both;
 ``oracle_check`` matches its brackets against the catalog's roots.  Its
 degenerate-everywhere test is relative to the target's scale.  The
-catalog keeps the first entry of each ``network._greedy_groups`` group.
+catalog lists each realization once: a kink entry is never affine, and the
+affine entry is left out when its slope is exactly 0 on the same grid.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import (DegenerateEnumerationError, FinitenessError,
                      NonsmoothPointError)
 from .landscape import CritClass, classify, grad, hessian_fd, risk
-from .network import Params, Realization, _greedy_groups, canonical
+from .network import Params, Realization, canonical
 from .polyalg import (PiecewisePolynomial, _divexact, _eval_asc, _gcd, reparametrize,
                       roots_in)
 from .target import BenchmarkTarget, Target
@@ -56,7 +57,6 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-9
-DEDUP_DEFAULT = 1e-8
 ORACLE_RESOLUTION = 1e-3
 
 
@@ -255,7 +255,7 @@ class CatalogEntry:
 class CriticalCatalog:
     kinks: tuple[KinkSolution, ...]
     orientations: tuple[KinkRoots, KinkRoots]  # (increasing, decreasing)
-    entries: tuple[CatalogEntry, ...]  # deduplicated, sorted by risk
+    entries: tuple[CatalogEntry, ...]  # distinct realizations, sorted by risk
 
 
 def _lift_constant(t: Target) -> Params:
@@ -329,7 +329,7 @@ def _entry(t: Target, kind: str, theta: Params,
     )
 
 
-def enumerate_all(t: Target, dedup: float = DEDUP_DEFAULT) -> CriticalCatalog:
+def enumerate_all(t: Target) -> CriticalCatalog:
     """Catalog of all critical realization functions for H = 1.
 
     Rejects the benchmark target: its middle piece is not polynomial, so
@@ -347,15 +347,15 @@ def enumerate_all(t: Target, dedup: float = DEDUP_DEFAULT) -> CriticalCatalog:
     kinks += sorted((_decreasing_solution(f01, _increasing_solution(dec.f01, q))
                      for q in dec.admissible), key=lambda s: s.q)
 
-    entries = [_entry(t, "constant", _lift_constant(t)),
-               _entry(t, "affine", _lift_affine(t))]
+    entries = [_entry(t, "constant", _lift_constant(t))]
+    # the affine fit is the constant iff int (x - m) f = 0, m the midpoint
+    if 2 * g.t1 != g.cuts[-1] * g.t0:
+        entries.append(_entry(t, "affine", _lift_affine(t)))
     for sol in kinks:
         entries.append(_entry(t, f"kink_{sol.orientation}", _lift_kink(t, sol), sol))
-
-    kept = [entries[g[0]] for g in _greedy_groups([e.realization for e in entries], dedup)]
-    kept.sort(key=lambda e: e.risk)
+    entries.sort(key=lambda e: e.risk)  # stable: ties keep this order
     return CriticalCatalog(kinks=tuple(kinks), orientations=(inc, dec),
-                           entries=tuple(kept))
+                           entries=tuple(entries))
 
 
 @dataclass(frozen=True)

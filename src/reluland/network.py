@@ -19,7 +19,7 @@ a kink on a domain endpoint.
 piecewise-linear function given by sorted interior kinks, per-segment
 slopes and the value at the left endpoint.  Distinct parameter vectors
 with the same realization canonicalize identically, which is what the
-L2 grouping ``_greedy_groups`` of GD runs and catalog entries relies on.
+L2 grouping ``_greedy_groups`` of GD runs relies on.
 """
 
 from __future__ import annotations

@@ -190,8 +190,8 @@ class BenchmarkTarget:
     def _to_u(self, x: float) -> float:
         if x < self.a or x > self.b:
             raise DomainError(f"{x!r} outside target domain [{self.a!r}, {self.b!r}]")
-        u = (x - self.a) / (self.b - self.a)
-        return min(max(u, 0.0), 1.0)
+        # in [0, 1]: rounding is monotone, and (b - a) / (b - a) is 1
+        return (x - self.a) / (self.b - self.a)
 
     def eval_normalized(self, u: float) -> float:
         """Unscaled value of the normalized target at u in [0, 1]."""
@@ -210,8 +210,7 @@ class BenchmarkTarget:
         since it divides by zero at u = 1."""
         if xs.size and (xs.min() < self.a or xs.max() > self.b):
             raise DomainError(f"a point lies outside the target domain [{self.a!r}, {self.b!r}]")
-        # in [0, 1] without _to_u's clamp: rounding is monotone, and
-        # (b - a) / (b - a) is 1
+        # in [0, 1], as in _to_u
         u = (xs - self.a) / (self.b - self.a)
         out = np.where(u <= self.alpha, self._left(u), self._right(u))
         mid = (u > self.alpha) & (u <= self.beta)

@@ -253,6 +253,9 @@ INPUT_ERRORS = {
     # the affine lift's moment determinant -(b-a)^4/12 underflows to 0
     "enumerate-narrow-domain": (["enumerate", "--target", "narrow_target.json"],
                                 "catalog.json"),
+    # the catalog's count is exact, with no L2 tolerance to set
+    "enumerate-dedup": (["enumerate", "--target", "xsq.json", "--dedup", "1e-8"],
+                        "catalog.json"),
     "minima-h-0": (["minima", "--h", "0"], "minima_report.json"),
     "minima-samples-0": (["minima", "--samples", "0"], "minima_report.json"),
     "minima-y-0": (["minima", "--y", "0"], "minima_report.json"),
@@ -267,6 +270,7 @@ INPUT_ERRORS = {
 
 @pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
 def test_input_error_exits_2_without_report(tmp_path, case):
+    write_xsq(tmp_path)
     (tmp_path / "nan_theta.json").write_text('{"H": 1, "theta": [NaN, 0.0, 1.0, 0.0]}')
     (tmp_path / "bad_theta.json").write_text('{"H": 1, "theta": [1.0]}')
     (tmp_path / "nan_target.json").write_text(
@@ -292,7 +296,7 @@ def test_input_error_exits_2_without_report(tmp_path, case):
 
 
 def test_enumerate_degenerate_input_exits_2(tmp_path, monkeypatch):
-    def degenerate(t, dedup):
+    def degenerate(t):
         raise DegenerateEnumerationError("kink equation vanished identically")
 
     monkeypatch.setattr("reluland.cli.enumerate_all", degenerate)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from reluland import (BenchmarkTarget, Params, PolyTarget, enumerate_all, grad,
                       grid_oracle, l2_distance, oracle_check)
@@ -52,8 +52,8 @@ def test_enum_constant_examples():
 
 
 def test_enum_affine_examples(xsq):
-    # the slope-0 fit of a constant target is deduplicated into the constant
-    # entry: test_catalog_constant_target_single_entry
+    # a constant target's fit has slope exactly 0, so its catalog lists no
+    # affine entry: test_catalog_constant_target_single_entry
     r = _entry_realization(poly_target([0.0, 1.0], [[0.0, 2.0]]), "affine")
     assert r.slopes[0] == pytest.approx(2.0)
     assert r.offset == pytest.approx(0.0, abs=1e-14)
@@ -189,6 +189,23 @@ def test_catalog_constant_target_single_entry():
     cat = enumerate_all(poly_target([0.0, 1.0], [[5.0]]))
     assert len(cat.entries) == 1
     assert cat.entries[0].risk <= 1e-14
+
+
+@pytest.mark.parametrize("breakpoints, pieces, kinds, fits_exactly", [
+    # 0.3 joined to a ramp of slope 1e-6 at 0.95: the kink at 0.95 is the
+    # target itself, and all three entries lie within L2 1e-8 of each other
+    ([0.0, 0.95, 1.0], [[0.3], [0.3 - 0.95e-6, 1e-6]],
+     ["kink_increasing", "constant", "affine"], True),
+    # x^2 on [-1, 1]: the affine fit has slope exactly 0, so it is the constant
+    ([-1.0, 1.0], [[0.0, 0.0, 1.0]], ["kink_increasing", "kink_decreasing", "constant"],
+     False),
+])
+def test_catalog_lists_each_distinct_realization_once(breakpoints, pieces, kinds,
+                                                      fits_exactly):
+    cat = enumerate_all(poly_target(breakpoints, pieces))
+    assert [e.kind for e in cat.entries] == kinds
+    assert len(cat.entries) == 1 + ("affine" in kinds) + len(cat.kinks)
+    assert (cat.entries[0].risk == 0.0) == fits_exactly
 
 
 def test_catalog_rejects_benchmark(bench):
@@ -392,6 +409,28 @@ def test_kink_roots_and_oracle_are_scale_invariant(pp, k):
     # degenerate test is relative: no root, bracket or verdict may move
     assume(all(abs(c) > 1e-200 for p in pp.pieces for c in p.coeffs if c))
     assert _roots_and_oracle(pp.scale(2.0 ** k)) == _roots_and_oracle(pp)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(piecewise_polys(), st.sampled_from((-60, -40, -20)))
+# 1 + x on [-1, -0.5]: at 2**-60 an L2 grouping once merged its exact
+# affine fit (risk 0) into the constant
+@example(PiecewisePolynomial([-1.0, -0.5], [Polynomial([1.0, 1.0])]), -60)
+def test_catalog_is_scale_invariant(pp, k):
+    # scaling by 2**k, k < 0, is exact in every float step of the lifts and
+    # risks; k > 0 is left out, since the lifts' RESIDUAL_TOL is absolute
+    assume(all(abs(c) > 1e-100 for p in pp.pieces for c in p.coeffs if c))
+    try:
+        cat = enumerate_all(PolyTarget(pp))
+    except DegenerateEnumerationError:
+        reject()
+    s = 2.0 ** k
+    scaled = enumerate_all(PolyTarget(pp.scale(s)))
+    assert [(e.kind, e.q) for e in scaled.entries] == [(e.kind, e.q) for e in cat.entries]
+    for e, f in zip(cat.entries, scaled.entries):
+        assert f.risk == e.risk * 4.0 ** k
+        if e.c is not None:
+            assert (f.c, f.vw) == (e.c * s, e.vw * s)
 
 
 def test_small_breakpoint_root_target_passes_oracle():

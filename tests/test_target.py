@@ -5,7 +5,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from reluland import BenchmarkTarget, PolyTarget, parse_target_json
 from reluland.errors import DomainError
@@ -74,6 +74,20 @@ def test_benchmark_eval_array_matches_eval(t):
             assert g.hex() == want.hex(), x
     with pytest.raises(DomainError):
         t.eval_array(np.array([t.a, math.nextafter(t.b, math.inf)]))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_benchmark_to_u_lies_in_unit_interval(data):
+    # _to_u has no clamp: rounding is monotone, so a <= x <= b gives
+    # 0 <= x - a <= b - a, and (b - a) / (b - a) is 1
+    ends = st.floats(-1e300, 1e300)
+    a, b = data.draw(ends), data.draw(ends)
+    assume(a < b)
+    t = BenchmarkTarget(0.25, 0.5, a, b)
+    assert t._to_u(a) == 0.0 and t._to_u(b) == 1.0
+    x = data.draw(st.one_of(st.sampled_from((a, b)), st.floats(a, b)))
+    assert 0.0 <= t._to_u(x) <= 1.0
 
 
 def test_benchmark_continuity_random_pairs():
