@@ -8,8 +8,7 @@ gradient-flow experiments.
 """
 
 from .errors import (AccuracyError, DegenerateEnumerationError, DomainError,
-                     FinitenessError, IdenticallyZeroError, NonsmoothPointError,
-                     NotCriticalError)
+                     NonsmoothPointError)
 from .polyalg import PiecewisePolynomial, Polynomial, reparametrize, roots_in
 from .target import BenchmarkTarget, PolyTarget, Target, parse_target_json
 from .network import (Params, Realization, SmoothActivation, canonical,

@@ -7,8 +7,9 @@ piecewise-polynomial target), ``train`` (GD ensemble with greedy L2
 deduplication) and ``gf`` (gradient-flow integration).
 
 Exit codes: 0 success, 1 certificate/assertion failure, 2 usage or input
-error.  The library checks its own inputs, and the command group maps its
-input errors to exit 2 in one place; ``train`` takes its defaults from
+error.  The library checks its own inputs and raises ``DomainError`` (or a
+subclass) for any input it cannot handle; the command group maps that one
+class to exit 2 in one place; ``train`` takes its defaults from
 ``TrainConfig``.  Reports are JSON (schema_version 1; schemas in
 docs/schemas/), realizations export as CSV, and ``train --svg`` also
 emits a minimal polyline overlay plot.
@@ -24,8 +25,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .errors import (AccuracyError, DegenerateEnumerationError, DomainError,
-                     FinitenessError)
+from .errors import DomainError
 from .minima import certify_family
 from .network import params_from_json, uniform_grid, write_realization_csv
 from .enumeration import enumerate_all, grid_oracle, oracle_check
@@ -80,21 +80,15 @@ def _load_target(target_file: str):
     return parse_target_json(text)
 
 
-# library errors that mean the input is outside what a command can handle
-_INPUT_ERRORS = (DomainError, FinitenessError, DegenerateEnumerationError, AccuracyError)
-
-
 class _Main(click.Group):
-    """Reports every library input error as a usage error (exit 2)."""
+    """Reports every library input error, a DomainError, as a usage error
+    (exit 2)."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except _INPUT_ERRORS as exc:
-            msg = str(exc)
-            if isinstance(exc, AccuracyError):
-                msg += f" (estimate {exc.estimate!r}, error {exc.error!r})"
-            raise click.UsageError(msg) from exc
+        except DomainError as exc:
+            raise click.UsageError(str(exc)) from exc
 
 
 @click.group(cls=_Main)

@@ -37,8 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateEnumerationError, FinitenessError,
-                     NonsmoothPointError)
+from .errors import DegenerateEnumerationError, DomainError, NonsmoothPointError
 from .landscape import CritClass, classify, grad, hessian_fd, risk
 from .network import Params, Realization, canonical
 from .polyalg import (PiecewisePolynomial, _divexact, _eval_asc, _gcd, reparametrize,
@@ -336,7 +335,7 @@ def enumerate_all(t: Target) -> CriticalCatalog:
     the finiteness hypothesis behind the enumeration does not apply.
     """
     if isinstance(t, BenchmarkTarget):
-        raise FinitenessError(
+        raise DomainError(
             "finiteness hypothesis violated: enumeration needs a piecewise-"
             "polynomial target")
     f01 = _on_unit(t.pp, *t.domain)

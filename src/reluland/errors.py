@@ -1,39 +1,32 @@
-"""Shared exception types."""
+"""The one input-error type and its three named kinds.
+
+Every input an operation cannot handle raises ``DomainError`` or one of
+its subclasses, so callers (the CLI among them) catch that one class.
+The subclasses exist only where a caller catches or reads them by name.
+"""
 
 
 class DomainError(ValueError):
-    """An argument lies outside the domain an operation is defined on."""
+    """An argument lies outside what an operation can handle."""
 
 
-class AccuracyError(RuntimeError):
+class AccuracyError(DomainError):
     """Adaptive quadrature failed to reach the requested tolerance.
 
     Carries the best estimate so callers can decide whether to proceed.
     """
 
     def __init__(self, message, estimate, error):
-        super().__init__(message)
+        super().__init__(f"{message} (estimate {estimate!r}, error {error!r})")
         self.estimate = estimate
         self.error = error
 
 
-class IdenticallyZeroError(ValueError):
-    """Root isolation was asked about a polynomial that is identically zero."""
-
-
-class DegenerateEnumerationError(RuntimeError):
+class DegenerateEnumerationError(DomainError):
     """The kink equation vanished identically on a piece without the
     matching zero-slope degeneracy; the input violates the enumeration
     hypotheses."""
 
 
-class FinitenessError(ValueError):
-    """Critical-point enumeration requires a piecewise-polynomial target."""
-
-
-class NonsmoothPointError(ValueError):
+class NonsmoothPointError(DomainError):
     """Finite-difference Hessians need a twice-differentiable point."""
-
-
-class NotCriticalError(ValueError):
-    """Classification requires the gradient norm to be (numerically) zero."""

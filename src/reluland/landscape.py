@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonsmoothPointError, NotCriticalError
+from .errors import DomainError, NonsmoothPointError
 from .network import (Params, SmoothActivation, _geometry_nodes, _kink_near_endpoint,
                       _pl_sq_integral)
 from .quadrature import adaptive_simpson_vec
@@ -273,7 +273,7 @@ def _coord_indices(H: int, coords: str) -> list[int]:
         return list(range(3 * H + 1))
     if coords == "restricted4":
         return [0, H, 2 * H, 3 * H]
-    raise ValueError("coords must be 'all' or 'restricted4'")
+    raise DomainError("coords must be 'all' or 'restricted4'")
 
 
 def _central(fn, th: list[float], i: int, h: float):
@@ -368,7 +368,7 @@ def classify(report: HessianReport, grad_norm: float,
     analytically known families the label is advisory.
     """
     if grad_norm >= 1e-6:
-        raise NotCriticalError(f"gradient max-norm {grad_norm:g} is not critical")
+        raise DomainError(f"gradient max-norm {grad_norm:g} is not critical")
     eig = report.eigenvalues
     lam_max = report.max_abs_eigenvalue
     if lam_max == 0.0:

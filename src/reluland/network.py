@@ -57,10 +57,10 @@ class Params:
 
     def __post_init__(self):
         if self.H < 1:
-            raise ValueError("H must be >= 1")
+            raise DomainError("H must be >= 1")
         if len(self.theta) != 3 * self.H + 1:
-            raise ValueError(f"theta must have length {3 * self.H + 1}, "
-                             f"got {len(self.theta)}")
+            raise DomainError(f"theta must have length {3 * self.H + 1}, "
+                              f"got {len(self.theta)}")
         object.__setattr__(self, "theta", tuple(float(x) for x in self.theta))
         if not all(map(math.isfinite, self.theta)):
             raise DomainError("theta must be finite")
@@ -70,7 +70,7 @@ class Params:
                    v: Sequence[float], c: float) -> "Params":
         H = len(w)
         if not (len(b) == len(v) == H):
-            raise ValueError("w, b, v must have equal length")
+            raise DomainError("w, b, v must have equal length")
         return cls(H, tuple(w) + tuple(b) + tuple(v) + (float(c),))
 
     def w(self, j: int) -> float:
@@ -124,7 +124,7 @@ class SmoothActivation:
 
     def __post_init__(self):
         if not (self.r >= 1 and math.isfinite(self.r)):
-            raise ValueError("sharpness r must be a finite number >= 1")
+            raise DomainError("sharpness r must be a finite number >= 1")
 
     def __call__(self, z: float) -> float:
         r = self.r
@@ -147,13 +147,13 @@ class Realization:
 
     def __post_init__(self):
         if not self.b > self.a:
-            raise ValueError("need b > a")
+            raise DomainError("need b > a")
         if len(self.slopes) != len(self.kinks) + 1:
-            raise ValueError("need len(slopes) == len(kinks) + 1")
+            raise DomainError("need len(slopes) == len(kinks) + 1")
         if any(k2 <= k1 for k1, k2 in zip(self.kinks, self.kinks[1:])):
-            raise ValueError("kinks must be strictly increasing")
+            raise DomainError("kinks must be strictly increasing")
         if self.kinks and (self.kinks[0] <= self.a or self.kinks[-1] >= self.b):
-            raise ValueError("kinks must be interior")
+            raise DomainError("kinks must be interior")
         nodes = (self.a,) + self.kinks + (self.b,)
         vals = [self.offset]
         for i, s in enumerate(self.slopes):
@@ -187,7 +187,7 @@ class Realization:
 def uniform_grid(a: float, b: float, n: int) -> list[float]:
     """n equally spaced points from a to b, n >= 2; the last one is b."""
     if n < 2:
-        raise ValueError("need n >= 2 sample points")
+        raise DomainError("need n >= 2 sample points")
     step = (b - a) / (n - 1)
     return [min(a + i * step, b) for i in range(n)]
 

@@ -94,7 +94,7 @@ def adaptive_gauss_kronrod(f: Callable[[float], float], a: float, b: float,
     the best estimate) if the panel budget is exhausted first.
     """
     if not tol > 0:
-        raise ValueError("tol must be positive")
+        raise DomainError("tol must be positive")
     pts = _split_points(a, b, breakpoints)
     heap = []  # (-err, lo, hi, value)
     total = 0.0
@@ -168,7 +168,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     raises DomainError if f is not finite at a point or the sum overflows,
     and AccuracyError, estimating the whole integral, past max_depth."""
     if not tol > 0:
-        raise ValueError("tol must be positive")
+        raise DomainError("tol must be positive")
     pts = _split_points(a, b, breakpoints)
     panels = []
     for lo, hi in zip(pts, pts[1:]):
@@ -188,8 +188,8 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
 def _eval_rows(f, xs: np.ndarray, dim: int) -> np.ndarray:
     vals = np.asarray(f(xs), dtype=float)
     if vals.shape != (len(xs), dim):
-        raise ValueError(f"integrand returned shape {vals.shape}, "
-                         f"expected {(len(xs), dim)}")
+        raise DomainError(f"integrand returned shape {vals.shape}, "
+                          f"expected {(len(xs), dim)}")
     if not np.isfinite(vals).all():
         x = float(xs[np.argmin(np.isfinite(vals).all(axis=1))])
         raise DomainError(f"integrand is not finite at x={x!r}")
@@ -245,7 +245,7 @@ def adaptive_simpson_vec(f: Callable[[np.ndarray], np.ndarray], a: float, b: flo
     unconverged panels' error estimates.
     """
     if not tol > 0:
-        raise ValueError("tol must be positive")
+        raise DomainError("tol must be positive")
     pts = np.array(_split_points(a, b, breakpoints))
     n = len(pts) - 1
     if n < 1:

@@ -57,7 +57,8 @@ class PolyTarget:
         # one row (A0, A0 start, F prefix, A1, A1 start, G prefix) per piece
         self._rows = tuple(zip(*pp._table(0), *pp._table(1)))
         sq = PiecewisePolynomial(pp.breakpoints, [p * p for p in pp.pieces])
-        self._sq_int = sq.moment(0, pp.lo, pp.hi)
+        # the running-integral difference can round below 0; the integral cannot
+        self._sq_int = max(sq.moment(0, pp.lo, pp.hi), 0.0)
         # finite coefficients can still overflow every risk evaluation
         if not math.isfinite(self._sq_int):
             raise DomainError("the integral of f**2 over the domain is not finite")
@@ -250,7 +251,7 @@ class BenchmarkTarget:
             elif method == "simpson":
                 quad = adaptive_simpson
             else:
-                raise ValueError(f"unknown quadrature method {method!r}")
+                raise DomainError(f"unknown quadrature method {method!r}")
             val = quad(lambda u: g(u) ** 2, 0.0, 1.0, SQ_TOL, breakpoints=(self.alpha, self.beta))
             self._sq_cache[method] = val
         return val
@@ -292,10 +293,7 @@ def parse_target_json(text: str) -> Target:
             pieces = [Polynomial([float(c) for c in cs]) for cs in doc["pieces"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad piecewise_poly spec: {exc}") from exc
-        try:
-            return PolyTarget(PiecewisePolynomial(bps, pieces, continuous=True))
-        except ValueError as exc:
-            raise DomainError(str(exc)) from exc
+        return PolyTarget(PiecewisePolynomial(bps, pieces, continuous=True))
     if kind == "benchmark":
         try:
             fields = [float(doc["alpha"]), float(doc["beta"]), float(doc.get("a", 0.0)),

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from reluland.cli import _write_json, main
+from reluland import errors
 from reluland.errors import AccuracyError, DegenerateEnumerationError
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -265,6 +266,21 @@ INPUT_ERRORS = {
     "minima-x-outside": (["minima", "--x", "0.9"], "minima_report.json"),
     "gf-t-end-0": (["gf", "--t-end", "0"], "gf_report.json"),
     "train-h-0": (["train", "--h", "0"], "ensemble_report.json"),
+    # far or wide domains and tiny y put a kink too near a domain end for
+    # the finite-difference Hessian (NonsmoothPointError)
+    "minima-far-domain": (["minima", "--a", "100000", "--b", "100001", "--samples", "1"],
+                          "minima_report.json"),
+    "minima-far-domain-gap": (["minima", "--a", "100000", "--b", "100001", "--samples", "1",
+                               "--gap"], "minima_report.json"),
+    "minima-shifted-domain": (["minima", "--a", "20000", "--b", "20001", "--samples", "1"],
+                              "minima_report.json"),
+    "minima-negative-domain": (["minima", "--a", "-100000", "--b", "-99999", "--samples", "1"],
+                               "minima_report.json"),
+    "minima-wide-domain": (["minima", "--a", "0", "--b", "100000000", "--samples", "1"],
+                           "minima_report.json"),
+    "minima-y-tiny": (["minima", "--samples", "1", "--y", "1e-8"], "minima_report.json"),
+    "minima-y-subnormal-scale": (["minima", "--samples", "1", "--y", "1e-300"],
+                                 "minima_report.json"),
 }
 
 
@@ -293,6 +309,13 @@ def test_input_error_exits_2_without_report(tmp_path, case):
     assert res.exit_code == 2, res.output
     assert sum(line.startswith("Error:") for line in res.output.splitlines()) == 1
     assert not (tmp_path / "out" / report).exists()
+
+
+def test_every_error_class_is_a_domain_error():
+    classes = [obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)]
+    assert len(classes) == 4
+    assert all(issubclass(cls, errors.DomainError) for cls in classes)
 
 
 def test_enumerate_degenerate_input_exits_2(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from reluland import (BenchmarkTarget, Params, PolyTarget, enumerate_all, grad,
 from reluland.enumeration import (CriticalCatalog, KinkRoots, _grid_moments,
                                   _kink_equations, _kink_residual, _kink_roots,
                                   _on_unit)
-from reluland.errors import DegenerateEnumerationError, FinitenessError
+from reluland.errors import DegenerateEnumerationError, DomainError
 from reluland.network import Realization, canonical
 from reluland.polyalg import PiecewisePolynomial, Polynomial, reparametrize
 
@@ -149,10 +149,14 @@ def _catalog_summary(cat, mirrored=False):
 @example(PiecewisePolynomial([-1.0, -0.75, -0.5], [
     Polynomial([1.0000004310305377, 4.3103053759902043e-07]),
     Polynomial([1.0000001077576346])]))
+# reflecting about the midpoint rounded 1 - 1.05e-45 to 1.0, a different target
+@example(PiecewisePolynomial([-1.0, -0.75, -0.5], [
+    Polynomial([1.0, 1.401298464324817e-45]), Polynomial([1.0])]))
 def test_catalog_reflection_symmetry(pp):
-    # f(lo + hi - x) has the catalog of f with the kink orientations swapped
+    # f(-x) on [-hi, -lo] has the catalog of f with the kink orientations
+    # swapped; reflecting about 0 only flips signs, so it is exact
     t = PolyTarget(pp)
-    mirror = PolyTarget(reparametrize(pp, -1.0, pp.lo + pp.hi))
+    mirror = PolyTarget(reparametrize(pp, -1.0, 0.0))
     got = _catalog_summary(enumerate_all(mirror), mirrored=True)
     want = _catalog_summary(enumerate_all(t))
     assert [r[0] for r in got] == [r[0] for r in want]
@@ -209,7 +213,7 @@ def test_catalog_lists_each_distinct_realization_once(breakpoints, pieces, kinds
 
 
 def test_catalog_rejects_benchmark(bench):
-    with pytest.raises(FinitenessError):
+    with pytest.raises(DomainError, match="finiteness"):
         enumerate_all(bench)
 
 

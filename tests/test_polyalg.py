@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from reluland.errors import DomainError, IdenticallyZeroError
+from reluland.errors import DomainError
 from reluland.polyalg import (PiecewisePolynomial, Polynomial, _gcd, _prem, reparametrize,
                               roots_in)
 
@@ -56,6 +56,17 @@ def test_moment_outside_domain():
     pp = PiecewisePolynomial([0.0, 1.0], [Polynomial([1.0])])
     with pytest.raises(DomainError):
         pp.moment(0, -0.5, 0.5)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (1.0, 3.0)])
+def test_moment_rejects_end_one_ulp_outside(lo, hi):
+    # no slack: an end one ulp past the domain is outside it
+    pp = PiecewisePolynomial([lo, hi], [Polynomial([1.0, 2.0])])
+    assert pp.moment(0, lo, hi) == pp.cum_moment(0, hi)
+    for ends in ((math.nextafter(lo, -math.inf), hi), (lo, math.nextafter(hi, math.inf)),
+                 (math.nan, hi), (lo, math.nan)):
+        with pytest.raises(DomainError, match="outside domain"):
+            pp.moment(0, *ends)
 
 
 def test_moment_matches_gauss_legendre():
@@ -169,9 +180,9 @@ def test_roots_none():
 
 
 def test_roots_zero_poly_raises():
-    with pytest.raises(IdenticallyZeroError):
+    with pytest.raises(DomainError, match="identically zero"):
         roots_in([], 0, 1)
-    with pytest.raises(IdenticallyZeroError):
+    with pytest.raises(DomainError, match="identically zero"):
         roots_in([0, 0], 0, 1)
 
 

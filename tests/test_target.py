@@ -220,6 +220,15 @@ def test_sq_int_examples():
     assert z.sq_integral() == 0.0
 
 
+def test_sq_int_poly_never_negative():
+    # the running-integral difference of f**2 once read -4.93e-32 here,
+    # where the exact value is about 1.4e-45
+    pp = PiecewisePolynomial([0.0, 0.005, 0.005000000000000001, 0.25, 0.5], [
+        Polynomial([]), Polynomial([-2.5000000000000004e-07, 0.0, 0.01]),
+        Polynomial([5.293955920339377e-23]), Polynomial([5.293955920339377e-23])])
+    assert PolyTarget(pp).sq_integral() >= 0.0
+
+
 def test_sq_int_benchmark_frozen(bench):
     gk = bench.sq_integral("gauss_kronrod")
     si = bench.sq_integral("simpson")
