@@ -12,7 +12,8 @@ subclass) for any input it cannot handle; the command group maps that one
 class to exit 2 in one place; ``train`` takes its defaults from
 ``TrainConfig``.  Reports are JSON (schema_version 1; schemas in
 docs/schemas/), realizations export as CSV, and ``train --svg`` also
-emits a minimal polyline overlay plot.
+emits a minimal polyline overlay plot.  A report that would hold inf or
+NaN is a ``DomainError`` and is not written, nor is any CSV after it.
 """
 
 from __future__ import annotations
@@ -69,7 +70,11 @@ def _out_path(out_dir: str, name: str, force: bool) -> Path:
 
 def _write_json(path: Path, doc: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION, **doc}
-    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"{path.name} not written: {exc}") from exc
+    path.write_text(text + "\n")
 
 
 def _load_target(target_file: str):

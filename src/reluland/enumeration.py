@@ -260,7 +260,7 @@ class CriticalCatalog:
 def _lift_constant(t: Target) -> Params:
     """The constant critical realization, the target's mean, at width 1."""
     a, b = t.domain
-    mean = (t.cum_int_xint(b)[0] - t.cum_int_xint(a)[0]) / (b - a)
+    mean = (t.end_ints[1][0] - t.end_ints[0][0]) / (b - a)
     # kink parked right of the domain: the neuron never activates
     return Params.from_parts([1.0], [-(b + 0.5 * (b - a))], [1.0], mean)
 
@@ -276,8 +276,7 @@ def _lift_affine(t: Target) -> Params:
     m0 = b - a
     m1 = (b * b - a * a) / 2.0
     m2 = (b ** 3 - a ** 3) / 3.0
-    Fa, Ga = t.cum_int_xint(a)
-    Fb, Gb = t.cum_int_xint(b)
+    (Fa, Ga), (Fb, Gb) = t.end_ints
     f0 = Fb - Fa
     f1 = Gb - Ga
     det = m1 * m1 - m0 * m2  # = -(b-a)^4 / 12

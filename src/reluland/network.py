@@ -17,9 +17,9 @@ a kink on a domain endpoint.
 
 ``canonical`` reduces a parameter vector to its realization: a continuous
 piecewise-linear function given by sorted interior kinks, per-segment
-slopes and the value at the left endpoint.  Distinct parameter vectors
-with the same realization canonicalize identically, which is what the
-L2 grouping ``_greedy_groups`` of GD runs relies on.
+slopes and the value at the left endpoint, decided with no tolerance.
+Parameter vectors with the same realization may still differ in the last
+bits, so ``_greedy_groups`` groups GD runs by L2 distance.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ __all__ = [
     "params_from_json",
     "write_realization_csv",
 ]
-
-KINK_MERGE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Params:
@@ -275,8 +272,8 @@ def canonical(p: Params, a: float, b: float) -> Realization:
     """Canonical piecewise-linear form of the realization on [a, b].
 
     Adds each neuron's slope contribution v_j*w_j at the ends of its
-    active span, merges kinks that coincide within 1e-12 and drops kinks
-    with no slope change.
+    active span; neurons whose kinks are the same double sum into one
+    node, and a node is a kink exactly when that sum is nonzero.
     """
     if not b > a:
         raise DomainError("need b > a")
@@ -290,23 +287,13 @@ def canonical(p: Params, a: float, b: float) -> Realization:
         vw = th[2 * H + j] * th[j]
         node_deltas[lo] += vw
         node_deltas[hi] -= vw
-    slope_scale = 1.0
-    for j in range(H):
-        slope_scale += abs(th[2 * H + j] * th[j])
     kinks: list[float] = []
-    deltas: list[float] = []
-    for q, d in zip(nodes[1:-1], node_deltas[1:-1]):
-        if kinks and q - kinks[-1] <= KINK_MERGE_TOL:
-            deltas[-1] += d
-        else:
-            kinks.append(q)
-            deltas.append(d)
-    # drop kinks with no slope change, merging the adjacent segments
-    keep = [(q, d) for q, d in zip(kinks, deltas) if abs(d) > 1e-12 * slope_scale]
     slopes = [node_deltas[0]]
-    for _, d in keep:
-        slopes.append(slopes[-1] + d)
-    return Realization(a, b, tuple(q for q, _ in keep), tuple(slopes), vals[0])
+    for q, d in zip(nodes[1:-1], node_deltas[1:-1]):
+        if d != 0.0:
+            kinks.append(q)
+            slopes.append(slopes[-1] + d)
+    return Realization(a, b, tuple(kinks), tuple(slopes), vals[0])
 
 
 def l2_distance(u: Realization, v: Realization) -> float:

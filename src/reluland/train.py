@@ -7,7 +7,8 @@ random number generator is the 64-bit counter-based Philox generator
 reproducibility; draw order is documented on ``xavier_init``.
 Iterates with a kink on a domain endpoint are counted with the geometry
 kernel's ``network._kink_near_endpoint`` test, the one ``hessian_fd``
-refuses with; ensemble clusters are the groups of ``network._greedy_groups``.
+refuses with; ensemble clusters are the L2 groups of ``network._greedy_groups``.
+The gradient flow attempts at most ``GF_MAX_STEPS`` steps.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
 DIVERGENCE_NORM = 1e8
 NONSMOOTH_EPS = 1e-14
 GF_MAX_SAMPLES = 2000
+GF_MAX_STEPS = 50_000  # attempted RK4 steps, accepted or rejected
 
 
 @dataclass(frozen=True)
@@ -201,9 +203,9 @@ def gf_run(p0: Params, t: Target, t_end: float, rtol: float = 1e-8) -> GFRun:
     relative to the iterate size, is below rtol; accepted steps may double
     the next step size.  Each iterate's slope is computed once, for all
     the attempts from it.  Steps shrinking below 1e-12 abort with a partial
-    result flagged ``step_underflow``.  Beyond GF_MAX_SAMPLES accepted
-    steps, the (time, risk) samples are thinned with a constant stride,
-    keeping the last one.
+    result flagged ``step_underflow``; GF_MAX_STEPS attempted steps raise
+    ``DomainError``.  Beyond GF_MAX_SAMPLES accepted steps, the (time,
+    risk) samples are thinned with a constant stride, keeping the last one.
     """
     if not (0.0 < t_end < math.inf and 0.0 < rtol < math.inf):
         raise DomainError("t_end and rtol must be positive and finite")
@@ -229,6 +231,9 @@ def gf_run(p0: Params, t: Target, t_end: float, rtol: float = 1e-8) -> GFRun:
     samples = [(0.0, risk_theta(y, H, t))]
     k1 = None  # the slope at y, shared by every attempt from y
     while t_now < t_end:
+        if accepted + rejected >= GF_MAX_STEPS:
+            raise DomainError(f"gradient flow reached t = {t_now!r} of t_end = {t_end!r} "
+                              f"in {GF_MAX_STEPS} steps; lower t_end or raise rtol")
         h = min(h, t_end - t_now)
         if k1 is None:
             k1 = grad_theta(y, H, t)
@@ -257,4 +262,4 @@ def gf_run(p0: Params, t: Target, t_end: float, rtol: float = 1e-8) -> GFRun:
     p = Params(H, tuple(y))
     return GFRun(t_end=t_end, reached_t=t_now, steps_accepted=accepted,
                  steps_rejected=rejected, samples=tuple(samples), final_theta=p,
-                 final_risk=risk_theta(y, H, t), step_underflow=underflow)
+                 final_risk=samples[-1][1], step_underflow=underflow)

@@ -201,6 +201,34 @@ def test_gf_bad_rtol_exits_2(tmp_path):
     assert res.exit_code == 2
 
 
+def test_gf_step_cap_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setattr("reluland.train.GF_MAX_STEPS", 20)
+    res = run_cli(["gf", "--t-end", "1e300", "--rtol", "1e-2", "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "of t_end = 1e+300 in 20 steps" in res.output
+    assert not (tmp_path / "gf_report.json").exists()
+
+
+def test_gf_step_underflow_fails_with_its_report(tmp_path):
+    theta = tmp_path / "theta.json"
+    theta.write_text('{"H": 1, "theta": [1e50, 1e50, 1e50, 0]}')
+    res = run_cli(["gf", "--theta0", str(theta), "--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    doc = json.loads((tmp_path / "gf_report.json").read_text())
+    jsonschema.validate(doc, load_schema("gf_report.schema.json"))
+    assert doc["step_underflow"] is True and doc["pass"] is False
+
+
+def test_train_divergence_exits_1_with_its_report(tmp_path):
+    res = run_cli(["train", "--h", "1", "--runs", "1", "--lr", "10", "--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    doc = json.loads((tmp_path / "ensemble_report.json").read_text())
+    jsonschema.validate(doc, load_schema("ensemble_report.schema.json"))
+    assert doc["runs"][0]["diverged"] is True and doc["clusters"] == []
+    assert doc["pass"] is False
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_minima_failed_gap_certificate_exits_1(tmp_path):
     # at this half-width the exact gap is negative, so the certificate fails -> exit 1
     res = run_cli(["minima", "--alpha", "0.05", "--beta", "0.95", "--samples", "2",
@@ -238,6 +266,11 @@ INPUT_ERRORS = {
     "gf-t-end-inf": (["gf", "--t-end", "inf"], "gf_report.json"),
     "gf-rtol-nan": (["gf", "--rtol", "nan"], "gf_report.json"),
     "gf-h-0": (["gf", "--h", "0"], "gf_report.json"),
+    # the risk at |theta| = 1e300 is NaN, which no JSON report can hold
+    "gf-theta0-overflow": (["gf", "--theta0", "huge_theta.json"], "gf_report.json"),
+    # the one diverged run's risk overflows to inf
+    "train-lr-overflow": (["train", "--h", "1", "--runs", "1", "--lr", "1e300"],
+                          "ensemble_report.json"),
     "enumerate-nan-coefficient": (["enumerate", "--target", "nan_target.json"], "catalog.json"),
     "enumerate-huge-coefficient": (["enumerate", "--target", "huge_target.json"],
                                    "catalog.json"),
@@ -289,6 +322,7 @@ def test_input_error_exits_2_without_report(tmp_path, case):
     write_xsq(tmp_path)
     (tmp_path / "nan_theta.json").write_text('{"H": 1, "theta": [NaN, 0.0, 1.0, 0.0]}')
     (tmp_path / "bad_theta.json").write_text('{"H": 1, "theta": [1.0]}')
+    (tmp_path / "huge_theta.json").write_text('{"H": 1, "theta": [1e300, 1e300, 1e300, 0]}')
     (tmp_path / "nan_target.json").write_text(
         '{"kind": "piecewise_poly", "breakpoints": [0, 1], "pieces": [[0, NaN, 1]]}')
     (tmp_path / "huge_target.json").write_text(
@@ -343,6 +377,6 @@ def test_accuracy_error_exit_2_prints_estimate_and_error(tmp_path, monkeypatch):
 
 
 def test_reports_refuse_nan(tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="report.json not written"):
         _write_json(tmp_path / "report.json", {"final_risk": float("nan")})
     assert not (tmp_path / "report.json").exists()

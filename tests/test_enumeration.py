@@ -8,9 +8,9 @@ from hypothesis import assume, example, given, reject, settings, strategies as s
 
 from reluland import (BenchmarkTarget, Params, PolyTarget, enumerate_all, grad,
                       grid_oracle, l2_distance, oracle_check)
-from reluland.enumeration import (CriticalCatalog, KinkRoots, _grid_moments,
-                                  _kink_equations, _kink_residual, _kink_roots,
-                                  _on_unit)
+from reluland.enumeration import (CriticalCatalog, GridOracleReport, KinkRoots,
+                                  _grid_moments, _kink_equations, _kink_residual,
+                                  _kink_roots, _on_unit)
 from reluland.errors import DegenerateEnumerationError, DomainError
 from reluland.network import Realization, canonical
 from reluland.polyalg import PiecewisePolynomial, Polynomial, reparametrize
@@ -420,6 +420,9 @@ def test_kink_roots_and_oracle_are_scale_invariant(pp, k):
 # 1 + x on [-1, -0.5]: at 2**-60 an L2 grouping once merged its exact
 # affine fit (risk 0) into the constant
 @example(PiecewisePolynomial([-1.0, -0.5], [Polynomial([1.0, 1.0])]), -60)
+# x^2 on [0, 1]: at 2**-60 an absolute slope floor in ``canonical`` once
+# dropped the kink at 1/3 from its kink_increasing realization
+@example(PiecewisePolynomial([0.0, 1.0], [Polynomial([0.0, 0.0, 1.0])]), -60)
 def test_catalog_is_scale_invariant(pp, k):
     # scaling by 2**k, k < 0, is exact in every float step of the lifts and
     # risks; k > 0 is left out, since the lifts' RESIDUAL_TOL is absolute
@@ -435,6 +438,8 @@ def test_catalog_is_scale_invariant(pp, k):
         assert f.risk == e.risk * 4.0 ** k
         if e.c is not None:
             assert (f.c, f.vw) == (e.c * s, e.vw * s)
+        assert f.realization.kinks == e.realization.kinks
+        assert f.realization.slopes == tuple(x * s for x in e.realization.slopes)
 
 
 def test_small_breakpoint_root_target_passes_oracle():
@@ -453,6 +458,45 @@ def test_dyadic_target_excludes_its_exact_zero_slope_root():
         assert kr.excluded == (0.5,)
         assert kr.admissible == (0.2689805364075844, 0.8931498239234456)
     assert oracle_check(cat, _oracle_reports(cat))
+
+
+def _with_increasing(reports, brackets=None, degenerate=False):
+    """The reports with the increasing orientation's one replaced."""
+    inc = GridOracleReport(reports[0].brackets if brackets is None else tuple(brackets),
+                           degenerate)
+    return inc, reports[1]
+
+
+@pytest.mark.parametrize("case", ["unbracketed_root", "bracket_without_root",
+                                  "degenerate_with_root"])
+def test_oracle_check_rejects_a_mismatch(xsq, case):
+    cat = enumerate_all(xsq)
+    reports = _oracle_reports(cat)
+    assert cat.orientations[0].admissible == (1.0 / 3.0,)
+    assert oracle_check(cat, reports)
+    brackets = reports[0].brackets
+    if case == "unbracketed_root":
+        # D changes sign across 1/3, so a scan without its bracket is wrong
+        tampered = _with_increasing(reports, [br for br in brackets
+                                              if not br[0] <= 1.0 / 3.0 <= br[1]])
+    elif case == "bracket_without_root":
+        tampered = _with_increasing(reports, brackets + ((0.9, 0.901),))
+    else:
+        tampered = _with_increasing(reports, (), degenerate=True)
+    assert not oracle_check(cat, tampered)
+
+
+def test_oracle_check_accepts_two_roots_in_one_cell():
+    # x^4 - 1.496 x^3 + 0.678 x^2 has kink roots near 0.4003 and 0.4005, in
+    # the scan cell [0.400, 0.401]: D has one sign at both cell ends, so
+    # neither root is bracketed, and D keeps its sign 1e-3 either side
+    cat = enumerate_all(poly_target([0.0, 1.0], [
+        [0.0, 0.0, 0.6777893419444415, -1.4959796168806632, 1.0]]))
+    reports = _oracle_reports(cat)
+    inc = cat.orientations[0].admissible
+    assert len(inc) == 3 and 0.4 < inc[0] < inc[1] < 0.401 < inc[2]
+    assert reports[0].brackets == ((0.408, 0.409),)
+    assert oracle_check(cat, reports)
 
 
 @pytest.mark.xfail(strict=True, raises=DegenerateEnumerationError,

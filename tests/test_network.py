@@ -9,8 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from reluland import (Params, SmoothActivation, canonical, l2_distance,
                       params_from_json, realize, sample_M, write_realization_csv)
 from reluland.errors import DomainError
-from reluland.network import (KINK_MERGE_TOL, Realization, _geometry_nodes,
-                              _greedy_groups, uniform_grid)
+from reluland.network import Realization, _geometry_nodes, _greedy_groups, uniform_grid
 
 from conftest import realize_smooth, rng_for
 
@@ -109,6 +108,32 @@ def test_canonical_split_outer_weight():
     one = Params.from_parts([1.0], [-0.25], [2.0], 0.5)
     split = Params.from_parts([1.0, 1.0], [-0.25, -0.25], [1.0, 1.0], 0.5)
     assert canonical(one, 0.0, 1.0) == canonical(split, 0.0, 1.0)
+
+
+def test_canonical_keeps_kinks_closer_than_1e12():
+    # max(x - 2e-13, 0) - max(x - 5e-13, 0): a bump on a domain of width
+    # 1e-12, once read as the zero function
+    p = Params.from_parts([1.0, 1.0], [-2e-13, -5e-13], [1.0, -1.0], 0.0)
+    r = canonical(p, 0.0, 1e-12)
+    assert r.kinks == (2e-13, 5e-13)
+    assert r.slopes == (0.0, 1.0, 0.0)
+
+
+def test_canonical_keeps_a_small_slope_change():
+    # v = 1e-13 once fell under an absolute slope floor of 1e-12
+    r = canonical(Params.from_parts([1.0], [-0.5], [1e-13], 0.0), 0.0, 1.0)
+    assert r.kinks == (0.5,)
+    assert r.slopes == (0.0, 1e-13)
+
+
+def test_canonical_merges_only_equal_kinks():
+    # kinks one ulp apart stay two; a +-v split on one kink cancels exactly
+    q = 0.5
+    q1 = math.nextafter(q, 1.0)
+    p = Params.from_parts([1.0, 1.0, 1.0], [-q, -q1, -q], [2.0, -2.0, 0.75], 0.0)
+    assert canonical(p, 0.0, 1.0).kinks == (q, q1)
+    split = Params.from_parts([1.0, 1.0], [-q, -q], [0.3, -0.3], 0.0)
+    assert canonical(split, 0.0, 1.0) == Realization(0.0, 1.0, (), (0.0,), 0.0)
 
 
 def test_canonical_family_sample_single_kink(bench):
@@ -290,11 +315,9 @@ def _ref_canonical(p, a, b):
     th = p.theta
     base_slope = 0.0
     events = []
-    slope_scale = 1.0
     for j in range(H):
         w, bj, v = th[j], th[H + j], th[2 * H + j]
         vw = v * w
-        slope_scale += abs(vw)
         if w == 0.0:
             continue
         q = -bj / w
@@ -312,14 +335,14 @@ def _ref_canonical(p, a, b):
     events.sort()
     kinks, deltas = [], []
     for q, d in events:
-        if kinks and q - kinks[-1] <= KINK_MERGE_TOL:
+        if kinks and q == kinks[-1]:
             deltas[-1] += d
         else:
             kinks.append(q)
             deltas.append(d)
     keep_k, keep_d = [], []
     for q, d in zip(kinks, deltas):
-        if abs(d) <= 1e-12 * slope_scale:
+        if d == 0.0:
             continue
         keep_k.append(q)
         keep_d.append(d)
@@ -386,11 +409,11 @@ def _pair_case(draw):
     return a, b, p1, p2, xs
 
 
-def _close_triple(p, a, b):
-    """Whether three or more kinks inside (a, b) lie within 1e-12."""
+def _triple_kinks(p, a, b):
+    """The kinks inside (a, b) that three or more neurons share."""
     qs = sorted(-p.b(j) / p.w(j) for j in range(p.H)
                 if p.w(j) != 0.0 and a < -p.b(j) / p.w(j) < b)
-    return any(hi - lo <= KINK_MERGE_TOL for lo, hi in zip(qs, qs[2:]))
+    return {lo for lo, hi in zip(qs, qs[2:]) if hi == lo}
 
 
 @settings(max_examples=400, deadline=None, database=None)
@@ -401,11 +424,17 @@ def test_canonical_and_l2_match_reference(case):
     assert (l2_distance(*refs).hex() == _ref_l2_distance(*refs).hex())
     for p, ref in zip((p1, p2), refs):
         got = canonical(p, a, b)
-        if _close_triple(p, a, b):
-            # the slope deltas of one merged kink are summed in another order
+        triples = _triple_kinks(p, a, b)
+        if triples:
+            # the slope deltas of a kink shared by three or more neurons are
+            # summed in another order, so only there may a sum round to 0 in
+            # one order and not in the other
             scale = 1.0 + sum(abs(p.v(j) * p.w(j)) for j in range(p.H))
-            assert (got.kinks, got.offset) == (ref.kinks, ref.offset)
-            assert got.slopes == pytest.approx(ref.slopes, rel=0.0, abs=1e-12 * scale)
+            assert set(got.kinks) ^ set(ref.kinks) <= triples
+            assert got.offset == ref.offset
+            for x in xs + [a, b, *got.kinks, *ref.kinks]:
+                assert got.eval(x) == pytest.approx(ref.eval(x), rel=0.0,
+                                                    abs=1e-12 * scale * (b - a))
         else:
             assert got == ref
         size = 1.0 + abs(p.c) + sum(abs(p.v(j)) * (abs(p.w(j)) * max(abs(a), abs(b))

@@ -8,7 +8,7 @@ from reluland import (Params, TrainConfig, enumerate_all, ensemble, gd_run,
                       gf_run, grad, l2_distance, risk, sample_M, xavier_init)
 from reluland.errors import DomainError
 from reluland.landscape import grad_theta, risk_theta
-from reluland.train import GF_MAX_SAMPLES
+from reluland.train import DIVERGENCE_NORM, GF_MAX_SAMPLES
 
 from conftest import poly_target, rng_for
 
@@ -72,6 +72,19 @@ def test_gd_pinned_seed_regression(bench):
     assert run.converged
     assert run.iterations == SEED42_ITERATIONS
     assert run.risk == pytest.approx(SEED42_RISK, rel=1e-12)
+
+
+def test_gd_divergence_stops_the_run_and_leaves_it_unclustered(bench):
+    # lr = 10 overshoots: |theta| passes DIVERGENCE_NORM after 7 steps while
+    # the risk is still finite
+    cfg = TrainConfig(H=1, lr=10.0, runs=1)
+    run = gd_run(xavier_init(1, 0), bench, cfg, seed=0)
+    assert run.diverged and not run.converged
+    assert run.iterations == 7
+    assert max(map(abs, run.theta.theta)) > DIVERGENCE_NORM
+    assert math.isfinite(run.risk)
+    rep = ensemble(bench, cfg)
+    assert rep.runs == (run,) and rep.clusters == ()
 
 
 def test_gd_counts_dead_neuron_every_iteration(xsq):
@@ -245,6 +258,51 @@ def test_gf_bit_identical_to_former_rk4(xsq, case):
     assert [x.hex() for x in run.final_theta.theta] == [x.hex() for x in y]
     assert ([(s.hex(), r.hex()) for s, r in run.samples]
             == [(s.hex(), r.hex()) for s, r in samples])
+
+
+def test_gf_final_risk_is_the_last_sample(xsq):
+    run = gf_run(xavier_init(1, seed=0), xsq, t_end=2.0, rtol=1e-8)
+    assert run.final_risk == run.samples[-1][1]
+    assert run.final_risk.hex() == risk_theta(run.final_theta.theta, 1, xsq).hex()
+
+
+def test_gf_step_underflow_returns_the_start(xsq):
+    # at |theta| = 1e50 every step's two RK4 routes disagree at any h, so
+    # the step halves below 1e-12 and the run stops where it began
+    p0 = Params(1, (1e50, 1e50, 1e50, 0.0))
+    run = gf_run(p0, xsq, t_end=1.0)
+    assert run.step_underflow
+    assert (run.reached_t, run.steps_accepted, run.steps_rejected) == (0.0, 0, 34)
+    assert run.final_theta == p0
+    assert run.samples == ((0.0, run.final_risk),)
+    assert run.final_risk == risk_theta(p0.theta, 1, xsq)
+
+
+def test_gf_thins_samples_keeping_the_last(xsq, monkeypatch):
+    p0 = xavier_init(1, seed=0)
+    full = gf_run(p0, xsq, t_end=2.0, rtol=1e-8)
+    n = len(full.samples)
+    monkeypatch.setattr("reluland.train.GF_MAX_SAMPLES", 10)
+    thin = gf_run(p0, xsq, t_end=2.0, rtol=1e-8)
+    stride = -(-n // 10)
+    assert n > 10 and stride > 1
+    assert thin.samples == full.samples[:-1:stride] + full.samples[-1:]
+    assert thin.final_risk == full.final_risk == thin.samples[-1][1]
+
+
+def test_gf_step_cap_raises(xsq, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return grad_theta(*args)
+
+    monkeypatch.setattr("reluland.train.GF_MAX_STEPS", 20)
+    monkeypatch.setattr("reluland.train.grad_theta", counted)
+    with pytest.raises(DomainError, match=r"reached t = .* of t_end = 1e\+300 in 20 steps"):
+        gf_run(xavier_init(1, seed=0), xsq, t_end=1e300, rtol=1e-2)
+    # each attempt costs 10 gradients, and each new iterate one more
+    assert 200 < len(calls) <= 220
 
 
 def test_gf_validation(bench):
