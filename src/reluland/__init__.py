@@ -12,8 +12,7 @@ from .errors import (AccuracyError, DegenerateEnumerationError, DomainError,
 from .polyalg import PiecewisePolynomial, Polynomial, reparametrize, roots_in
 from .target import BenchmarkTarget, PolyTarget, Target, parse_target_json
 from .network import (Params, Realization, SmoothActivation, canonical,
-                      l2_distance, params_from_json, realize,
-                      write_realization_csv)
+                      l2_distance, params_from_json, realization_csv)
 from .landscape import (CritClass, GradientVector, HessianReport, classify,
                         closed_hessian_M, fd_gradient, grad, grad_smooth,
                         hessian_fd, risk)

@@ -12,8 +12,9 @@ subclass) for any input it cannot handle; the command group maps that one
 class to exit 2 in one place; ``train`` takes its defaults from
 ``TrainConfig``.  Reports are JSON (schema_version 1; schemas in
 docs/schemas/), realizations export as CSV, and ``train --svg`` also
-emits a minimal polyline overlay plot.  A report that would hold inf or
-NaN is a ``DomainError`` and is not written, nor is any CSV after it.
+emits a minimal polyline overlay plot, all written by ``_finish``: a
+command writes every file or none.  A report that would hold inf or NaN
+is a ``DomainError``, and then nothing is written.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import click
 from . import __version__
 from .errors import DomainError
 from .minima import certify_family
-from .network import params_from_json, uniform_grid, write_realization_csv
+from .network import params_from_json, realization_csv, uniform_grid
 from .enumeration import enumerate_all, grid_oracle, oracle_check
 from .target import BenchmarkTarget, parse_target_json
 from .train import TrainConfig, ensemble, gf_run, xavier_init, xavier_var
@@ -60,29 +61,45 @@ class Rational(click.ParamType):
 RATIONAL = Rational()
 
 
-def _out_path(out_dir: str, name: str, force: bool) -> Path:
-    path = Path(out_dir) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if path.exists() and not force:
-        raise click.UsageError(f"{path} exists; pass --force to overwrite")
-    return path
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, **doc}
+def _finish(out_dir: str, force: bool, files: dict, message: str, passed: bool):
+    """Write ``files`` (name -> JSON document or text) into out_dir, echo
+    message and exit 0 if passed, else 1.  Every file is rendered and every
+    path checked against ``force`` before the directory is made."""
+    texts = {}
+    for name, body in files.items():
+        if isinstance(body, dict):
+            try:
+                body = json.dumps({"schema_version": SCHEMA_VERSION, **body}, indent=2,
+                                  allow_nan=False) + "\n"
+            except ValueError as exc:
+                raise DomainError(f"{name} not written: {exc}") from exc
+        texts[Path(out_dir) / name] = body
+    for path in texts:
+        if path.exists() and not force:
+            raise click.UsageError(f"{path} exists; pass --force to overwrite")
     try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise DomainError(f"{path.name} not written: {exc}") from exc
-    path.write_text(text + "\n")
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # say, --out names a file
+        raise click.UsageError(f"cannot create the output directory: {exc}") from exc
+    for path, text in texts.items():
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    click.echo(message)
+    sys.exit(0 if passed else 1)
 
 
-def _load_target(target_file: str):
+def _read_text(path: str, what: str) -> str:
     try:
-        text = Path(target_file).read_text()
+        return Path(path).read_text()
     except OSError as exc:
-        raise click.UsageError(f"cannot read target file: {exc}") from exc
-    return parse_target_json(text)
+        raise click.UsageError(f"cannot read {what} file: {exc}") from exc
+
+
+def _load_target(target_file: str | None):
+    """The target of a spec file; without one, the benchmark target."""
+    if target_file is None:
+        return BenchmarkTarget(1 / 3, 2 / 3, 0.0, 1.0)
+    return parse_target_json(_read_text(target_file, "target"))
 
 
 class _Main(click.Group):
@@ -147,19 +164,16 @@ def cmd_minima(alpha, beta, a_, b_, width, samples, xs, y_, seed, gap, p_, eps,
                       "risk_witness": cert.gap.risk_witness, "gap": cert.gap.gap,
                       "pass": cert.gap.passed}
     doc["pass"] = cert.passed
-    _write_json(_out_path(out_dir, "minima_report.json", force), doc)
-    click.echo(f"minima report: {'PASS' if cert.passed else 'FAIL'} "
-               f"({len(cert.samples)} samples, risk {cert.reference_risk:.12g})")
-    sys.exit(0 if cert.passed else 1)
+    _finish(out_dir, force, {"minima_report.json": doc},
+            f"minima report: {'PASS' if cert.passed else 'FAIL'} "
+            f"({len(cert.samples)} samples, risk {cert.reference_risk:.12g})", cert.passed)
 
 
 @main.command("enumerate")
 @click.option("--target", "target_file", required=True, type=click.Path())
-@click.option("--grid", "grid_n", type=click.IntRange(min=2), default=256,
-              show_default=True, help="Samples per realization in the CSV export.")
 @click.option("--out", "out_dir", default=".", show_default=True)
 @click.option("--force", is_flag=True)
-def cmd_enumerate(target_file, grid_n, out_dir, force):
+def cmd_enumerate(target_file, out_dir, force):
     """Enumerate all width-1 critical realizations of a continuous
     piecewise-polynomial target and cross-check with the grid oracle."""
     t = _load_target(target_file)
@@ -174,18 +188,12 @@ def cmd_enumerate(target_file, grid_n, out_dir, force):
            "brackets_increasing": [list(b) for b in reports[0].brackets],
            "brackets_decreasing": [list(b) for b in reports[1].brackets],
            "pass": oracle_ok}
-    _write_json(_out_path(out_dir, "catalog.json", force), doc)
+    files = {"catalog.json": doc}
     for i, e in enumerate(catalog.entries):
-        write_realization_csv(e.realization,
-                              _out_path(out_dir, f"catalog_entry_{i}.csv", force),
-                              grid=grid_n)
-    click.echo(f"catalog: {len(entries)} entries, oracle "
-               f"{'PASS' if oracle_ok else 'FAIL'}")
-    sys.exit(0 if oracle_ok else 1)
-
-
-def _default_benchmark() -> BenchmarkTarget:
-    return BenchmarkTarget(1 / 3, 2 / 3, 0.0, 1.0)
+        files[f"catalog_entry_{i}.csv"] = realization_csv(e.realization)
+    _finish(out_dir, force, files,
+            f"catalog: {len(entries)} entries, oracle {'PASS' if oracle_ok else 'FAIL'}",
+            oracle_ok)
 
 
 @main.command("train")
@@ -199,19 +207,16 @@ def _default_benchmark() -> BenchmarkTarget:
 @click.option("--seed", type=int, default=TrainConfig.master_seed, show_default=True)
 @click.option("--runs", type=int, default=TrainConfig.runs, show_default=True)
 @click.option("--dedup", type=RATIONAL, default=TrainConfig.dedup_l2, show_default=True)
-@click.option("--grid", "grid_n", type=click.IntRange(min=2), default=256,
-              show_default=True, help="Samples per realization in the CSV export.")
 @click.option("--svg", is_flag=True, help="Also plot target + clusters.")
 @click.option("--out", "out_dir", default=".", show_default=True)
 @click.option("--force", is_flag=True)
 def cmd_train(target_file, width, lr, grad_tol, max_iters, seed, runs, dedup,
-              grid_n, svg, out_dir, force):
+              svg, out_dir, force):
     """Run the GD ensemble and report deduplicated realization clusters."""
-    t = _load_target(target_file) if target_file else _default_benchmark()
+    t = _load_target(target_file)
     cfg = TrainConfig(H=width, lr=lr, grad_tol=grad_tol, max_iters=max_iters,
                       master_seed=seed, runs=runs, dedup_l2=dedup)
     report = ensemble(t, cfg)
-    ok = all(r.converged for r in report.runs) and not any(r.diverged for r in report.runs)
     doc = {
         "kind": "ensemble_report",
         "config": {"H": cfg.H, "lr": cfg.lr, "grad_tol": cfg.grad_tol,
@@ -226,13 +231,11 @@ def cmd_train(target_file, width, lr, grad_tol, max_iters, seed, runs, dedup,
                      for c in report.clusters],
         "all_co_clustered": report.all_co_clustered,
         "risk_spread": report.risk_spread(),
-        "pass": ok,
+        "pass": report.passed,
     }
-    _write_json(_out_path(out_dir, "ensemble_report.json", force), doc)
+    files = {"ensemble_report.json": doc}
     for i, cl in enumerate(report.clusters):
-        write_realization_csv(cl.representative,
-                              _out_path(out_dir, f"cluster_{i}.csv", force),
-                              grid=grid_n)
+        files[f"cluster_{i}.csv"] = realization_csv(cl.representative)
     if svg:
         a, b = t.domain
         curves = [[(x, t.eval(x)) for x in uniform_grid(a, b, 257)]]
@@ -240,10 +243,11 @@ def cmd_train(target_file, width, lr, grad_tol, max_iters, seed, runs, dedup,
         for i, cl in enumerate(report.clusters):
             curves.append(cl.representative.sample(257))
             labels.append(f"cluster {i} (risk {cl.risk:.3g})")
-        write_svg(_out_path(out_dir, "ensemble.svg", force), curves, labels)
-    click.echo(f"train: {len(report.clusters)} clusters from {runs} runs, "
-               f"spread {report.risk_spread():.3g}, {'PASS' if ok else 'FAIL'}")
-    sys.exit(0 if ok else 1)
+        files["ensemble.svg"] = overlay_svg(curves, labels)
+    _finish(out_dir, force, files,
+            f"train: {len(report.clusters)} clusters from {runs} runs, "
+            f"spread {report.risk_spread():.3g}, {'PASS' if report.passed else 'FAIL'}",
+            report.passed)
 
 
 @main.command("gf")
@@ -259,42 +263,30 @@ def cmd_train(target_file, width, lr, grad_tol, max_iters, seed, runs, dedup,
 @click.option("--force", is_flag=True)
 def cmd_gf(target_file, width, theta_file, seed, t_end, rtol, out_dir, force):
     """Integrate the gradient-flow ODE and report the risk trajectory."""
-    t = _load_target(target_file) if target_file else _default_benchmark()
-    if theta_file:
-        try:
-            p0 = params_from_json(Path(theta_file).read_text())
-        except OSError as exc:
-            raise click.UsageError(f"cannot read --theta0 file: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise click.UsageError(f"bad --theta0 file: {exc}") from exc
-    else:
-        p0 = xavier_init(width, seed)
+    t = _load_target(target_file)
+    p0 = (params_from_json(_read_text(theta_file, "--theta0")) if theta_file
+          else xavier_init(width, seed))
     run = gf_run(p0, t, t_end, rtol)
-    risks = [r for _, r in run.samples]
-    monotone = all(r1 - r0 <= 10.0 * rtol * (1.0 + abs(r0))
-                   for r0, r1 in zip(risks, risks[1:]))
-    ok = monotone and not run.step_underflow
     doc = {
         "kind": "gf_report",
         "t_end": run.t_end, "reached_t": run.reached_t,
         "steps_accepted": run.steps_accepted, "steps_rejected": run.steps_rejected,
-        "final_risk": run.final_risk, "monotone": monotone,
+        "final_risk": run.final_risk, "monotone": run.monotone,
         "step_underflow": run.step_underflow,
         "samples": [[tt, rr] for tt, rr in run.samples],
-        "pass": ok,
+        "pass": run.passed,
     }
-    _write_json(_out_path(out_dir, "gf_report.json", force), doc)
-    click.echo(f"gf: final risk {run.final_risk:.6g} at t={run.reached_t:.3g}, "
-               f"{'PASS' if ok else 'FAIL'}")
-    sys.exit(0 if ok else 1)
+    _finish(out_dir, force, {"gf_report.json": doc},
+            f"gf: final risk {run.final_risk:.6g} at t={run.reached_t:.3g}, "
+            f"{'PASS' if run.passed else 'FAIL'}", run.passed)
 
 
 _PALETTE = ["#000000", "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
             "#9467bd", "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
 
 
-def write_svg(path, curves, labels):
-    """Minimal polyline overlay plot; no plotting dependency."""
+def overlay_svg(curves, labels) -> str:
+    """Minimal polyline overlay plot as SVG text; no plotting dependency."""
     width, height, margin = 640, 400, 50  # pixels
     xs = [x for c in curves for x, _ in c]
     ys = [y for c in curves for _, y in c]
@@ -337,7 +329,7 @@ def write_svg(path, curves, labels):
         parts.append(f'<text x="{width - margin - 150}" y="{margin + 14 * (i + 1)}" '
                      f'font-size="11" fill="{color}">{label}</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
 if __name__ == "__main__":

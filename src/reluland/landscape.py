@@ -323,13 +323,15 @@ def hessian_fd(p: Params, t: Target, coords: str = "all") -> HessianReport:
 def closed_hessian_M(q: float, theta1: float, t: BenchmarkTarget) -> HessianReport:
     """Closed-form restricted 4x4 Hessian on the single-kink critical
     manifold, in the coordinates (w_1, b_1, v_1, c), kink at normalized
-    position q with inner weight theta1 > 0."""
+    position q with inner weight theta1 > 0.  As R_s(w, b, v, c) =
+    s**2 R_1(w, b, v/s, c/s), at target scale s != 0 it is the congruence
+    diag(s, s, 1, 1) H_1 diag(s, s, 1, 1) of the tabulated scale-1 form."""
     if not (t.alpha < q < t.beta):
         raise DomainError("q must lie strictly inside (alpha, beta)")
     if theta1 <= 0.0:
         raise DomainError("theta1 must be positive")
-    if t.scale != 1.0:
-        raise DomainError("closed form is tabulated for the unscaled target")
+    if t.scale == 0.0:
+        raise DomainError("closed form needs a nonzero target scale")
     A, B = t.a, t.b
     L = B - A
     t1 = theta1
@@ -356,7 +358,8 @@ def closed_hessian_M(q: float, theta1: float, t: BenchmarkTarget) -> HessianRepo
         [h13, h23, h33, h34],
         [h14, h24, h34, h44],
     ])
-    return _report_from_matrix(mat)
+    d = (t.scale, t.scale, 1.0, 1.0)
+    return _report_from_matrix(mat * np.outer(d, d))
 
 
 def classify(report: HessianReport, grad_norm: float,

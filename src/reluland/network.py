@@ -20,6 +20,8 @@ piecewise-linear function given by sorted interior kinks, per-segment
 slopes and the value at the left endpoint, decided with no tolerance.
 Parameter vectors with the same realization may still differ in the last
 bits, so ``_greedy_groups`` groups GD runs by L2 distance.
+``realization_csv`` renders a realization as CSV text; this module opens
+no file.
 """
 
 from __future__ import annotations
@@ -38,11 +40,10 @@ __all__ = [
     "Params",
     "Realization",
     "SmoothActivation",
-    "realize",
     "canonical",
     "l2_distance",
     "params_from_json",
-    "write_realization_csv",
+    "realization_csv",
 ]
 
 @dataclass(frozen=True)
@@ -72,28 +73,6 @@ class Params:
 
     def w(self, j: int) -> float:
         return self.theta[j]
-
-    def b(self, j: int) -> float:
-        return self.theta[self.H + j]
-
-    def v(self, j: int) -> float:
-        return self.theta[2 * self.H + j]
-
-    @property
-    def c(self) -> float:
-        return self.theta[3 * self.H]
-
-
-def realize(p: Params, x: float) -> float:
-    """Exact ReLU network output at x."""
-    H = p.H
-    th = p.theta
-    acc = th[3 * H]
-    for j in range(H):
-        z = th[H + j] + th[j] * x
-        if z > 0.0:
-            acc += th[2 * H + j] * z
-    return acc
 
 
 def _softplus(s):
@@ -320,12 +299,18 @@ def _greedy_groups(reals: Sequence[Realization], tol: float) -> list[list[int]]:
 
 
 def params_from_json(text: str) -> Params:
-    doc = json.loads(text)
-    return Params(int(doc["H"]), tuple(float(x) for x in doc["theta"]))
+    """Params from ``{"H": int, "theta": [number, ...]}``; any other text
+    raises ``DomainError``."""
+    try:
+        doc = json.loads(text)
+        H, theta = int(doc["H"]), tuple(float(x) for x in doc["theta"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f'parameters are not {{"H": int, "theta": [number, ...]}}: '
+                          f"{type(exc).__name__}: {exc}") from exc
+    return Params(H, theta)
 
 
-def write_realization_csv(r: Realization, path, grid: int = 256) -> None:
+def realization_csv(r: Realization, grid: int = 256) -> str:
     """Header ``x,y``, then ``repr(x),repr(y)`` per grid point, CRLF line
-    ends: ``csv.writer``'s bytes, as no float repr needs quoting."""
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y\r\n" + "".join(f"{x!r},{y!r}\r\n" for x, y in r.sample(grid)))
+    ends: ``csv.writer``'s text, as no float repr needs quoting."""
+    return "x,y\r\n" + "".join(f"{x!r},{y!r}\r\n" for x, y in r.sample(grid))

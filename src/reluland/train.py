@@ -8,7 +8,8 @@ reproducibility; draw order is documented on ``xavier_init``.
 Iterates with a kink on a domain endpoint are counted with the geometry
 kernel's ``network._kink_near_endpoint`` test, the one ``hessian_fd``
 refuses with; ensemble clusters are the L2 groups of ``network._greedy_groups``.
-The gradient flow attempts at most ``GF_MAX_STEPS`` steps.
+The gradient flow attempts at most ``GF_MAX_STEPS`` steps.  The CLI only
+writes the verdicts ``EnsembleReport.passed`` and ``GFRun.passed``.
 """
 
 from __future__ import annotations
@@ -166,6 +167,11 @@ class EnsembleReport:
             return 0.0
         return self.clusters[-1].risk - self.clusters[0].risk
 
+    @property
+    def passed(self) -> bool:
+        """Every run converged and none diverged."""
+        return all(r.converged for r in self.runs) and not any(r.diverged for r in self.runs)
+
 
 def ensemble(t: Target, cfg: TrainConfig) -> EnsembleReport:
     """Train runs seeds master_seed..master_seed+runs-1, then cluster their
@@ -193,7 +199,13 @@ class GFRun:
     samples: tuple[tuple[float, float], ...]  # (time, risk)
     final_theta: Params
     final_risk: float
+    monotone: bool
     step_underflow: bool = False
+
+    @property
+    def passed(self) -> bool:
+        """Monotone risk and no step underflow."""
+        return self.monotone and not self.step_underflow
 
 
 def gf_run(p0: Params, t: Target, t_end: float, rtol: float = 1e-8) -> GFRun:
@@ -206,6 +218,8 @@ def gf_run(p0: Params, t: Target, t_end: float, rtol: float = 1e-8) -> GFRun:
     result flagged ``step_underflow``; GF_MAX_STEPS attempted steps raise
     ``DomainError``.  Beyond GF_MAX_SAMPLES accepted steps, the (time,
     risk) samples are thinned with a constant stride, keeping the last one.
+    The run is ``monotone`` when no kept sample's risk exceeds its
+    predecessor's r by more than 10 rtol (1 + |r|).
     """
     if not (0.0 < t_end < math.inf and 0.0 < rtol < math.inf):
         raise DomainError("t_end and rtol must be positive and finite")
@@ -259,7 +273,9 @@ def gf_run(p0: Params, t: Target, t_end: float, rtol: float = 1e-8) -> GFRun:
     if len(samples) > GF_MAX_SAMPLES:
         stride = (len(samples) + GF_MAX_SAMPLES - 1) // GF_MAX_SAMPLES
         samples = samples[:-1:stride] + [samples[-1]]
+    monotone = all(r1 - r0 <= 10.0 * rtol * (1.0 + abs(r0))
+                   for (_, r0), (_, r1) in zip(samples, samples[1:]))
     p = Params(H, tuple(y))
     return GFRun(t_end=t_end, reached_t=t_now, steps_accepted=accepted,
                  steps_rejected=rejected, samples=tuple(samples), final_theta=p,
-                 final_risk=samples[-1][1], step_underflow=underflow)
+                 final_risk=samples[-1][1], monotone=monotone, step_underflow=underflow)

@@ -21,6 +21,26 @@ def poly_target(breakpoints, pieces):
         breakpoints, [Polynomial(cs) for cs in pieces], continuous=True))
 
 
+def parts(p):
+    """(w, b, v, c) of a parameter vector: three width-H tuples and the
+    output offset."""
+    H, th = p.H, p.theta
+    return th[:H], th[H:2 * H], th[2 * H:3 * H], th[3 * H]
+
+
+def realize(p, x):
+    """Exact ReLU network output N_theta(x), neuron by neuron: the
+    pointwise oracle of the canonical-form tests."""
+    H = p.H
+    th = p.theta
+    acc = th[3 * H]
+    for j in range(H):
+        z = th[H + j] + th[j] * x
+        if z > 0.0:
+            acc += th[2 * H + j] * z
+    return acc
+
+
 def realize_smooth(p, x, r):
     """N_theta(x) with the ReLU replaced by the sharpness-r softplus
     surrogate."""

@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from reluland.cli import _write_json, main
+from reluland.cli import _finish, main
 from reluland import errors
 from reluland.errors import AccuracyError, DegenerateEnumerationError
 
@@ -148,17 +148,6 @@ def test_train_non_finite_lr_exits_2(tmp_path, lr):
     assert not (tmp_path / "ensemble_report.json").exists()
 
 
-@pytest.mark.parametrize("command", ["enumerate", "train"])
-def test_grid_below_two_exits_2(tmp_path, command):
-    args = [command, "--grid", "1", "--out", str(tmp_path)]
-    if command == "enumerate":
-        args += ["--target", str(write_xsq(tmp_path))]
-    res = run_cli(args)
-    assert res.exit_code == 2
-    assert "--grid" in res.output
-    assert not list(tmp_path.glob("*.csv"))
-
-
 def test_train_small_deterministic_with_svg(tmp_path):
     args = ["train", "--h", "2", "--runs", "2", "--seed", "7",
             "--grad-tol", "1e-3", "--svg", "--out", str(tmp_path), "--force"]
@@ -175,6 +164,55 @@ def test_train_small_deterministic_with_svg(tmp_path):
     root = ET.fromstring(svg.read_text())
     polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
     assert len(polylines) == len(doc["clusters"]) + 1  # clusters + target
+
+
+SMALL_TRAIN = ["train", "--h", "2", "--runs", "2", "--seed", "7", "--grad-tol", "1e-3", "--svg"]
+
+
+def test_enumerate_existing_csv_without_force_writes_nothing(tmp_path):
+    # catalog.json and catalog_entry_0.csv come before the clash in order:
+    # neither may be written
+    target = write_xsq(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "catalog_entry_1.csv").write_text("keep")
+    res = run_cli(["enumerate", "--target", str(target), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "catalog_entry_1.csv exists" in res.output
+    assert [f.name for f in out.iterdir()] == ["catalog_entry_1.csv"]
+    assert (out / "catalog_entry_1.csv").read_text() == "keep"
+
+
+def test_train_existing_svg_without_force_writes_nothing(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "ensemble.svg").write_text("keep")
+    res = run_cli(SMALL_TRAIN + ["--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert [f.name for f in out.iterdir()] == ["ensemble.svg"]
+    assert (out / "ensemble.svg").read_text() == "keep"
+
+
+@pytest.mark.parametrize("command", ["enumerate", "train"])
+def test_force_rewrites_every_file_with_the_same_bytes(tmp_path, command):
+    args = (["enumerate", "--target", str(write_xsq(tmp_path))] if command == "enumerate"
+            else SMALL_TRAIN) + ["--out", str(tmp_path / "out")]
+    assert run_cli(args).exit_code == 0
+    first = {f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()}
+    assert len(first) > 2
+    for name in first:
+        (tmp_path / "out" / name).write_text("stale")
+    assert run_cli(args + ["--force"]).exit_code == 0
+    assert {f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()} == first
+
+
+def test_out_naming_a_file_exits_2(tmp_path):
+    out = tmp_path / "out"
+    out.write_text("keep")
+    res = run_cli(["enumerate", "--target", str(write_xsq(tmp_path)), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "cannot create the output directory" in res.output
+    assert out.read_text() == "keep"
 
 
 def test_overwrite_requires_force(tmp_path):
@@ -343,6 +381,7 @@ def test_input_error_exits_2_without_report(tmp_path, case):
     assert res.exit_code == 2, res.output
     assert sum(line.startswith("Error:") for line in res.output.splitlines()) == 1
     assert not (tmp_path / "out" / report).exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_error_class_is_a_domain_error():
@@ -378,5 +417,7 @@ def test_accuracy_error_exit_2_prints_estimate_and_error(tmp_path, monkeypatch):
 
 def test_reports_refuse_nan(tmp_path):
     with pytest.raises(ValueError, match="report.json not written"):
-        _write_json(tmp_path / "report.json", {"final_risk": float("nan")})
-    assert not (tmp_path / "report.json").exists()
+        _finish(str(tmp_path / "out"), False, {"a.csv": "x,y\r\n",
+                                               "report.json": {"final_risk": float("nan")}},
+                "", True)
+    assert not (tmp_path / "out").exists()

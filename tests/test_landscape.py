@@ -12,12 +12,13 @@ from reluland.errors import DomainError, NonsmoothPointError
 from reluland.landscape import (HessianReport, _coord_indices, _report_from_matrix,
                                 _smooth_breakpoints, _unclamped_risk, grad_theta,
                                 risk_theta)
+from reluland.minima import CLOSED_HESSIAN_RTOL
 from reluland.network import canonical
 from reluland.polyalg import PiecewisePolynomial, Polynomial
 from reluland import landscape
 from reluland.quadrature import MAX_DEPTH, adaptive_simpson, adaptive_simpson_vec
 
-from conftest import piecewise_polys, poly_target, realize_smooth, rng_for
+from conftest import parts, piecewise_polys, poly_target, realize_smooth, rng_for
 from test_quadrature import recursive_simpson_vec
 
 SQ_INT_F_13_23 = 0.024983326680593343
@@ -242,9 +243,8 @@ def test_risk_scaling_identity(bench, c):
     targets = [bench, poly_target([0.0, 0.5, 1.0], [[0.0, 1.0], [0.25, 0.5]])]
     for t in targets:
         p = differentiable_params(rng, 3, v_lo=0.1, v_hi=1.0)
-        scaled_theta = Params.from_parts(
-            [p.w(j) for j in range(3)], [p.b(j) for j in range(3)],
-            [c * p.v(j) for j in range(3)], c * p.c)
+        w, bias, v, c0 = parts(p)
+        scaled_theta = Params.from_parts(w, bias, [c * vj for vj in v], c * c0)
         lhs = risk(scaled_theta, t.scaled(c))
         rhs = c * c * risk(p, t)
         assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -372,6 +372,8 @@ def test_closed_hessian_domain_checks(bench):
         closed_hessian_M(0.2, 1.0, bench)
     with pytest.raises(DomainError):
         closed_hessian_M(0.5, -1.0, bench)
+    with pytest.raises(DomainError):
+        closed_hessian_M(0.5, 1.0, BenchmarkTarget(1 / 3, 2 / 3, scale=0.0))
 
 
 def test_fd_matches_closed_hessian(bench):
@@ -385,6 +387,18 @@ def test_fd_matches_closed_hessian(bench):
         for i in range(4):
             for j in range(4):
                 assert fd.matrix[i][j] == pytest.approx(cl.matrix[i][j], rel=1e-5)
+
+
+def test_fd_matches_closed_hessian_at_any_scale():
+    # R_s(w, b, v, c) = s^2 R_1(w, b, v/s, c/s), so the closed form is the
+    # congruence diag(s, s, 1, 1) H_1 diag(s, s, 1, 1)
+    for s in [1e-3, 3.0] + [sign * 2.0 ** k for k in range(-10, 11) for sign in (1.0, -1.0)]:
+        t = BenchmarkTarget(0.25, 0.6, -0.5, 1.5, scale=s)
+        smp = sample_M(t, 4, 0.45, 0.7, seed=3)
+        fd = hessian_fd(smp.theta, t, coords="restricted4").matrix
+        cl = closed_hessian_M(0.45, smp.theta.w(0), t).matrix
+        rel = max(abs(fd[i][j] - cl[i][j]) / abs(cl[i][j]) for i in range(4) for j in range(4))
+        assert rel < CLOSED_HESSIAN_RTOL, s
 
 
 def test_restricted_hessian_is_block_of_full(bench):

@@ -10,7 +10,7 @@ from reluland.errors import DomainError
 from reluland.minima import CLOSED_HESSIAN_RTOL, MIN_EIGENVALUE_TOL
 from reluland.polyalg import PiecewisePolynomial, Polynomial
 
-from conftest import rng_for
+from conftest import parts, rng_for
 
 SQ_INT_F_13_23 = 0.024983326680593343
 # measured strict gap at p=0.5, eps=0.05 (high-precision cross-check)
@@ -19,12 +19,12 @@ GAP_P05_EPS005 = 1.6666683857013205e-4
 
 def test_sample_formulas(bench):
     s = sample_M(bench, 1, 0.5, 1.0, seed=0)
-    th = s.theta
-    assert th.w(0) == pytest.approx(1.0)
-    assert th.b(0) == pytest.approx(-0.5)
-    assert th.v(0) == pytest.approx(1.0 / (2.0 * 0.5 ** 1.5 * math.sqrt(2.5)), rel=1e-14)
-    assert th.v(0) == pytest.approx(0.8944271909999159, rel=1e-12)
-    assert th.c == pytest.approx(-0.11180339887498948, rel=1e-12)
+    w, b, v, c = parts(s.theta)
+    assert w[0] == pytest.approx(1.0)
+    assert b[0] == pytest.approx(-0.5)
+    assert v[0] == pytest.approx(1.0 / (2.0 * 0.5 ** 1.5 * math.sqrt(2.5)), rel=1e-14)
+    assert v[0] == pytest.approx(0.8944271909999159, rel=1e-12)
+    assert c == pytest.approx(-0.11180339887498948, rel=1e-12)
 
 
 def test_sample_domain_checks(bench):
@@ -248,6 +248,13 @@ def test_family_certificate_matches_its_parts(bench):
         assert s.risk == risk(s.sample.theta, bench)
         assert s.residuals == verify_zero_integrals(bench, s.sample.x)
     assert cert.gap == certify_gap(bench, 4, 0.5, 0.05, seed=7)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.1, 3.0, 10.0])
+def test_family_certificate_passes_on_scaled_targets(scale):
+    cert = certify_family(BenchmarkTarget(1 / 3, 2 / 3, scale=scale), 4, [0.4, 0.5, 0.6], 1.0,
+                          gap=(0.5, 0.05))
+    assert cert.passed
 
 
 def test_family_certificate_fails_with_its_gap():

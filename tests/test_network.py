@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reluland import (Params, SmoothActivation, canonical, l2_distance,
-                      params_from_json, realize, sample_M, write_realization_csv)
+                      params_from_json, realization_csv, sample_M)
 from reluland.errors import DomainError
 from reluland.network import Realization, _geometry_nodes, _greedy_groups, uniform_grid
 
-from conftest import realize_smooth, rng_for
+from conftest import parts, realize, realize_smooth, rng_for
 
 
 def random_params(rng, H, span=2.0):
@@ -48,6 +48,13 @@ def test_params_validation():
             Params(1, (1.0, bad, 1.0, 0.0))
     with pytest.raises(DomainError):
         params_from_json('{"H": 1, "theta": [NaN, 0.0, 1.0, 0.0]}')
+
+
+@pytest.mark.parametrize("text", ['[]', '{"H": 1, "theta": 5}', '{"theta": [0, 0, 0, 0]}',
+                                  '{"H": "x", "theta": [0, 0, 0, 0]}', '{"H": 1, "theta": [0,'])
+def test_params_from_json_refuses_malformed_text(text):
+    with pytest.raises(DomainError):
+        params_from_json(text)
 
 
 def test_smooth_activation_values():
@@ -88,7 +95,7 @@ def test_realize_smooth_converges_and_monotone():
     xs = [k / 999 for k in range(1000)]
     for _ in range(5):
         p = random_params(rng, 3)
-        sup_v = sum(abs(p.v(j)) for j in range(3))
+        sup_v = sum(map(abs, parts(p)[2]))
         gaps = []
         for r in (10 ** 2, 10 ** 4, 10 ** 6):
             gaps.append(max(abs(realize_smooth(p, x, r) - realize(p, x)) for x in xs))
@@ -159,15 +166,15 @@ def test_canonical_invariance_permutation_and_scaling():
     for _ in range(20):
         p = random_params(rng, 3)
         perm = [2, 0, 1]
-        q = Params.from_parts([p.w(j) for j in perm], [p.b(j) for j in perm],
-                              [p.v(j) for j in perm], p.c)
+        w, b, v, c = parts(p)
+        q = Params.from_parts([w[j] for j in perm], [b[j] for j in perm],
+                              [v[j] for j in perm], c)
         ra = canonical(p, 0.0, 1.0)
         rb = canonical(q, 0.0, 1.0)
         assert l2_distance(ra, rb) < 1e-12
         lam = float(rng.uniform(0.5, 2.0))
-        scaled = Params.from_parts([lam * p.w(j) for j in range(3)],
-                                   [lam * p.b(j) for j in range(3)],
-                                   [p.v(j) / lam for j in range(3)], p.c)
+        scaled = Params.from_parts([lam * x for x in w], [lam * x for x in b],
+                                   [x / lam for x in v], c)
         assert l2_distance(ra, canonical(scaled, 0.0, 1.0)) < 1e-10
 
 
@@ -246,11 +253,9 @@ def test_params_json_roundtrip():
     assert params_from_json(json.dumps({"H": p.H, "theta": list(p.theta)})) == p
 
 
-def test_realization_csv(tmp_path):
+def test_realization_csv():
     r = Realization(0.0, 1.0, (0.5,), (0.0, 2.0), 1.0)
-    path = tmp_path / "real.csv"
-    write_realization_csv(r, path, grid=11)
-    lines = path.read_text().strip().splitlines()
+    lines = realization_csv(r, grid=11).strip().splitlines()
     assert lines[0] == "x,y"
     assert len(lines) == 12
     x, y = (float(s) for s in lines[-1].split(","))
@@ -258,7 +263,7 @@ def test_realization_csv(tmp_path):
 
 
 def _former_write_csv(r, path, grid):
-    """The csv.writer export that write_realization_csv replaced."""
+    """The csv.writer export that realization_csv replaced."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y"])
@@ -300,9 +305,8 @@ def test_csv_and_sample_bytes_match_former_writer(tmp_path_factory, case):
     want = [(x, r.eval(x)) for x in uniform_grid(r.a, r.b, n)]
     assert [(x.hex(), y.hex()) for x, y in got] == [(x.hex(), y.hex()) for x, y in want]
     d = tmp_path_factory.mktemp("csv")
-    write_realization_csv(r, d / "new.csv", grid=n)
     _former_write_csv(r, d / "old.csv", n)
-    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+    assert realization_csv(r, grid=n).encode() == (d / "old.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +415,8 @@ def _pair_case(draw):
 
 def _triple_kinks(p, a, b):
     """The kinks inside (a, b) that three or more neurons share."""
-    qs = sorted(-p.b(j) / p.w(j) for j in range(p.H)
-                if p.w(j) != 0.0 and a < -p.b(j) / p.w(j) < b)
+    w, bias, _, _ = parts(p)
+    qs = sorted(-bj / wj for wj, bj in zip(w, bias) if wj != 0.0 and a < -bj / wj < b)
     return {lo for lo, hi in zip(qs, qs[2:]) if hi == lo}
 
 
@@ -423,13 +427,14 @@ def test_canonical_and_l2_match_reference(case):
     refs = [_ref_canonical(p, a, b) for p in (p1, p2)]
     assert (l2_distance(*refs).hex() == _ref_l2_distance(*refs).hex())
     for p, ref in zip((p1, p2), refs):
+        w, bias, v, c = parts(p)
         got = canonical(p, a, b)
         triples = _triple_kinks(p, a, b)
         if triples:
             # the slope deltas of a kink shared by three or more neurons are
             # summed in another order, so only there may a sum round to 0 in
             # one order and not in the other
-            scale = 1.0 + sum(abs(p.v(j) * p.w(j)) for j in range(p.H))
+            scale = 1.0 + sum(abs(vj * wj) for wj, vj in zip(w, v))
             assert set(got.kinks) ^ set(ref.kinks) <= triples
             assert got.offset == ref.offset
             for x in xs + [a, b, *got.kinks, *ref.kinks]:
@@ -437,7 +442,7 @@ def test_canonical_and_l2_match_reference(case):
                                                     abs=1e-12 * scale * (b - a))
         else:
             assert got == ref
-        size = 1.0 + abs(p.c) + sum(abs(p.v(j)) * (abs(p.w(j)) * max(abs(a), abs(b))
-                                                   + abs(p.b(j))) for j in range(p.H))
+        size = 1.0 + abs(c) + sum(abs(vj) * (abs(wj) * max(abs(a), abs(b)) + abs(bj))
+                                  for wj, bj, vj in zip(w, bias, v))
         for x in xs + [a, b, *got.kinks]:
             assert got.eval(x) == pytest.approx(realize(p, x), rel=0.0, abs=1e-10 * size)

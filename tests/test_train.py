@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from reluland.errors import DomainError
 from reluland.landscape import grad_theta, risk_theta
 from reluland.train import DIVERGENCE_NORM, GF_MAX_SAMPLES
 
-from conftest import poly_target, rng_for
+from conftest import parts, poly_target, rng_for
 
 # frozen after the first verified run: seed 42, H=4, benchmark target,
 # lr=1/20, grad_tol=1e-4
@@ -19,17 +20,17 @@ SEED42_RISK = 0.004152778825654815
 
 
 def test_xavier_biases_zero():
-    p = xavier_init(4, seed=7)
-    assert all(p.b(j) == 0.0 for j in range(4))
-    assert p.c == 0.0
+    _, b, _, c = parts(xavier_init(4, seed=7))
+    assert b == (0.0,) * 4
+    assert c == 0.0
 
 
 def test_xavier_variance():
     draws = []
     for s in range(12500):  # 12500 * 8 = 1e5 weight draws at H=4
-        p = xavier_init(4, seed=s)
-        draws.extend([p.w(j) for j in range(4)])
-        draws.extend([p.v(j) for j in range(4)])
+        w, _, v, _ = parts(xavier_init(4, seed=s))
+        draws.extend(w)
+        draws.extend(v)
     var = float(np.var(draws))
     assert abs(var - 0.4) < 0.05 * 0.4
 
@@ -87,13 +88,22 @@ def test_gd_divergence_stops_the_run_and_leaves_it_unclustered(bench):
     assert rep.runs == (run,) and rep.clusters == ()
 
 
+def test_ensemble_passes_only_when_every_run_converges(bench):
+    assert ensemble(bench, TrainConfig(H=2, grad_tol=1e-3, master_seed=50, runs=2)).passed
+    diverged = ensemble(bench, TrainConfig(H=1, lr=10.0, runs=1))
+    assert diverged.runs[0].diverged and not diverged.passed
+    capped = ensemble(bench, TrainConfig(H=1, max_iters=1, runs=1))
+    assert not capped.runs[0].converged and not capped.passed
+
+
 def test_gd_counts_dead_neuron_every_iteration(xsq):
     # a dead neuron (w = b = 0) has a zero gradient, so it never moves
     cfg = TrainConfig(H=2, grad_tol=1e-12, max_iters=25, runs=1)
     p0 = Params.from_parts([0.0, 0.8], [0.0, -0.2], [0.5, 0.7], 0.0)
     run = gd_run(p0, xsq, cfg)
     assert run.iterations == 25 and run.nonsmooth_hits == 25
-    assert (run.theta.w(0), run.theta.b(0), run.theta.v(0)) == (0.0, 0.0, 0.5)
+    w, b, v, _ = parts(run.theta)
+    assert (w[0], b[0], v[0]) == (0.0, 0.0, 0.5)
 
 
 @pytest.mark.parametrize("bias, hits", [(0.0, 1), (-1e-14, 1), (-1e-13, 0)])
@@ -102,7 +112,8 @@ def test_gd_counts_kink_on_domain_endpoint(xsq, bias, hits):
     # |w a + b| = 1e-14 still counts
     cfg = TrainConfig(H=1, grad_tol=1e-12, max_iters=1, runs=1)
     run = gd_run(Params.from_parts([1.0], [bias], [0.0], 0.0), xsq, cfg)
-    assert run.theta.b(0) == bias and run.theta.v(0) != 0.0
+    _, b, v, _ = parts(run.theta)
+    assert b[0] == bias and v[0] != 0.0
     assert run.iterations == 1 and run.nonsmooth_hits == hits
 
 
@@ -276,6 +287,14 @@ def test_gf_step_underflow_returns_the_start(xsq):
     assert run.final_theta == p0
     assert run.samples == ((0.0, run.final_risk),)
     assert run.final_risk == risk_theta(p0.theta, 1, xsq)
+
+
+def test_gf_passes_only_monotone_without_step_underflow(xsq):
+    run = gf_run(xavier_init(1, seed=5), xsq, t_end=2.0)
+    assert run.monotone and run.passed
+    assert not replace(run, monotone=False).passed
+    stuck = gf_run(Params(1, (1e50, 1e50, 1e50, 0.0)), xsq, t_end=1.0)
+    assert stuck.step_underflow and stuck.monotone and not stuck.passed
 
 
 def test_gf_thins_samples_keeping_the_last(xsq, monkeypatch):
