@@ -30,7 +30,7 @@ from . import __version__
 from .errors import DomainError
 from .minima import certify_family
 from .network import params_from_json, realization_csv, uniform_grid
-from .enumeration import enumerate_all, grid_oracle, oracle_check
+from .enumeration import enumerate_all
 from .target import BenchmarkTarget, parse_target_json
 from .train import TrainConfig, ensemble, gf_run, xavier_init, xavier_var
 
@@ -175,25 +175,23 @@ def cmd_minima(alpha, beta, a_, b_, width, samples, xs, y_, seed, gap, p_, eps,
 @click.option("--force", is_flag=True)
 def cmd_enumerate(target_file, out_dir, force):
     """Enumerate all width-1 critical realizations of a continuous
-    piecewise-polynomial target and cross-check with the grid oracle."""
-    t = _load_target(target_file)
-    catalog = enumerate_all(t)
-    reports = tuple(grid_oracle(kr.f01) for kr in catalog.orientations)
-    oracle_ok = oracle_check(catalog, reports)
+    piecewise-polynomial target, cross-checked by the grid oracle."""
+    catalog = enumerate_all(_load_target(target_file))
+    inc, dec = catalog.orientations
     entries = [{"kind": e.kind, "q": e.q, "c": e.c, "vw": e.vw,
                 "risk": e.risk, "grad_norm": e.grad_norm,
                 "class": None if e.crit_class is None else e.crit_class.value}
                for e in catalog.entries]
-    doc = {"kind": "catalog", "entries": entries, "oracle_check": oracle_ok,
-           "brackets_increasing": [list(b) for b in reports[0].brackets],
-           "brackets_decreasing": [list(b) for b in reports[1].brackets],
-           "pass": oracle_ok}
+    doc = {"kind": "catalog", "entries": entries, "oracle_check": catalog.oracle_ok,
+           "brackets_increasing": [list(b) for b in inc.oracle.brackets],
+           "brackets_decreasing": [list(b) for b in dec.oracle.brackets],
+           "pass": catalog.passed}
     files = {"catalog.json": doc}
     for i, e in enumerate(catalog.entries):
         files[f"catalog_entry_{i}.csv"] = realization_csv(e.realization)
-    _finish(out_dir, force, files,
-            f"catalog: {len(entries)} entries, oracle {'PASS' if oracle_ok else 'FAIL'}",
-            oracle_ok)
+    failed = f", FAIL: {'; '.join(catalog.failures)}" if catalog.failures else ""
+    _finish(out_dir, force, files, f"catalog: {len(entries)} entries, "
+            f"oracle {'PASS' if catalog.oracle_ok else 'FAIL'}{failed}", catalog.passed)
 
 
 @main.command("train")

@@ -13,21 +13,21 @@ equation, have integer coefficients (``_grid_moments``,
 ``_kink_equations``), and integer Sturm counts isolate their roots.
 On the same grid a root is excluded by a zero slope when it is a root of
 gcd(D, Z), Z the zero-slope numerator; a root whose q rounds to 0.0 or
-1.0 is a boundary kink; roots with the same q are one.
-``enumerate_all`` builds that grid once, normalizes the target to [0, 1]
-once and reflects it once in floats for the decreasing orientation, and
-isolates each orientation's roots once; the catalog keeps both
-``KinkRoots``.  A grid scan of the defining residual on each orientation's
-normalized target serves as an independent cross-check oracle: it
-evaluates D(q) in floats at all grid points at once, as numpy arrays, from
-the target's running integrals of f and x f (``cum_moments``), bit for bit
-as three scalar moments per point would.  It never expands D in q, and the
-exact roots come from the target's doubles, not from the normalized
-target, so an error in either route cannot hide in both;
-``oracle_check`` matches its brackets against the catalog's roots.  Its
-degenerate-everywhere test is relative to the target's scale.  The
-catalog lists each realization once: a kink entry is never affine, and the
-affine entry is left out when its slope is exactly 0 on the same grid.
+1.0 is a boundary kink; roots with the same q are one.  A kink entry is
+never affine, and the affine entry is left out when its slope is exactly
+0 on the same grid, so the catalog lists each realization once.
+``enumerate_all`` normalizes the target to [0, 1] once and reflects it
+once; per orientation it isolates the roots and runs ``grid_oracle`` once,
+a float scan of D(q) at all grid points from the normalized target's
+running integrals (``cum_moments``) that never expands D in q, and
+``oracle_check`` matches the scan's brackets against the exact roots,
+which come from the target's own doubles: an error in either route cannot
+hide in both.  The catalog is the width-1 certificate: a lift check that
+misses ``RESIDUAL_TOL`` is a recorded failure, not an exception.  It
+raises only ``DomainError`` on the benchmark target and
+``DegenerateEnumerationError`` where the input breaks the hypotheses: a
+kink equation that vanishes identically without the zero-slope
+degeneracy, or an affine moment determinant that is not negative.
 """
 
 from __future__ import annotations
@@ -44,16 +44,8 @@ from .polyalg import (PiecewisePolynomial, _divexact, _eval_asc, _gcd, reparamet
                       roots_in)
 from .target import BenchmarkTarget, Target
 
-__all__ = [
-    "KinkSolution",
-    "KinkRoots",
-    "CatalogEntry",
-    "CriticalCatalog",
-    "GridOracleReport",
-    "enumerate_all",
-    "grid_oracle",
-    "oracle_check",
-]
+__all__ = ["KinkSolution", "KinkRoots", "CatalogEntry", "CriticalCatalog", "GridOracleReport",
+           "enumerate_all", "grid_oracle", "oracle_check"]
 
 RESIDUAL_TOL = 1e-9
 ORACLE_RESOLUTION = 1e-3
@@ -73,14 +65,24 @@ class KinkSolution:
 
 
 @dataclass(frozen=True)
+class GridOracleReport:
+    """Sign-change brackets of the kink residual D(q) on a uniform grid."""
+
+    brackets: tuple[tuple[float, float], ...]
+    degenerate_everywhere: bool
+
+
+@dataclass(frozen=True)
 class KinkRoots:
     """One kink orientation's roots: the target on [0, 1] (reflected for the
     decreasing orientation), the admissible kink positions in that
-    orientation's own q, and the roots excluded by a zero slope."""
+    orientation's own q, the roots excluded by a zero slope, and the grid
+    oracle's report on that target."""
 
     f01: PiecewisePolynomial
     admissible: tuple[float, ...]
     excluded: tuple[float, ...]
+    oracle: GridOracleReport
 
 
 def _on_unit(pp: PiecewisePolynomial, lo: float, hi: float) -> PiecewisePolynomial:
@@ -197,7 +199,16 @@ def _kink_roots(g: _GridMoments, decreasing: bool) -> tuple[tuple[float, ...], t
     return tuple(sorted(admissible)), tuple(sorted(excluded))
 
 
-def _increasing_solution(f01: PiecewisePolynomial, q: float) -> KinkSolution:
+def _held(failures: list[str], worst: float, message: str) -> bool:
+    """worst < RESIDUAL_TOL (NaN misses); a miss joins failures."""
+    if worst < RESIDUAL_TOL:
+        return True
+    failures.append(f"{message} {worst:g}")
+    return False
+
+
+def _increasing_solution(f01: PiecewisePolynomial, q: float,
+                         failures: list[str]) -> KinkSolution:
     T0 = f01.moment(0, 0.0, 1.0)
     int0q = f01.moment(0, 0.0, q)
     c = int0q / q
@@ -208,20 +219,13 @@ def _increasing_solution(f01: PiecewisePolynomial, q: float) -> KinkSolution:
     res3 = (c * (1.0 - q * q) / 2.0
             + vw * ((1.0 - q ** 3) / 3.0 - q * (1.0 - q * q) / 2.0)
             - f01.moment(1, q, 1.0))
-    sol = KinkSolution(q=q, c=c, vw=vw, orientation="increasing",
-                       residuals=(res1, res2, res3))
-    _check_residuals(sol)
+    sol = KinkSolution(q=q, c=c, vw=vw, orientation="increasing", residuals=(res1, res2, res3))
+    _held(failures, max(map(abs, sol.residuals)), f"kink solution at q={q!r} has residual")
     return sol
 
 
-def _check_residuals(sol: KinkSolution) -> None:
-    worst = max(abs(r) for r in sol.residuals)
-    if worst >= RESIDUAL_TOL:
-        raise DegenerateEnumerationError(
-            f"kink solution at q={sol.q!r} has residual {worst:g}")
-
-
-def _decreasing_solution(f01: PiecewisePolynomial, sol: KinkSolution) -> KinkSolution:
+def _decreasing_solution(f01: PiecewisePolynomial, sol: KinkSolution,
+                         failures: list[str]) -> KinkSolution:
     """A negative-inner-weight kink from the increasing solution ``sol`` of
     the reflected target: map q -> 1-q, negate the slope and check the
     residuals against the unreflected f01."""
@@ -231,9 +235,8 @@ def _decreasing_solution(f01: PiecewisePolynomial, sol: KinkSolution) -> KinkSol
     res1 = c * (1.0 - q) - f01.moment(0, q, 1.0)
     res2 = c * q - vw * q * q / 2.0 - f01.moment(0, 0.0, q)
     res3 = c * q * q / 2.0 - vw * q ** 3 / 6.0 - f01.moment(1, 0.0, q)
-    mapped = KinkSolution(q=q, c=c, vw=vw, orientation="decreasing",
-                          residuals=(res1, res2, res3))
-    _check_residuals(mapped)
+    mapped = KinkSolution(q=q, c=c, vw=vw, orientation="decreasing", residuals=(res1, res2, res3))
+    _held(failures, max(map(abs, mapped.residuals)), f"kink solution at q={q!r} has residual")
     return mapped
 
 
@@ -252,9 +255,18 @@ class CatalogEntry:
 
 @dataclass(frozen=True)
 class CriticalCatalog:
+    """The width-1 certificate: ``passed`` iff the grid oracle agrees with
+    the roots (``oracle_ok``) and no lift check missed ``RESIDUAL_TOL``."""
+
     kinks: tuple[KinkSolution, ...]
     orientations: tuple[KinkRoots, KinkRoots]  # (increasing, decreasing)
     entries: tuple[CatalogEntry, ...]  # distinct realizations, sorted by risk
+    oracle_ok: bool
+    failures: tuple[str, ...]  # each missed lift check, in the order checked
+
+    @property
+    def passed(self) -> bool:
+        return self.oracle_ok and not self.failures
 
 
 def _lift_constant(t: Target) -> Params:
@@ -298,37 +310,27 @@ def _lift_kink(t: Target, sol: KinkSolution) -> Params:
     return Params.from_parts([-1.0], [kink], [-sol.vw / width], sol.c)
 
 
-def _entry(t: Target, kind: str, theta: Params,
+def _entry(t: Target, kind: str, theta: Params, failures: list[str],
            sol: KinkSolution | None = None) -> CatalogEntry:
-    a, b = t.domain
-    g = grad(theta, t)
-    gn = g.max_norm()
-    if not gn < RESIDUAL_TOL:  # NaN fails too
-        raise DegenerateEnumerationError(
-            f"{kind} catalog lift is not critical (|grad| = {gn:g})")
-    # an interior-kink width-1 network has exactly one flat
-    # reparameterization direction, (w, b, v) -> (lw, lb, v/l)
-    expected_corank = 1 if sol is not None else None
-    try:
-        report = hessian_fd(theta, t, coords="all")
-        label = classify(report, gn, expected_corank=expected_corank)
-    except NonsmoothPointError:
-        label = None
-    return CatalogEntry(
-        kind=kind,
-        realization=canonical(theta, a, b),
-        theta=theta,
-        risk=risk(theta, t),
-        grad_norm=gn,
-        crit_class=label,
-        q=None if sol is None else sol.q,
-        c=None if sol is None else sol.c,
-        vw=None if sol is None else sol.vw,
-    )
+    gn = grad(theta, t).max_norm()
+    label = None
+    # only a critical lift has a Hessian to classify
+    if _held(failures, gn, f"{kind} catalog lift is not critical: |grad| ="):
+        # an interior-kink width-1 network has exactly one flat
+        # reparameterization direction, (w, b, v) -> (lw, lb, v/l)
+        try:
+            label = classify(hessian_fd(theta, t, coords="all"), gn,
+                             expected_corank=None if sol is None else 1)
+        except NonsmoothPointError:
+            pass
+    return CatalogEntry(kind=kind, realization=canonical(theta, *t.domain), theta=theta,
+                        risk=risk(theta, t), grad_norm=gn, crit_class=label,
+                        q=sol and sol.q, c=sol and sol.c, vw=sol and sol.vw)
 
 
 def enumerate_all(t: Target) -> CriticalCatalog:
-    """Catalog of all critical realization functions for H = 1.
+    """Catalog of all critical realization functions for H = 1, with its
+    verdict.
 
     Rejects the benchmark target: its middle piece is not polynomial, so
     the finiteness hypothesis behind the enumeration does not apply.
@@ -339,29 +341,24 @@ def enumerate_all(t: Target) -> CriticalCatalog:
             "polynomial target")
     f01 = _on_unit(t.pp, *t.domain)
     g = _grid_moments(t.pp)
-    inc = KinkRoots(f01, *_kink_roots(g, False))
-    kinks = [_increasing_solution(f01, q) for q in inc.admissible]
-    dec = KinkRoots(_on_unit(f01, 1.0, 0.0), *_kink_roots(g, True))
-    kinks += sorted((_decreasing_solution(f01, _increasing_solution(dec.f01, q))
+    failures: list[str] = []
+    inc = KinkRoots(f01, *_kink_roots(g, False), grid_oracle(f01))
+    kinks = [_increasing_solution(f01, q, failures) for q in inc.admissible]
+    r01 = _on_unit(f01, 1.0, 0.0)
+    dec = KinkRoots(r01, *_kink_roots(g, True), grid_oracle(r01))
+    kinks += sorted((_decreasing_solution(f01, _increasing_solution(r01, q, failures), failures)
                      for q in dec.admissible), key=lambda s: s.q)
 
-    entries = [_entry(t, "constant", _lift_constant(t))]
+    entries = [_entry(t, "constant", _lift_constant(t), failures)]
     # the affine fit is the constant iff int (x - m) f = 0, m the midpoint
     if 2 * g.t1 != g.cuts[-1] * g.t0:
-        entries.append(_entry(t, "affine", _lift_affine(t)))
+        entries.append(_entry(t, "affine", _lift_affine(t), failures))
     for sol in kinks:
-        entries.append(_entry(t, f"kink_{sol.orientation}", _lift_kink(t, sol), sol))
+        entries.append(_entry(t, f"kink_{sol.orientation}", _lift_kink(t, sol), failures, sol))
     entries.sort(key=lambda e: e.risk)  # stable: ties keep this order
     return CriticalCatalog(kinks=tuple(kinks), orientations=(inc, dec),
-                           entries=tuple(entries))
-
-
-@dataclass(frozen=True)
-class GridOracleReport:
-    """Sign-change brackets of the kink residual D(q) on a uniform grid."""
-
-    brackets: tuple[tuple[float, float], ...]
-    degenerate_everywhere: bool
+                           entries=tuple(entries), oracle_ok=oracle_check((inc, dec)),
+                           failures=tuple(failures))
 
 
 def _kink_residual(f01: PiecewisePolynomial, qs: np.ndarray) -> np.ndarray:
@@ -400,24 +397,19 @@ def grid_oracle(f01: PiecewisePolynomial) -> GridOracleReport:
     return GridOracleReport(brackets=tuple(brackets), degenerate_everywhere=False)
 
 
-def oracle_check(catalog: CriticalCatalog,
-                 reports: tuple[GridOracleReport, GridOracleReport]) -> bool:
-    """True iff the catalog's kink roots and the grid-oracle brackets are in
-    bijection (after zero-slope exclusions) for both kink orientations.
-
-    ``reports`` are the ``grid_oracle`` reports of the increasing and the
-    decreasing ``catalog.orientations``, in that order.
-    """
+def oracle_check(orientations: tuple[KinkRoots, KinkRoots]) -> bool:
+    """True iff each orientation's kink roots and its grid-oracle brackets
+    are in bijection (after zero-slope exclusions)."""
     resolution = ORACLE_RESOLUTION
-    for report, kr in zip(reports, catalog.orientations):
+    for kr in orientations:
         roots = kr.admissible
-        if report.degenerate_everywhere:
+        if kr.oracle.degenerate_everywhere:
             if roots:
                 return False
             continue
         candidates = sorted(roots + kr.excluded)
         used = [False] * len(candidates)
-        for lo, hi in report.brackets:
+        for lo, hi in kr.oracle.brackets:
             inside = [i for i, q in enumerate(candidates)
                       if lo - resolution <= q <= hi + resolution and not used[i]]
             if not inside:

@@ -23,10 +23,18 @@ class AccuracyError(DomainError):
 
 
 class DegenerateEnumerationError(DomainError):
-    """The kink equation vanished identically on a piece without the
-    matching zero-slope degeneracy; the input violates the enumeration
-    hypotheses."""
+    """The input breaks the width-1 enumeration's hypotheses: a kink equation
+    vanished identically without the zero-slope degeneracy, or the affine
+    moment determinant is not negative."""
 
 
 class NonsmoothPointError(DomainError):
     """Finite-difference Hessians need a twice-differentiable point."""
+
+
+def json_number(x, integer: bool = False):
+    """x from parsed JSON as an int if integer, else as a float (a huge int
+    overflows); anything else, a bool or a string included, is DomainError."""
+    if isinstance(x, bool) or not isinstance(x, int if integer else (int, float)):
+        raise DomainError(f"{x!r} is not a JSON {'integer' if integer else 'number'}")
+    return x if integer else float(x)

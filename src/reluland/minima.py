@@ -67,7 +67,8 @@ def _draw_inactive(rng: np.random.Generator, count: int, a: float, b: float):
         bj = -w * a - margin
         v = rng.uniform(-1.0, 1.0)
         if max(w * a + bj, w * b + bj) >= 0.0:
-            raise AssertionError("inactive draw violated strict inactivity")
+            raise DomainError(f"[{a!r}, {b!r}] is too far from 0 for a strictly inactive "
+                              "neuron: its margin is below the float spacing there")
         out.append((w, bj, v))
     return out
 

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, json_number
 
 __all__ = [
     "Params",
@@ -303,7 +303,7 @@ def params_from_json(text: str) -> Params:
     raises ``DomainError``."""
     try:
         doc = json.loads(text)
-        H, theta = int(doc["H"]), tuple(float(x) for x in doc["theta"])
+        H, theta = json_number(doc["H"], integer=True), tuple(map(json_number, doc["theta"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f'parameters are not {{"H": int, "theta": [number, ...]}}: '
                           f"{type(exc).__name__}: {exc}") from exc

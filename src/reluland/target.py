@@ -29,7 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, json_number
 from .polyalg import PiecewisePolynomial, Polynomial, _discontinuous, _running_table
 from .quadrature import adaptive_gauss_kronrod, adaptive_simpson
 
@@ -282,23 +282,24 @@ def parse_target_json(text: str) -> Target:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise DomainError(f"malformed target JSON: {exc}") from exc
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DomainError("target spec must be an object with a 'kind' field")
     kind = doc["kind"]
     if kind == "piecewise_poly":
         try:
-            bps = [float(x) for x in doc["breakpoints"]]
-            pieces = [Polynomial([float(c) for c in cs]) for cs in doc["pieces"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            bps = [json_number(x) for x in doc["breakpoints"]]
+            pieces = [Polynomial([json_number(c) for c in cs]) for cs in doc["pieces"]]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"bad piecewise_poly spec: {exc}") from exc
         return PolyTarget(PiecewisePolynomial(bps, pieces, continuous=True))
     if kind == "benchmark":
         try:
-            fields = [float(doc["alpha"]), float(doc["beta"]), float(doc.get("a", 0.0)),
-                      float(doc.get("b", 1.0)), float(doc.get("scale", 1.0))]
-        except (KeyError, TypeError, ValueError) as exc:
+            fields = [json_number(doc["alpha"]), json_number(doc["beta"]),
+                      json_number(doc.get("a", 0.0)), json_number(doc.get("b", 1.0)),
+                      json_number(doc.get("scale", 1.0))]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"bad benchmark spec: {exc}") from exc
         return BenchmarkTarget(*fields)
     raise DomainError(f"unknown target kind {kind!r}")

@@ -14,8 +14,7 @@ import pytest
 from reluland import (BenchmarkTarget, Params, PolyTarget, TrainConfig,
                       certify_gap, classify, closed_hessian_M, enumerate_all,
                       ensemble, fd_gradient, gf_run, grad, grad_smooth,
-                      grid_oracle, hessian_fd, minima_risk, oracle_check, risk,
-                      sample_M, verify_zero_integrals)
+                      hessian_fd, minima_risk, risk, sample_M, verify_zero_integrals)
 from reluland.landscape import CritClass
 
 from conftest import poly_target, rng_for
@@ -134,10 +133,10 @@ def test_criterion_07_enumeration_analytic(xsq_t):
     ok = ok and worst_res < 1e-9
     ok = ok and all(e.grad_norm < 1e-9 for e in cat.entries)
     # decreasing case: the oracle confirms there are none for this target
-    inc_report, dec_report = (grid_oracle(kr.f01) for kr in cat.orientations)
-    ok = ok and dec_report.brackets == ()
-    ok = ok and len(inc_report.brackets) == 1
-    ok = ok and oracle_check(cat, (inc_report, dec_report))
+    inc, dec = cat.orientations
+    ok = ok and dec.oracle.brackets == ()
+    ok = ok and len(inc.oracle.brackets) == 1
+    ok = ok and cat.oracle_ok and cat.passed
     report(7, ok, f"(catalog = {sorted(by_kind)}, max residual = {worst_res:.1e})")
 
 

@@ -121,6 +121,26 @@ def test_enumerate_normalizes_and_isolates_roots_once_per_orientation(tmp_path, 
     assert calls == {"_on_unit": 2, "_kink_roots": 2}
 
 
+# reflecting it once raised "discontinuity at breakpoint 0.78"; its
+# affine and kink lifts miss the absolute criticality tolerance
+LOSSY_TARGET = ('{"kind": "piecewise_poly", "breakpoints": [0.0, 0.22, 1.0], "pieces": '
+                '[[4.0, -15.0, -16.0, 20.0, 7.0, 6.0, 5.0], [601.9490598512639, -3776.0, '
+                '3753.0, 4070.0, 1058.0, 2027.0, 3739.0]]}')
+
+
+def test_enumerate_failed_lift_check_exits_1_with_its_report(tmp_path):
+    target = tmp_path / "lossy_target.json"
+    target.write_text(LOSSY_TARGET)
+    res = run_cli(["enumerate", "--target", str(target), "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1, res.output
+    assert "oracle PASS, FAIL: affine catalog lift is not critical" in res.output
+    doc = json.loads((tmp_path / "out" / "catalog.json").read_text())
+    jsonschema.validate(doc, load_schema("catalog.schema.json"))
+    assert doc["pass"] is False and doc["oracle_check"] is True
+    assert sorted(f.name for f in (tmp_path / "out").glob("*.csv")) == [
+        f"catalog_entry_{i}.csv" for i in range(len(doc["entries"]))]
+
+
 def test_enumerate_benchmark_rejected(tmp_path):
     target = tmp_path / "bench.json"
     target.write_text(json.dumps({"kind": "benchmark", "alpha": 1 / 3,
@@ -282,7 +302,7 @@ def test_minima_failed_gap_certificate_exits_1(tmp_path):
 
 def test_cli_imports_no_private_or_certificate_names():
     # the CLI serializes what the library decides: no private helper, and
-    # nothing that the family certificate computes or checks
+    # nothing that the family or width-1 certificate computes or checks
     from reluland import cli
     tree = ast.parse(Path(cli.__file__).read_text())
     names = [(node.module, alias.name) for node in ast.walk(tree)
@@ -292,7 +312,8 @@ def test_cli_imports_no_private_or_certificate_names():
     assert names
     assert [n for n in names if n[1].startswith("_") and not n[1].endswith("__")] == []
     checks = {"grad", "risk", "hessian_fd", "closed_hessian_M", "sample_M",
-              "verify_zero_integrals", "certify_gap", "minima_risk"}
+              "verify_zero_integrals", "certify_gap", "minima_risk", "grid_oracle",
+              "oracle_check"}
     assert [n for n in names if n[1] in checks] == []
 
 
@@ -318,10 +339,6 @@ INPUT_ERRORS = {
     "enumerate-near-overflow-coefficient": (["enumerate", "--target", "near_huge_target.json"],
                                             "catalog.json"),
     "gf-huge-scale": (["gf", "--target", "huge_scale.json", "--t-end", "1"], "gf_report.json"),
-    # reflecting it once raised "discontinuity at breakpoint 0.78"; its
-    # affine lift now misses the absolute criticality tolerance instead
-    "enumerate-lossy-reflection": (["enumerate", "--target", "lossy_target.json"],
-                                   "catalog.json"),
     # the affine lift's moment determinant -(b-a)^4/12 underflows to 0
     "enumerate-narrow-domain": (["enumerate", "--target", "narrow_target.json"],
                                 "catalog.json"),
@@ -349,6 +366,14 @@ INPUT_ERRORS = {
                                "minima_report.json"),
     "minima-wide-domain": (["minima", "--a", "0", "--b", "100000000", "--samples", "1"],
                            "minima_report.json"),
+    # near 1e16 the inactive neurons' margin is below the float spacing of w a
+    "minima-float-spacing-domain": (["minima", "--a", "1e16", "--b", "2e16", "--samples", "1"],
+                                    "minima_report.json"),
+    "minima-float-spacing-domain-gap": (["minima", "--a", "1e16", "--b", "2e16", "--samples",
+                                         "1", "--gap"], "minima_report.json"),
+    "minima-negative-float-spacing-domain": (["minima", "--a", "-1e17", "--b", "-5e16",
+                                              "--samples", "1"], "minima_report.json"),
+    "gf-theta0-fractional-h": (["gf", "--theta0", "fractional_h.json"], "gf_report.json"),
     "minima-y-tiny": (["minima", "--samples", "1", "--y", "1e-8"], "minima_report.json"),
     "minima-y-subnormal-scale": (["minima", "--samples", "1", "--y", "1e-300"],
                                  "minima_report.json"),
@@ -367,10 +392,7 @@ def test_input_error_exits_2_without_report(tmp_path, case):
         '{"kind": "piecewise_poly", "breakpoints": [0, 1], "pieces": [[0, 1e300, 1]]}')
     (tmp_path / "near_huge_target.json").write_text(
         '{"kind": "piecewise_poly", "breakpoints": [0, 1], "pieces": [[0, 1e154, 1]]}')
-    (tmp_path / "lossy_target.json").write_text(
-        '{"kind": "piecewise_poly", "breakpoints": [0.0, 0.22, 1.0], "pieces": '
-        '[[4.0, -15.0, -16.0, 20.0, 7.0, 6.0, 5.0], [601.9490598512639, -3776.0, '
-        '3753.0, 4070.0, 1058.0, 2027.0, 3739.0]]}')
+    (tmp_path / "fractional_h.json").write_text('{"H": 1.9, "theta": [1, 2, 3, 4]}')
     (tmp_path / "narrow_target.json").write_text(
         '{"kind": "piecewise_poly", "breakpoints": [0, 1e-100], "pieces": [[1.0, 2.0]]}')
     (tmp_path / "huge_scale.json").write_text(

@@ -288,10 +288,17 @@ def test_grad_matches_fd_gradient_at_smooth_points(case):
 # the scaled risk is subnormal (2.1e-314) and one subnormal spacing off
 @example((poly_target([-0.5, 0.5], [[3.973621123699866e-155, 7.947242247399732e-155]]),
           Params(1, (-1.0, 0.625, 0.0, 0.0))), -2.5, -1.0)
+# int f**2 over [-0.390625, -0.375] is 6.1e-11, the difference of two
+# antiderivative values near -3.15e-3, and c = -10 rounds every coefficient
+@example((poly_target([-0.5, -0.390625, -0.375, -0.25, -0.125, 0.0], [
+    [], [0.18683522939682007, 0.75, 0.25, -0.75, 1.0], [6.765127182006836e-05],
+    [6.765127182006836e-05], [6.765127182006836e-05]]),
+          Params(1, (-1.0, -0.25, 0.0, 0.0))), 1.0, -1.0)
 def test_risk_scaling_identity_random_targets(case, e, sign):
     # risk(theta_c, c f) = c^2 risk(theta, f), where theta_c scales v and c;
     # rounding error is relative to c^2 (||N||^2 + ||f||^2) <= 3 c^2 (risk + ||f||^2),
-    # plus a few subnormal spacings, since no relative bound holds below the
+    # plus eps c^2 times the antiderivative terms int f**2 cancels, plus a
+    # few subnormal spacings, since no relative bound holds below the
     # normal range
     t, p = case
     c = sign * 10.0 ** e
@@ -299,7 +306,18 @@ def test_risk_scaling_identity_random_targets(case, e, sign):
     scaled = Params(H, p.theta[:2 * H] + tuple(c * x for x in p.theta[2 * H:]))
     r = risk(p, t)
     assert (abs(risk(scaled, t.scaled(c)) - c * c * r)
-            <= 1e-11 * c * c * (r + t.sq_integral()) + 4 * math.ulp(0.0))
+            <= 1e-11 * c * c * (r + t.sq_integral())
+            + 8 * 2.0 ** -52 * c * c * _sq_integral_terms(t.pp) + 4 * math.ulp(0.0))
+
+
+def _sq_integral_terms(pp):
+    """The terms the integral of f**2 sums, in absolute value: each squared
+    piece's antiderivative, with |coefficients|, at |x| at both piece ends."""
+    total = 0.0
+    for piece, x0, x1 in zip(pp.pieces, pp.breakpoints, pp.breakpoints[1:]):
+        q = (piece * piece).antiderivative()
+        total += sum(abs(a) * (abs(x0) ** k + abs(x1) ** k) for k, a in enumerate(q.coeffs))
+    return total
 
 
 @st.composite

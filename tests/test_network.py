@@ -51,7 +51,15 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize("text", ['[]', '{"H": 1, "theta": 5}', '{"theta": [0, 0, 0, 0]}',
-                                  '{"H": "x", "theta": [0, 0, 0, 0]}', '{"H": 1, "theta": [0,'])
+                                  '{"H": "x", "theta": [0, 0, 0, 0]}', '{"H": 1, "theta": [0,',
+                                  # JSON numbers only, and an integer H
+                                  '{"H": 1.9, "theta": [1, 2, 3, 4]}',
+                                  '{"H": true, "theta": [1, 2, 3, 4]}',
+                                  '{"H": "1", "theta": [1, 2, 3, 4]}',
+                                  '{"H": 1, "theta": ["1", 2, 3, 4]}',
+                                  '{"H": 1, "theta": [true, 2, 3, 4]}',
+                                  pytest.param('{"H": 1, "theta": [1, 2, 3, 1' + '0' * 400 + ']}',
+                                               id="huge-int-theta")])
 def test_params_from_json_refuses_malformed_text(text):
     with pytest.raises(DomainError):
         params_from_json(text)

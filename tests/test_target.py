@@ -296,6 +296,21 @@ def test_parser_rejects_bad_input():
 
 
 @pytest.mark.parametrize("spec", [
+    '{"kind": "piecewise_poly", "breakpoints": ["0", true], "pieces": [["1"]]}',
+    '{"kind": "piecewise_poly", "breakpoints": [0, true], "pieces": [[1]]}',
+    '{"kind": "piecewise_poly", "breakpoints": [0, 1], "pieces": [["1"]]}',
+    '{"kind": "piecewise_poly", "breakpoints": [0, 1], "pieces": [[false, 1]]}',
+    pytest.param('{"kind": "piecewise_poly", "breakpoints": [0, 1], "pieces": [[1' + '0' * 400
+                 + ']]}', id="huge-int-coefficient"),
+    '{"kind": "benchmark", "alpha": "0.25", "beta": 0.5}',
+    '{"kind": "benchmark", "alpha": 0.25, "beta": 0.5, "scale": true}',
+])
+def test_parser_accepts_json_numbers_only(spec):
+    with pytest.raises(DomainError):
+        parse_target_json(spec)
+
+
+@pytest.mark.parametrize("spec", [
     '{"kind":"piecewise_poly","breakpoints":[0,NaN],"pieces":[[1]]}',
     '{"kind":"piecewise_poly","breakpoints":[0,Infinity],"pieces":[[1]]}',
     '{"kind":"piecewise_poly","breakpoints":[0,1],"pieces":[[0,NaN,1]]}',
