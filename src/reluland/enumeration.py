@@ -24,10 +24,10 @@ running integrals (``cum_moments``) that never expands D in q, and
 which come from the target's own doubles: an error in either route cannot
 hide in both.  The catalog is the width-1 certificate: a lift check that
 misses ``RESIDUAL_TOL`` is a recorded failure, not an exception.  It
-raises only ``DomainError`` on the benchmark target and
-``DegenerateEnumerationError`` where the input breaks the hypotheses: a
-kink equation that vanishes identically without the zero-slope
-degeneracy, or an affine moment determinant that is not negative.
+raises ``DomainError`` only on the benchmark target and where the input
+breaks the hypotheses: a kink equation that vanishes identically without
+the zero-slope degeneracy, or an affine moment determinant that is not
+negative.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEnumerationError, DomainError, NonsmoothPointError
+from .errors import DomainError, NonsmoothPointError
 from .landscape import CritClass, classify, grad, hessian_fd, risk
 from .network import Params, Realization, canonical
 from .polyalg import (PiecewisePolynomial, _divexact, _eval_asc, _gcd, reparametrize,
@@ -177,7 +177,7 @@ def _kink_roots(g: _GridMoments, decreasing: bool) -> tuple[tuple[float, ...], t
         Z = _combine(([0, g.t0], [1]), ([-S], g.p0[j]))
         if not D:
             if Z:
-                raise DegenerateEnumerationError(
+                raise DomainError(
                     f"kink equation vanished identically on piece {j} "
                     "without the zero-slope degeneracy")
             continue  # every q on the piece has vw = 0: nothing new
@@ -293,7 +293,7 @@ def _lift_affine(t: Target) -> Params:
     f1 = Gb - Ga
     det = m1 * m1 - m0 * m2  # = -(b-a)^4 / 12
     if not det < 0.0:
-        raise DegenerateEnumerationError(
+        raise DomainError(
             f"affine catalog lift is degenerate (moment determinant {det:g})")
     slope = (f0 * m1 - f1 * m0) / det
     intercept = (f1 * m1 - f0 * m2) / det

@@ -1,4 +1,4 @@
-"""The one input-error type and its three named kinds.
+"""The one input-error type and its two named kinds.
 
 Every input an operation cannot handle raises ``DomainError`` or one of
 its subclasses, so callers (the CLI among them) catch that one class.
@@ -20,12 +20,6 @@ class AccuracyError(DomainError):
         super().__init__(f"{message} (estimate {estimate!r}, error {error!r})")
         self.estimate = estimate
         self.error = error
-
-
-class DegenerateEnumerationError(DomainError):
-    """The input breaks the width-1 enumeration's hypotheses: a kink equation
-    vanished identically without the zero-slope degeneracy, or the affine
-    moment determinant is not negative."""
 
 
 class NonsmoothPointError(DomainError):

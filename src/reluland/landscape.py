@@ -91,29 +91,34 @@ def _running_sums(theta: Sequence[float], H: int, t: Target):
     F = [f]
     G = [g]
     x0 = nodes[0]
-    p2, p3 = x0 ** 2, x0 ** 3
-    for i in range(last + 1):
-        x1 = nodes[i + 1]
-        q2, q3 = x1 ** 2, x1 ** 3
-        y0 = vals[i]
-        m = (vals[i + 1] - y0) / (x1 - x0)
-        k = y0 - m * x0
-        # b ends the last segment, where the running integral takes N from
-        # the slope; at an interior node that formula adds exactly +-0.0 to
-        # these prefix sums, so they are its values there
-        if i < last:
-            y1 = vals[i + 1]
-            f, g = cum_int_xint(x1)
-        else:
-            y1 = y0 + m * (x1 - x0)
-            f, g = ends_b
-        s0 = s0 + (x1 - x0) * (y0 + y1) * 0.5
-        s1 = s1 + m * (q3 - p3) / 3.0 + k * (q2 - p2) * 0.5
-        net0.append(s0)
-        net1.append(s1)
-        F.append(f)
-        G.append(g)
-        x0, p2, p3 = x1, q2, q3
+    try:
+        p2, p3 = x0 ** 2, x0 ** 3
+        for i in range(last + 1):
+            x1 = nodes[i + 1]
+            q2, q3 = x1 ** 2, x1 ** 3
+            y0 = vals[i]
+            m = (vals[i + 1] - y0) / (x1 - x0)
+            k = y0 - m * x0
+            # b ends the last segment, where the running integral takes N from
+            # the slope; at an interior node that formula adds exactly +-0.0 to
+            # these prefix sums, so they are its values there
+            if i < last:
+                y1 = vals[i + 1]
+                f, g = cum_int_xint(x1)
+            else:
+                y1 = y0 + m * (x1 - x0)
+                f, g = ends_b
+            s0 = s0 + (x1 - x0) * (y0 + y1) * 0.5
+            s1 = s1 + m * (q3 - p3) / 3.0 + k * (q2 - p2) * 0.5
+            net0.append(s0)
+            net1.append(s1)
+            F.append(f)
+            G.append(g)
+            x0, p2, p3 = x1, q2, q3
+    except OverflowError:  # a node's cube, once |x| passes about 5.6e102
+        a, b = t.domain
+        raise DomainError(f"the domain [{a!r}, {b!r}] lies too far from 0: "
+                          "a node's cube overflows") from None
     return nodes, spans, net0, net1, F, G
 
 
@@ -170,10 +175,11 @@ def risk_theta(theta: Sequence[float], H: int, t: Target,
     return max(_unclamped_risk(theta, H, t, method), 0.0)
 
 
-def risk(p: Params, t: Target, method: str = "gauss_kronrod") -> float:
+def risk(p: Params, t: Target) -> float:
     """Exact L2 risk; the network and cross terms are closed-form, the
-    f**2 term is exact for polynomial targets and quadrature otherwise."""
-    return risk_theta(p.theta, p.H, t, method)
+    f**2 term is exact for polynomial targets and Gauss-Kronrod
+    quadrature otherwise."""
+    return risk_theta(p.theta, p.H, t)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,10 @@ __all__ = [
     "realization_csv",
 ]
 
+# sample rows of a realization CSV
+CSV_ROWS = 256
+
+
 @dataclass(frozen=True)
 class Params:
     """Network parameter vector theta of length 3H+1."""
@@ -310,7 +314,8 @@ def params_from_json(text: str) -> Params:
     return Params(H, theta)
 
 
-def realization_csv(r: Realization, grid: int = 256) -> str:
-    """Header ``x,y``, then ``repr(x),repr(y)`` per grid point, CRLF line
-    ends: ``csv.writer``'s text, as no float repr needs quoting."""
-    return "x,y\r\n" + "".join(f"{x!r},{y!r}\r\n" for x, y in r.sample(grid))
+def realization_csv(r: Realization) -> str:
+    """Header ``x,y``, then ``repr(x),repr(y)`` at each of ``CSV_ROWS``
+    grid points, CRLF line ends: ``csv.writer``'s text, as no float repr
+    needs quoting."""
+    return "x,y\r\n" + "".join(f"{x!r},{y!r}\r\n" for x, y in r.sample(CSV_ROWS))

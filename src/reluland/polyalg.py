@@ -213,13 +213,6 @@ class PiecewisePolynomial:
             raise DomainError(f"[{lo!r}, {hi!r}] outside domain [{self.lo!r}, {self.hi!r}]")
         return self.cum_moment(k, hi) - self.cum_moment(k, lo)
 
-    def scale(self, c: float) -> "PiecewisePolynomial":
-        # c * p is continuous wherever p is; re-checking would hold the
-        # scaled mismatch to the unscaled absolute tolerance
-        out = PiecewisePolynomial(self.breakpoints, [p.scale(c) for p in self.pieces])
-        out.continuous = self.continuous
-        return out
-
     def coeff_scale(self) -> float:
         return max((p.coeff_scale() for p in self.pieces), default=0.0)
 

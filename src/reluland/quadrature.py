@@ -29,7 +29,9 @@ from .errors import AccuracyError, DomainError
 __all__ = ["adaptive_simpson", "adaptive_gauss_kronrod", "adaptive_simpson_vec"]
 
 DEFAULT_TOL = 1e-12
+# the Simpson rules' bisection depth and the Gauss-Kronrod panel budget
 MAX_DEPTH = 40
+MAX_PANELS = 8192
 # live panels of one level of the vector Simpson engine; smoothed-gradient
 # integrands, split at their softplus transitions, peak at 96 for r up to 1e14
 MAX_LIVE_PANELS = 2 ** 16
@@ -84,14 +86,13 @@ def _gk_panel(f: Callable[[float], float], a: float, b: float):
 
 def adaptive_gauss_kronrod(f: Callable[[float], float], a: float, b: float,
                            tol: float = DEFAULT_TOL,
-                           breakpoints: Iterable[float] | None = None,
-                           max_panels: int = 8192) -> float:
+                           breakpoints: Iterable[float] | None = None) -> float:
     """Globally adaptive G7/K15 integration of f over [a, b].
 
     The worst panel is bisected until the summed error estimate falls
-    below tol.  Raises ValueError unless tol > 0, DomainError if f is not
-    finite at a point or a panel sum overflows, and AccuracyError (carrying
-    the best estimate) if the panel budget is exhausted first.
+    below tol.  Raises DomainError unless tol > 0, and if f is not finite
+    at a point or a panel sum overflows; raises AccuracyError (carrying
+    the best estimate) if ``MAX_PANELS`` panels are used first.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
@@ -105,7 +106,7 @@ def adaptive_gauss_kronrod(f: Callable[[float], float], a: float, b: float,
         total += val
         total_err += err
     panels = len(heap)
-    while total_err > tol and panels < max_panels:
+    while total_err > tol and panels < MAX_PANELS:
         neg_err, lo, hi, val = heapq.heappop(heap)
         total -= val
         total_err += neg_err  # neg_err = -err
@@ -162,11 +163,11 @@ def _adaptive_simpson_rec(f, a, fa, b, fb, m, fm, whole, tol, depth, outside):
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
                      tol: float = DEFAULT_TOL,
-                     breakpoints: Iterable[float] | None = None,
-                     max_depth: int = MAX_DEPTH) -> float:
-    """Adaptive Simpson integration of f over [a, b] to absolute tol > 0;
-    raises DomainError if f is not finite at a point or the sum overflows,
-    and AccuracyError, estimating the whole integral, past max_depth."""
+                     breakpoints: Iterable[float] | None = None) -> float:
+    """Adaptive Simpson integration of f over [a, b] to absolute tol;
+    raises DomainError unless tol > 0, and if f is not finite at a point or
+    the sum overflows; raises AccuracyError, estimating the whole integral,
+    past ``MAX_DEPTH`` bisections."""
     if not tol > 0:
         raise DomainError("tol must be positive")
     pts = _split_points(a, b, breakpoints)
@@ -179,7 +180,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     total = 0.0
     for i, panel in enumerate(panels):
         outside = total + math.fsum(p[-1] for p in panels[i + 1:])
-        total += _adaptive_simpson_rec(f, *panel, tol / len(panels), max_depth, outside)
+        total += _adaptive_simpson_rec(f, *panel, tol / len(panels), MAX_DEPTH, outside)
     if not math.isfinite(total):  # finite panel values whose sum overflows
         raise DomainError(f"integrand overflows on [{a!r}, {b!r}]")
     return total
@@ -216,8 +217,7 @@ _HALVES = np.array([[0, 1, 2], [2, 3, 4]])
 
 def adaptive_simpson_vec(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                          dim: int, tol: float,
-                         breakpoints: Iterable[float] | None = None,
-                         max_depth: int = MAX_DEPTH) -> list[float]:
+                         breakpoints: Iterable[float] | None = None) -> list[float]:
     """Adaptive Simpson for vector-valued integrands (max-norm error).
 
     Used for smoothed-gradient integrals, whose components share the
@@ -227,7 +227,7 @@ def adaptive_simpson_vec(f: Callable[[np.ndarray], np.ndarray], a: float, b: flo
     shape ``(len(xs), dim)``.  The engine is level-synchronous: it keeps
     the live panels of a bisection level in arrays and calls ``f`` once
     per level, at all their new midpoints, after one first call at the
-    panel ends and midpoints; so at most ``max_depth + 2`` calls.  Each
+    panel ends and midpoints; so at most ``MAX_DEPTH + 2`` calls.  Each
     panel follows the recursive rule of ``adaptive_simpson``: tol is split
     evenly over the panels between breakpoints and halved per level; a
     panel is accepted when the max norm of ``left + right - whole`` is at
@@ -236,13 +236,13 @@ def adaptive_simpson_vec(f: Callable[[np.ndarray], np.ndarray], a: float, b: flo
     accepted panels are summed per component with ``math.fsum``, which
     rounds once, so the result does not depend on the order of the panels.
 
-    Raises ValueError unless tol > 0, and DomainError if ``f`` returns a
-    non-finite value (naming the point) or a panel's sums overflow.
-    Raises AccuracyError when a panel is unconverged after ``max_depth``
-    levels or the next level would hold more than ``MAX_LIVE_PANELS``
-    panels; it carries the estimate of the whole integral (the accepted
-    panels plus the unconverged panels' estimates) and the sum of the
-    unconverged panels' error estimates.
+    Raises DomainError unless tol > 0, and if ``f`` returns a non-finite
+    value (naming the point) or a panel's sums overflow.  Raises
+    AccuracyError when a panel is unconverged after ``MAX_DEPTH`` levels
+    or the next level would hold more than ``MAX_LIVE_PANELS`` panels; it
+    carries the estimate of the whole integral (the accepted panels plus
+    the unconverged panels' estimates) and the sum of the unconverged
+    panels' error estimates.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
@@ -259,7 +259,7 @@ def adaptive_simpson_vec(f: Callable[[np.ndarray], np.ndarray], a: float, b: flo
         whole = _simpson_rows(x, fx)
     tol_ = tol / n
     accepted = []
-    for depth in range(max(max_depth, 0), -1, -1):
+    for depth in range(MAX_DEPTH, -1, -1):
         k = len(x)
         quarter = 0.5 * (x[:, :2] + x[:, 1:])  # (lm, rm)
         x5 = np.empty((k, 5))

@@ -16,9 +16,9 @@ Two kinds are supported and share one duck-typed interface:
 so that risk and gradient evaluations stay closed-form and fast;
 ``end_ints`` holds its values at a and b, computed once by the
 constructor; ``sq_integral(method)`` is the integral of f**2 over the whole
-domain.  Each constructor rejects non-finite fields and a target whose
-integral of f**2 overflows, so ``scaled(c)`` and the JSON parser inherit
-the checks.
+domain, and both kinds accept exactly the ``QUAD_METHODS`` names.  Each
+constructor rejects non-finite fields and a target whose integral of f**2
+overflows, so the JSON parser inherits the checks.
 """
 
 from __future__ import annotations
@@ -42,6 +42,13 @@ __all__ = [
 
 # absolute tolerance of the quadrature of the normalized integral of f**2
 SQ_TOL = 1e-12
+# the quadrature backends that sq_integral's method names
+QUAD_METHODS = ("gauss_kronrod", "simpson")
+
+
+def _check_method(method: str) -> None:
+    if method not in QUAD_METHODS:
+        raise DomainError(f"unknown quadrature method {method!r}")
 
 
 class PolyTarget:
@@ -101,12 +108,10 @@ class PolyTarget:
     def cum_xint(self, x: float) -> float:
         return self.cum_int_xint(x)[1]
 
-    def sq_integral(self, method: str = "exact") -> float:
+    def sq_integral(self, method: str = "gauss_kronrod") -> float:
         """Integral of f**2 over the domain, exact whatever the method."""
+        _check_method(method)
         return self._sq_int
-
-    def scaled(self, c: float) -> "PolyTarget":
-        return PolyTarget(self.pp.scale(c))
 
     def __repr__(self) -> str:
         return f"PolyTarget({self.pp!r})"
@@ -245,13 +250,9 @@ class BenchmarkTarget:
         """
         val = self._sq_cache.get(method)
         if val is None:
+            _check_method(method)
             g = self.eval_normalized
-            if method == "gauss_kronrod":
-                quad = adaptive_gauss_kronrod
-            elif method == "simpson":
-                quad = adaptive_simpson
-            else:
-                raise DomainError(f"unknown quadrature method {method!r}")
+            quad = adaptive_gauss_kronrod if method == "gauss_kronrod" else adaptive_simpson
             val = quad(lambda u: g(u) ** 2, 0.0, 1.0, SQ_TOL, breakpoints=(self.alpha, self.beta))
             self._sq_cache[method] = val
         return val
@@ -261,9 +262,6 @@ class BenchmarkTarget:
         ``unit_sq_integral(method)``, so SQ_TOL bounds the normalized
         integral, whatever the scale and the domain."""
         return self.scale * self.scale * (self.b - self.a) * self.unit_sq_integral(method)
-
-    def scaled(self, c: float) -> "BenchmarkTarget":
-        return BenchmarkTarget(self.alpha, self.beta, self.a, self.b, self.scale * c)
 
     def __repr__(self) -> str:
         return (f"BenchmarkTarget(alpha={self.alpha!r}, beta={self.beta!r}, "

@@ -21,6 +21,18 @@ def poly_target(breakpoints, pieces):
         breakpoints, [Polynomial(cs) for cs in pieces], continuous=True))
 
 
+def scaled(t, c):
+    """The target c f for a target f: a benchmark target's scale times c,
+    or each piece times c.  c f is continuous wherever f is, so the
+    pieces keep f's continuity flag; re-checking would hold the scaled
+    mismatch to the unscaled absolute tolerance."""
+    if isinstance(t, BenchmarkTarget):
+        return BenchmarkTarget(t.alpha, t.beta, t.a, t.b, t.scale * c)
+    pp = PiecewisePolynomial(t.pp.breakpoints, [p.scale(c) for p in t.pp.pieces])
+    pp.continuous = t.pp.continuous
+    return PolyTarget(pp)
+
+
 def parts(p):
     """(w, b, v, c) of a parameter vector: three width-H tuples and the
     output offset."""

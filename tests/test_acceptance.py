@@ -17,7 +17,7 @@ from reluland import (BenchmarkTarget, Params, PolyTarget, TrainConfig,
                       hessian_fd, minima_risk, risk, sample_M, verify_zero_integrals)
 from reluland.landscape import CritClass
 
-from conftest import poly_target, rng_for
+from conftest import poly_target, rng_for, scaled
 
 ALPHA, BETA = 1.0 / 3.0, 2.0 / 3.0
 SAMPLE_XS = [0.35 + 0.30 * k / 9.0 for k in range(10)]
@@ -216,8 +216,8 @@ def test_criterion_11_risk_scaling(bench_t, xsq_t):
             v = [float(x) for x in rng.uniform(-1.0, 1.0, 3)]
             cc = float(rng.uniform(-0.5, 0.5))
             p = Params.from_parts(w, b, v, cc)
-            scaled = Params.from_parts(w, b, [c * x for x in v], c * cc)
-            lhs = risk(scaled, t.scaled(c))
+            p_c = Params.from_parts(w, b, [c * x for x in v], c * cc)
+            lhs = risk(p_c, scaled(t, c))
             rhs = c * c * risk(p, t)
             rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
             worst = max(worst, rel)

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from reluland.cli import _finish, main
 from reluland import errors
-from reluland.errors import AccuracyError, DegenerateEnumerationError
+from reluland.errors import AccuracyError, DomainError
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -377,6 +377,14 @@ INPUT_ERRORS = {
     "minima-y-tiny": (["minima", "--samples", "1", "--y", "1e-8"], "minima_report.json"),
     "minima-y-subnormal-scale": (["minima", "--samples", "1", "--y", "1e-300"],
                                  "minima_report.json"),
+    # past |x| = 5.6e102 the cube of a geometry node overflows
+    "minima-cube-overflow-domain": (["minima", "--a", "0", "--b", "1e120", "--samples", "1"],
+                                    "minima_report.json"),
+    "enumerate-cube-overflow-domain": (["enumerate", "--target", "far_target.json"],
+                                       "catalog.json"),
+    "gf-cube-overflow-domain": (["gf", "--target", "far_target.json"], "gf_report.json"),
+    "train-cube-overflow-domain": (["train", "--target", "far_target.json", "--runs", "1"],
+                                   "ensemble_report.json"),
 }
 
 
@@ -397,6 +405,9 @@ def test_input_error_exits_2_without_report(tmp_path, case):
         '{"kind": "piecewise_poly", "breakpoints": [0, 1e-100], "pieces": [[1.0, 2.0]]}')
     (tmp_path / "huge_scale.json").write_text(
         '{"kind": "benchmark", "alpha": 0.25, "beta": 0.5, "scale": 1e160}')
+    (tmp_path / "far_target.json").write_text(
+        '{"kind": "piecewise_poly", "breakpoints": [1e300, 1.0000000000000002e300], '
+        '"pieces": [[1.0]]}')
     args, report = INPUT_ERRORS[case]
     args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
     res = run_cli(args + ["--out", str(tmp_path / "out")])
@@ -409,13 +420,13 @@ def test_input_error_exits_2_without_report(tmp_path, case):
 def test_every_error_class_is_a_domain_error():
     classes = [obj for obj in vars(errors).values()
                if isinstance(obj, type) and issubclass(obj, BaseException)]
-    assert len(classes) == 4
+    assert len(classes) == 3
     assert all(issubclass(cls, errors.DomainError) for cls in classes)
 
 
 def test_enumerate_degenerate_input_exits_2(tmp_path, monkeypatch):
     def degenerate(t):
-        raise DegenerateEnumerationError("kink equation vanished identically")
+        raise DomainError("kink equation vanished identically")
 
     monkeypatch.setattr("reluland.cli.enumerate_all", degenerate)
     res = run_cli(["enumerate", "--target", str(write_xsq(tmp_path)),

@@ -13,7 +13,7 @@ from reluland.errors import DomainError
 from reluland.network import canonical
 from reluland.polyalg import PiecewisePolynomial, Polynomial, reparametrize
 
-from conftest import piecewise_polys, poly_target, random_continuous_piecewise, rng_for
+from conftest import piecewise_polys, poly_target, random_continuous_piecewise, rng_for, scaled
 
 
 def _normalized01(t):
@@ -392,7 +392,7 @@ def test_kink_roots_and_oracle_are_scale_invariant(pp, k):
     # equations only change by a positive factor, and the oracle's
     # degenerate test is relative: no root, bracket or verdict may move
     assume(all(abs(c) > 1e-200 for p in pp.pieces for c in p.coeffs if c))
-    assert _roots_and_oracle(pp.scale(2.0 ** k)) == _roots_and_oracle(pp)
+    assert _roots_and_oracle(scaled(PolyTarget(pp), 2.0 ** k).pp) == _roots_and_oracle(pp)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -409,10 +409,10 @@ def test_catalog_is_scale_invariant(pp, k):
     assume(all(abs(c) > 1e-100 for p in pp.pieces for c in p.coeffs if c))
     cat = enumerate_all(PolyTarget(pp))
     s = 2.0 ** k
-    scaled = enumerate_all(PolyTarget(pp.scale(s)))
-    assert [(e.kind, e.q) for e in scaled.entries] == [(e.kind, e.q) for e in cat.entries]
-    assert scaled.oracle_ok == cat.oracle_ok
-    for e, f in zip(cat.entries, scaled.entries):
+    cat_s = enumerate_all(scaled(PolyTarget(pp), s))
+    assert [(e.kind, e.q) for e in cat_s.entries] == [(e.kind, e.q) for e in cat.entries]
+    assert cat_s.oracle_ok == cat.oracle_ok
+    for e, f in zip(cat.entries, cat_s.entries):
         assert f.risk == e.risk * 4.0 ** k
         if e.c is not None:
             assert (f.c, f.vw) == (e.c * s, e.vw * s)

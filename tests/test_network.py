@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from reluland import (Params, SmoothActivation, canonical, l2_distance,
                       params_from_json, realization_csv, sample_M)
 from reluland.errors import DomainError
+from reluland import network
 from reluland.network import Realization, _geometry_nodes, _greedy_groups, uniform_grid
 
 from conftest import parts, realize, realize_smooth, rng_for
@@ -261,9 +263,10 @@ def test_params_json_roundtrip():
     assert params_from_json(json.dumps({"H": p.H, "theta": list(p.theta)})) == p
 
 
-def test_realization_csv():
+def test_realization_csv(monkeypatch):
+    monkeypatch.setattr(network, "CSV_ROWS", 11)
     r = Realization(0.0, 1.0, (0.5,), (0.0, 2.0), 1.0)
-    lines = realization_csv(r, grid=11).strip().splitlines()
+    lines = realization_csv(r).strip().splitlines()
     assert lines[0] == "x,y"
     assert len(lines) == 12
     x, y = (float(s) for s in lines[-1].split(","))
@@ -314,7 +317,8 @@ def test_csv_and_sample_bytes_match_former_writer(tmp_path_factory, case):
     assert [(x.hex(), y.hex()) for x, y in got] == [(x.hex(), y.hex()) for x, y in want]
     d = tmp_path_factory.mktemp("csv")
     _former_write_csv(r, d / "old.csv", n)
-    assert realization_csv(r, grid=n).encode() == (d / "old.csv").read_bytes()
+    with mock.patch.object(network, "CSV_ROWS", n):
+        assert realization_csv(r).encode() == (d / "old.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

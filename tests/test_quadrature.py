@@ -1,10 +1,12 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reluland import quadrature
 from reluland.errors import AccuracyError, DomainError
 from reluland.polyalg import Polynomial
 from reluland.quadrature import (MAX_LIVE_PANELS, _split_points,
@@ -37,14 +39,16 @@ def test_empty_interval():
     assert adaptive_simpson(math.sin, 1.0, 1.0, 1e-12) == 0.0
 
 
-def test_accuracy_error_carries_estimate():
+def test_accuracy_error_carries_estimate(monkeypatch):
     spiky = lambda x: math.sqrt(abs(x - 1.0 / 3.0))
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 24)
     with pytest.raises(AccuracyError) as err:
-        adaptive_gauss_kronrod(spiky, 0.0, 1.0, 1e-16, max_panels=24)
+        adaptive_gauss_kronrod(spiky, 0.0, 1.0, 1e-16)
     assert math.isfinite(err.value.estimate)
     assert err.value.error > 0.0
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 3)
     with pytest.raises(AccuracyError) as err:
-        adaptive_simpson(spiky, 0.0, 1.0, 1e-16, max_depth=3)
+        adaptive_simpson(spiky, 0.0, 1.0, 1e-16)
     assert math.isfinite(err.value.estimate)
 
 
@@ -55,15 +59,16 @@ def test_vector_simpson_matches_scalar():
     assert out[1] == pytest.approx(1.0 - math.cos(1.0), abs=1e-11)
 
 
-def test_simpson_depth_zero_returns_converged_level():
+def test_simpson_depth_zero_returns_converged_level(monkeypatch):
     # Simpson is exact on x**2, so the first level has converged
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 0)
     sq = lambda x: x * x
-    assert adaptive_simpson(sq, 0.0, 1.0, 1e-3, max_depth=0) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    vec = adaptive_simpson_vec(lambda xs: (xs * xs)[:, None], 0.0, 1.0, 1, 1e-3, max_depth=0)
+    assert adaptive_simpson(sq, 0.0, 1.0, 1e-3) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    vec = adaptive_simpson_vec(lambda xs: (xs * xs)[:, None], 0.0, 1.0, 1, 1e-3)
     assert vec[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
     spiky = lambda x: math.sqrt(abs(x - 1.0 / 3.0))
     with pytest.raises(AccuracyError) as err:
-        adaptive_simpson(spiky, 0.0, 1.0, 1e-6, max_depth=0)
+        adaptive_simpson(spiky, 0.0, 1.0, 1e-6)
     assert math.isfinite(err.value.estimate)
     assert err.value.error > 0.0
 
@@ -144,10 +149,11 @@ def test_level_engine_matches_recursive_engine(comps, tol, max_depth, breaks):
     try:
         ref = recursive_simpson_vec(f_scalar, 0.0, 1.0, dim, tol, breaks, max_depth)
     except AccuracyError:
-        with pytest.raises(AccuracyError):
-            adaptive_simpson_vec(f_array, 0.0, 1.0, dim, tol, breaks, max_depth)
+        with pytest.raises(AccuracyError), mock.patch.object(quadrature, "MAX_DEPTH", max_depth):
+            adaptive_simpson_vec(f_array, 0.0, 1.0, dim, tol, breaks)
         return
-    out = adaptive_simpson_vec(f_array, 0.0, 1.0, dim, tol, breaks, max_depth)
+    with mock.patch.object(quadrature, "MAX_DEPTH", max_depth):
+        out = adaptive_simpson_vec(f_array, 0.0, 1.0, dim, tol, breaks)
     assert seen == seen_ref
     for got, want in zip(out, ref):
         assert abs(got - want) <= 1e-15 * (1.0 + abs(want))
@@ -253,8 +259,9 @@ def test_vector_simpson_bounds_live_panels():
     assert err.value.estimate[0] == pytest.approx((1.0 - math.cos(50.0)) / 50.0, abs=1e-9)
 
 
-def test_simpson_accuracy_error_estimates_whole_integral():
+def test_simpson_accuracy_error_estimates_whole_integral(monkeypatch):
     # the estimate once covered only the exhausted panel: 0.0607 here
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 3)
     calls = []
 
     def spiky(x):
@@ -262,16 +269,17 @@ def test_simpson_accuracy_error_estimates_whole_integral():
         return math.sqrt(abs(x - 0.3))
 
     with pytest.raises(AccuracyError) as err:
-        adaptive_simpson(spiky, 0.0, 1.0, max_depth=3)
+        adaptive_simpson(spiky, 0.0, 1.0)
     assert err.value.estimate == pytest.approx((2.0 / 3.0) * (0.3 ** 1.5 + 0.7 ** 1.5), abs=1e-2)
     # the panel's three points and two per panel visited: none for the estimate
     assert len(calls) == 3 + 2 * 4
 
 
-def test_vector_simpson_accuracy_error_estimates_whole_integral():
+def test_vector_simpson_accuracy_error_estimates_whole_integral(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 3)
     spiky = lambda xs: np.sqrt(np.abs(xs - 1.0 / 3.0))[:, None]
     exact = (2.0 / 3.0) * ((1.0 / 3.0) ** 1.5 + (2.0 / 3.0) ** 1.5)
     with pytest.raises(AccuracyError) as err:
-        adaptive_simpson_vec(spiky, 0.0, 1.0, 1, 1e-16, max_depth=3)
+        adaptive_simpson_vec(spiky, 0.0, 1.0, 1, 1e-16)
     assert err.value.estimate[0] == pytest.approx(exact, abs=1e-3)
     assert err.value.error > 0.0

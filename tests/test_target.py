@@ -10,9 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 from reluland import BenchmarkTarget, PolyTarget, parse_target_json
 from reluland.errors import DomainError
 from reluland.polyalg import PiecewisePolynomial, Polynomial
-from reluland.target import _mid_eval
+from reluland.landscape import risk_theta
+from reluland.target import QUAD_METHODS, _mid_eval
 
-from conftest import domain_points, piecewise_polys, poly_target, rng_for
+from conftest import domain_points, piecewise_polys, poly_target, rng_for, scaled
 
 # pinned by two independent quadratures (adaptive Simpson vs Gauss-Kronrod)
 # and a high-precision cross-check during development
@@ -159,13 +160,13 @@ _LINE = [[0.0, 1.0]]
     lambda: BenchmarkTarget(1 / 3, 2 / 3, scale=math.nan),
     lambda: BenchmarkTarget(math.nan, 2 / 3),
     lambda: BenchmarkTarget(1 / 3, 2 / 3, -1e308, 1e308),  # b - a overflows
-    lambda: BenchmarkTarget(1 / 3, 2 / 3).scaled(math.inf),
-    lambda: BenchmarkTarget(1 / 3, 2 / 3).scaled(1e160),  # scale**2 overflows
+    lambda: scaled(BenchmarkTarget(1 / 3, 2 / 3), math.inf),
+    lambda: scaled(BenchmarkTarget(1 / 3, 2 / 3), 1e160),  # scale**2 overflows
     lambda: poly_target([0.0, 1.0], [[0.0, math.nan, 1.0]]),
     lambda: poly_target([0.0, math.inf], [[0.0]]),  # whose integral of f**2 is 0
-    lambda: poly_target([0.0, 1.0], _LINE).scaled(math.inf),
-    lambda: poly_target([0.0, 1.0], _LINE).scaled(math.nan),
-    lambda: poly_target([0.0, 1.0], _LINE).scaled(1e200),  # integral of f**2 overflows
+    lambda: scaled(poly_target([0.0, 1.0], _LINE), math.inf),
+    lambda: scaled(poly_target([0.0, 1.0], _LINE), math.nan),
+    lambda: scaled(poly_target([0.0, 1.0], _LINE), 1e200),  # integral of f**2 overflows
 ], ids=["bench-b-inf", "bench-scale-nan", "bench-alpha-nan", "bench-width-overflow",
         "bench-scaled-inf", "bench-scaled-huge", "poly-coeff-nan", "poly-breakpoint-inf",
         "poly-scaled-inf", "poly-scaled-nan", "poly-scaled-huge"])
@@ -242,7 +243,7 @@ def test_sq_int_benchmark_large_scale(bench, method):
     # the tolerance bounds the normalized integral, so every scale reads one
     # quadrature
     for c in (1e3, 1e6, 1e150):
-        assert (bench.scaled(c).sq_integral(method)
+        assert (scaled(bench, c).sq_integral(method)
                 == pytest.approx(c * c * bench.sq_integral(method), rel=1e-15))
 
 
@@ -256,15 +257,25 @@ def test_sq_int_poly_matches_squared_moment():
         assert t.sq_integral() == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("t", [BenchmarkTarget(1 / 3, 2 / 3), poly_target([0.0, 1.0], _LINE)],
+                         ids=["benchmark", "poly"])
+def test_both_target_kinds_take_the_same_quadrature_names(t):
+    # the polynomial target's exact integral once took any name
+    theta = [1.0, -0.5, 1.0, 0.0]
+    assert all(math.isfinite(risk_theta(theta, 1, t, m)) for m in QUAD_METHODS)
+    with pytest.raises(DomainError, match="unknown quadrature method 'simson'"):
+        risk_theta(theta, 1, t, "simson")
+
+
 def test_scale_target():
     t = poly_target([0.0, 1.0], [[0.0, 1.0]])
-    assert t.scaled(2.0).eval(0.5) == pytest.approx(1.0)
-    assert t.scaled(1.0).eval(0.3) == t.eval(0.3)
-    assert t.scaled(0.0).eval(0.7) == 0.0
+    assert scaled(t, 2.0).eval(0.5) == pytest.approx(1.0)
+    assert scaled(t, 1.0).eval(0.3) == t.eval(0.3)
+    assert scaled(t, 0.0).eval(0.7) == 0.0
 
 
 def test_scale_benchmark_pointwise(bench):
-    s = bench.scaled(-2.5)
+    s = scaled(bench, -2.5)
     for x in (0.1, 0.45, 0.9):
         assert s.eval(x) == pytest.approx(-2.5 * bench.eval(x), rel=1e-15)
 
