@@ -7,7 +7,7 @@ width-1 critical realizations; reproducible gradient-descent and
 gradient-flow experiments.
 """
 
-from .errors import AccuracyError, DomainError, NonsmoothPointError
+from .errors import DomainError, NonsmoothPointError
 from .polyalg import PiecewisePolynomial, Polynomial, reparametrize, roots_in
 from .target import BenchmarkTarget, PolyTarget, Target, parse_target_json
 from .network import (Params, Realization, SmoothActivation, canonical,

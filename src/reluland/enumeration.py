@@ -207,8 +207,10 @@ def _held(failures: list[str], worst: float, message: str) -> bool:
     return False
 
 
-def _increasing_solution(f01: PiecewisePolynomial, q: float,
-                         failures: list[str]) -> KinkSolution:
+def _increasing_solution(f01: PiecewisePolynomial, q: float, failures: list[str],
+                         reflected: bool = False) -> KinkSolution:
+    """The positive-inner-weight kink at q; when f01 is the reflected
+    target, a miss names the decreasing kink at 1 - q that it yields."""
     T0 = f01.moment(0, 0.0, 1.0)
     int0q = f01.moment(0, 0.0, q)
     c = int0q / q
@@ -220,7 +222,9 @@ def _increasing_solution(f01: PiecewisePolynomial, q: float,
             + vw * ((1.0 - q ** 3) / 3.0 - q * (1.0 - q * q) / 2.0)
             - f01.moment(1, q, 1.0))
     sol = KinkSolution(q=q, c=c, vw=vw, orientation="increasing", residuals=(res1, res2, res3))
-    _held(failures, max(map(abs, sol.residuals)), f"kink solution at q={q!r} has residual")
+    name = (f"kink_decreasing at q={1.0 - q!r} on the reflected target" if reflected
+            else f"kink_increasing at q={q!r}")
+    _held(failures, max(map(abs, sol.residuals)), f"{name} has residual")
     return sol
 
 
@@ -236,7 +240,7 @@ def _decreasing_solution(f01: PiecewisePolynomial, sol: KinkSolution,
     res2 = c * q - vw * q * q / 2.0 - f01.moment(0, 0.0, q)
     res3 = c * q * q / 2.0 - vw * q ** 3 / 6.0 - f01.moment(1, 0.0, q)
     mapped = KinkSolution(q=q, c=c, vw=vw, orientation="decreasing", residuals=(res1, res2, res3))
-    _held(failures, max(map(abs, mapped.residuals)), f"kink solution at q={q!r} has residual")
+    _held(failures, max(map(abs, mapped.residuals)), f"kink_decreasing at q={q!r} has residual")
     return mapped
 
 
@@ -315,7 +319,8 @@ def _entry(t: Target, kind: str, theta: Params, failures: list[str],
     gn = grad(theta, t).max_norm()
     label = None
     # only a critical lift has a Hessian to classify
-    if _held(failures, gn, f"{kind} catalog lift is not critical: |grad| ="):
+    at = "" if sol is None else f" at q={sol.q!r}"
+    if _held(failures, gn, f"{kind} catalog lift{at} is not critical: |grad| ="):
         # an interior-kink width-1 network has exactly one flat
         # reparameterization direction, (w, b, v) -> (lw, lb, v/l)
         try:
@@ -346,7 +351,8 @@ def enumerate_all(t: Target) -> CriticalCatalog:
     kinks = [_increasing_solution(f01, q, failures) for q in inc.admissible]
     r01 = _on_unit(f01, 1.0, 0.0)
     dec = KinkRoots(r01, *_kink_roots(g, True), grid_oracle(r01))
-    kinks += sorted((_decreasing_solution(f01, _increasing_solution(r01, q, failures), failures)
+    kinks += sorted((_decreasing_solution(f01, _increasing_solution(r01, q, failures, True),
+                                          failures)
                      for q in dec.admissible), key=lambda s: s.q)
 
     entries = [_entry(t, "constant", _lift_constant(t), failures)]

@@ -1,25 +1,14 @@
-"""The one input-error type and its two named kinds.
+"""The one input-error type and its one named kind.
 
-Every input an operation cannot handle raises ``DomainError`` or one of
-its subclasses, so callers (the CLI among them) catch that one class.
-The subclasses exist only where a caller catches or reads them by name.
+Every input an operation cannot handle raises ``DomainError`` or its
+subclass ``NonsmoothPointError``, so callers (the CLI among them) catch
+that one class.  A subclass exists only where a caller catches it by
+name: ``enumeration._entry`` catches ``NonsmoothPointError``.
 """
 
 
 class DomainError(ValueError):
     """An argument lies outside what an operation can handle."""
-
-
-class AccuracyError(DomainError):
-    """Adaptive quadrature failed to reach the requested tolerance.
-
-    Carries the best estimate so callers can decide whether to proceed.
-    """
-
-    def __init__(self, message, estimate, error):
-        super().__init__(f"{message} (estimate {estimate!r}, error {error!r})")
-        self.estimate = estimate
-        self.error = error
 
 
 class NonsmoothPointError(DomainError):

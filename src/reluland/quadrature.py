@@ -5,6 +5,13 @@ Simpson rule and a globally adaptive Gauss-Kronrod (G7/K15) rule.  Risk
 certificates are cross-checked between them, so neither may delegate to
 the other.  Tolerances are absolute.
 
+Every failure is a ``DomainError``.  Each engine checks its input once,
+in ``_split_points``: tol > 0 and finite limits a <= b (a == b integrates
+to 0).  A non-finite integrand value names its point, a sum that
+overflows names its panel or interval, and an engine that runs out of
+panels or depth gives its estimate of the whole integral and its error
+in the message.
+
 ``adaptive_simpson_vec`` applies the same Simpson rule to vector-valued
 integrands on numpy arrays, for the smoothed-gradient oracle
 ``landscape.grad_smooth``.  It bisects level by level: the integrand takes
@@ -24,7 +31,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 
 __all__ = ["adaptive_simpson", "adaptive_gauss_kronrod", "adaptive_simpson_vec"]
 
@@ -56,11 +63,19 @@ _G7K15 = (
 )
 
 
-def _split_points(a: float, b: float, breakpoints: Iterable[float] | None):
+def _split_points(a: float, b: float, breakpoints: Iterable[float] | None, tol: float):
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise DomainError(f"need finite limits a <= b, got [{a!r}, {b!r}]")
     pts = [a, b]
     if breakpoints:
         pts.extend(x for x in breakpoints if a < x < b)
     return sorted(set(pts))
+
+
+def _unconverged(what: str, estimate, error: float) -> DomainError:
+    return DomainError(f"{what} (estimate {estimate!r}, error {error!r})")
 
 
 def _gk_panel(f: Callable[[float], float], a: float, b: float):
@@ -90,13 +105,11 @@ def adaptive_gauss_kronrod(f: Callable[[float], float], a: float, b: float,
     """Globally adaptive G7/K15 integration of f over [a, b].
 
     The worst panel is bisected until the summed error estimate falls
-    below tol.  Raises DomainError unless tol > 0, and if f is not finite
-    at a point or a panel sum overflows; raises AccuracyError (carrying
-    the best estimate) if ``MAX_PANELS`` panels are used first.
+    below tol; a panel at floating-point resolution keeps its estimate and
+    leaves the queue.  Fails if ``MAX_PANELS`` panels are used, or the
+    queue empties, first.
     """
-    if not tol > 0:
-        raise DomainError("tol must be positive")
-    pts = _split_points(a, b, breakpoints)
+    pts = _split_points(a, b, breakpoints, tol)
     heap = []  # (-err, lo, hi, value)
     total = 0.0
     total_err = 0.0
@@ -106,7 +119,7 @@ def adaptive_gauss_kronrod(f: Callable[[float], float], a: float, b: float,
         total += val
         total_err += err
     panels = len(heap)
-    while total_err > tol and panels < MAX_PANELS:
+    while total_err > tol and panels < MAX_PANELS and heap:
         neg_err, lo, hi, val = heapq.heappop(heap)
         total -= val
         total_err += neg_err  # neg_err = -err
@@ -115,7 +128,6 @@ def adaptive_gauss_kronrod(f: Callable[[float], float], a: float, b: float,
             # interval at floating-point resolution; keep its estimate
             total += val
             total_err -= neg_err
-            heapq.heappush(heap, (0.0, lo, hi, val))
             continue
         for lo2, hi2 in ((lo, mid), (mid, hi)):
             v, e = _gk_panel(f, lo2, hi2)
@@ -123,10 +135,11 @@ def adaptive_gauss_kronrod(f: Callable[[float], float], a: float, b: float,
             total += v
             total_err += e
         panels += 1
+    if not math.isfinite(total):  # finite panel values whose sum overflows
+        raise DomainError(f"integrand overflows on [{a!r}, {b!r}]")
     if total_err > tol:
-        raise AccuracyError(
-            f"Gauss-Kronrod did not reach tol={tol:g} (err~{total_err:g})",
-            estimate=total, error=total_err)
+        raise _unconverged(f"Gauss-Kronrod did not reach tol={tol:g} (err~{total_err:g})",
+                           total, total_err)
     return total
 
 
@@ -152,9 +165,8 @@ def _adaptive_simpson_rec(f, a, fa, b, fb, m, fm, whole, tol, depth, outside):
                 raise DomainError(f"integrand is not finite at x={x!r}")
         if not math.isfinite(left + right):
             raise DomainError(f"integrand overflows on [{a!r}, {b!r}]")
-        raise AccuracyError("Simpson recursion depth exhausted",
-                            estimate=outside + (left + right + delta / 15.0),
-                            error=abs(delta) / 15.0)
+        raise _unconverged("Simpson recursion depth exhausted",
+                           outside + (left + right + delta / 15.0), abs(delta) / 15.0)
     lpart = _adaptive_simpson_rec(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1,
                                   outside + right)
     return lpart + _adaptive_simpson_rec(f, m, fm, b, fb, rm, frm, right, tol / 2.0,
@@ -164,13 +176,10 @@ def _adaptive_simpson_rec(f, a, fa, b, fb, m, fm, whole, tol, depth, outside):
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
                      tol: float = DEFAULT_TOL,
                      breakpoints: Iterable[float] | None = None) -> float:
-    """Adaptive Simpson integration of f over [a, b] to absolute tol;
-    raises DomainError unless tol > 0, and if f is not finite at a point or
-    the sum overflows; raises AccuracyError, estimating the whole integral,
-    past ``MAX_DEPTH`` bisections."""
-    if not tol > 0:
-        raise DomainError("tol must be positive")
-    pts = _split_points(a, b, breakpoints)
+    """Adaptive Simpson integration of f over [a, b] to absolute tol; fails
+    past ``MAX_DEPTH`` bisections, estimating the unvisited panels by their
+    one-level values."""
+    pts = _split_points(a, b, breakpoints, tol)
     panels = []
     for lo, hi in zip(pts, pts[1:]):
         fa, fb = f(lo), f(hi)
@@ -236,17 +245,13 @@ def adaptive_simpson_vec(f: Callable[[np.ndarray], np.ndarray], a: float, b: flo
     accepted panels are summed per component with ``math.fsum``, which
     rounds once, so the result does not depend on the order of the panels.
 
-    Raises DomainError unless tol > 0, and if ``f`` returns a non-finite
-    value (naming the point) or a panel's sums overflow.  Raises
-    AccuracyError when a panel is unconverged after ``MAX_DEPTH`` levels
-    or the next level would hold more than ``MAX_LIVE_PANELS`` panels; it
-    carries the estimate of the whole integral (the accepted panels plus
-    the unconverged panels' estimates) and the sum of the unconverged
-    panels' error estimates.
+    Fails when a panel is unconverged after ``MAX_DEPTH`` levels or the
+    next level would hold more than ``MAX_LIVE_PANELS`` panels; the
+    estimate is the accepted panels plus the unconverged panels'
+    estimates, and the error the sum of the unconverged panels' error
+    estimates.
     """
-    if not tol > 0:
-        raise DomainError("tol must be positive")
-    pts = np.array(_split_points(a, b, breakpoints))
+    pts = np.array(_split_points(a, b, breakpoints, tol))
     n = len(pts) - 1
     if n < 1:
         return [0.0] * dim
@@ -287,11 +292,10 @@ def adaptive_simpson_vec(f: Callable[[np.ndarray], np.ndarray], a: float, b: flo
             break
         if depth == 0 or 2 * len(live) > MAX_LIVE_PANELS:
             accepted.append(est[live])
-            raise AccuracyError(
+            raise _unconverged(
                 "vector Simpson depth exhausted" if depth == 0
                 else f"vector Simpson level exceeds {MAX_LIVE_PANELS} panels",
-                estimate=_fsum_columns(accepted, a, b),
-                error=math.fsum(err[live].tolist()) / 15.0)
+                _fsum_columns(accepted, a, b), math.fsum(err[live].tolist()) / 15.0)
         x = x[live].reshape(-1, 3)
         fx = fx[live].reshape(-1, 3, dim)
         whole = halves[live].reshape(-1, dim)

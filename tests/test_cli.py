@@ -8,8 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 from reluland.cli import _finish, main
-from reluland import errors
-from reluland.errors import AccuracyError, DomainError
+from reluland import errors, quadrature
+from reluland.errors import DomainError
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -420,7 +420,7 @@ def test_input_error_exits_2_without_report(tmp_path, case):
 def test_every_error_class_is_a_domain_error():
     classes = [obj for obj in vars(errors).values()
                if isinstance(obj, type) and issubclass(obj, BaseException)]
-    assert len(classes) == 3
+    assert len(classes) == 2
     assert all(issubclass(cls, errors.DomainError) for cls in classes)
 
 
@@ -438,7 +438,7 @@ def test_enumerate_degenerate_input_exits_2(tmp_path, monkeypatch):
 
 def test_accuracy_error_exit_2_prints_estimate_and_error(tmp_path, monkeypatch):
     def exhausted(*args, **kwargs):
-        raise AccuracyError("Simpson recursion depth exhausted", estimate=0.125, error=3e-09)
+        raise quadrature._unconverged("Simpson recursion depth exhausted", 0.125, 3e-09)
 
     monkeypatch.setattr("reluland.target.adaptive_simpson", exhausted)
     res = run_cli(["minima", "--samples", "1", "--out", str(tmp_path / "out")])

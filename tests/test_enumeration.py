@@ -473,17 +473,50 @@ LARGE_COEFFICIENT_TARGET = ([0.0, 0.22, 1.0], [
     [4.0, -15.0, -16.0, 20.0, 7.0, 6.0, 5.0],
     [601.9490598512639, -3776.0, 3753.0, 4070.0, 1058.0, 2027.0, 3739.0]])
 FAR_AFFINE_TARGET = ([1000.0, 1000.5], [[1.0, 2.0]])
+# large coefficients again: the reflected-target residual of its decreasing
+# kink and four of its five lifts miss RESIDUAL_TOL
+KINK_RESIDUAL_TARGET = (
+    [1.8469800035481598, 3.410689039925308, 3.858489461273636, 4.543882627285089], [
+        [102.6344592123935, -309.8704671530645, -265.2975335217334, -608.1425237729021,
+         753.1623473222303, 238.78075491123104, -881.9218082590592],
+        [-141871.10106569398, -103.45110585965301, -157.00274133646008, -788.3066364507961,
+         659.9080360505534, 745.0738689411876, -928.8656339081782],
+        [-4128467.6334070507, 630.8225586519741, 871.4092785835412, 420.4126641322223,
+         -338.9135474727492, -326.66792027259817, 597.5334420714817]])
 
 
-@pytest.mark.parametrize("breakpoints, pieces", [LARGE_COEFFICIENT_TARGET, FAR_AFFINE_TARGET])
+@pytest.mark.parametrize("breakpoints, pieces",
+                         [LARGE_COEFFICIENT_TARGET, FAR_AFFINE_TARGET, KINK_RESIDUAL_TARGET])
 def test_missed_lift_check_fails_the_catalog(breakpoints, pieces):
     # the lifts of the two strict xfails below miss RESIDUAL_TOL: the catalog
     # records each miss, classifies no such lift, and fails
     cat = enumerate_all(poly_target(breakpoints, pieces))
     missed = [e for e in cat.entries if not e.grad_norm < RESIDUAL_TOL]
     assert missed and all(e.crit_class is None for e in missed)
-    assert sorted(f.split()[0] for f in cat.failures) == sorted(e.kind for e in missed)
+    lifts = [f for f in cat.failures if " catalog lift " in f]
+    assert sorted(f.split()[0] for f in lifts) == sorted(e.kind for e in missed)
+    # every other failure is a kink's residual, led by its entry's kind
+    kinds = {e.kind for e in cat.entries}
+    assert all(f.split()[0] in kinds and " has residual " in f
+               for f in cat.failures if f not in lifts)
     assert cat.oracle_ok and not cat.passed
+
+
+def test_kink_failures_name_their_catalog_q():
+    # the reflected-target check of the decreasing kink at q = 0.6887 once
+    # named the reflected q, 0.3113, and the kink lifts named no q at all
+    cat = enumerate_all(poly_target(*KINK_RESIDUAL_TARGET))
+    kinks = {(e.kind, e.q) for e in cat.entries if e.q is not None}
+    assert kinks == {("kink_decreasing", 0.68869904447958),
+                     ("kink_increasing", 0.025870371489836085),
+                     ("kink_increasing", 0.9138657457705329)}
+    assert cat.failures[0].startswith(
+        "kink_decreasing at q=0.68869904447958 on the reflected target has residual ")
+    kink_failures = [f for f in cat.failures if f.startswith("kink_")]
+    assert len(kink_failures) == 4
+    for f in kink_failures:
+        assert sum(f.split()[0] == kind and f" q={q!r} " in f for kind, q in kinks) == 1, f
+    assert not any("0.31130095552042003" in f for f in cat.failures)
 
 
 @pytest.mark.xfail(strict=True, reason="absolute RESIDUAL_TOL on a correctly rounded affine lift")
