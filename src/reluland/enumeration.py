@@ -22,18 +22,19 @@ a float scan of D(q) at all grid points from the normalized target's
 running integrals (``cum_moments``) that never expands D in q, and
 ``oracle_check`` matches the scan's brackets against the exact roots,
 which come from the target's own doubles: an error in either route cannot
-hide in both.  The catalog is the width-1 certificate: a lift check that
-misses ``RESIDUAL_TOL`` is a recorded failure, not an exception.  It
-raises ``DomainError`` only on the benchmark target and where the input
-breaks the hypotheses: a kink equation that vanishes identically without
-the zero-slope degeneracy, or an affine moment determinant that is not
-negative.
+hide in both.  A decreasing kink is the reflected target's increasing
+kink, mirrored, so each kink's residuals are checked where it was solved.
+The catalog is the width-1 certificate: a lift check that misses
+``RESIDUAL_TOL`` is a recorded failure, not an exception.  It raises
+``DomainError`` only on the benchmark target and where the input breaks
+the hypotheses: a kink equation that vanishes identically without the
+zero-slope degeneracy, or an affine moment determinant that is not negative.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,7 +56,9 @@ ORACLE_RESOLUTION = 1e-3
 class KinkSolution:
     """Normalized single-kink critical data: kink q in (0,1), flat-side
     level c, active-side slope vw != 0, and orientation of the inner
-    weight ('increasing' = flat left of q, 'decreasing' = flat right)."""
+    weight ('increasing' = flat left of q, 'decreasing' = flat right).
+    The residuals are taken where it was solved: the reflected target for
+    a decreasing kink."""
 
     q: float
     c: float
@@ -228,22 +231,6 @@ def _increasing_solution(f01: PiecewisePolynomial, q: float, failures: list[str]
     return sol
 
 
-def _decreasing_solution(f01: PiecewisePolynomial, sol: KinkSolution,
-                         failures: list[str]) -> KinkSolution:
-    """A negative-inner-weight kink from the increasing solution ``sol`` of
-    the reflected target: map q -> 1-q, negate the slope and check the
-    residuals against the unreflected f01."""
-    q = 1.0 - sol.q
-    c = sol.c
-    vw = -sol.vw
-    res1 = c * (1.0 - q) - f01.moment(0, q, 1.0)
-    res2 = c * q - vw * q * q / 2.0 - f01.moment(0, 0.0, q)
-    res3 = c * q * q / 2.0 - vw * q ** 3 / 6.0 - f01.moment(1, 0.0, q)
-    mapped = KinkSolution(q=q, c=c, vw=vw, orientation="decreasing", residuals=(res1, res2, res3))
-    _held(failures, max(map(abs, mapped.residuals)), f"kink_decreasing at q={q!r} has residual")
-    return mapped
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     kind: str  # constant | affine | kink_increasing | kink_decreasing
@@ -351,9 +338,10 @@ def enumerate_all(t: Target) -> CriticalCatalog:
     kinks = [_increasing_solution(f01, q, failures) for q in inc.admissible]
     r01 = _on_unit(f01, 1.0, 0.0)
     dec = KinkRoots(r01, *_kink_roots(g, True), grid_oracle(r01))
-    kinks += sorted((_decreasing_solution(f01, _increasing_solution(r01, q, failures, True),
-                                          failures)
-                     for q in dec.admissible), key=lambda s: s.q)
+    # a decreasing kink is the reflected target's increasing kink, mirrored
+    reflected = [_increasing_solution(r01, q, failures, True) for q in dec.admissible]
+    kinks += sorted((replace(s, q=1.0 - s.q, vw=-s.vw, orientation="decreasing")
+                     for s in reflected), key=lambda s: s.q)
 
     entries = [_entry(t, "constant", _lift_constant(t), failures)]
     # the affine fit is the constant iff int (x - m) f = 0, m the midpoint

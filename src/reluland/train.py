@@ -41,6 +41,7 @@ DIVERGENCE_NORM = 1e8
 NONSMOOTH_EPS = 1e-14
 GF_MAX_SAMPLES = 2000
 GF_MAX_STEPS = 50_000  # attempted RK4 steps, accepted or rejected
+SEED_LIMIT = 2 ** 128  # Philox keys are the integers in [0, SEED_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,8 @@ class TrainConfig:
         for name in ("lr", "grad_tol", "dedup_l2"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise DomainError(f"{name} must be positive and finite")
+        _check_seed(self.master_seed)
+        _check_seed(self.master_seed + self.runs - 1)
 
 
 def xavier_var(H: int) -> float:
@@ -68,9 +71,16 @@ def xavier_var(H: int) -> float:
     return 2.0 / (1.0 + H)
 
 
+def _check_seed(seed: int) -> int:
+    """seed, if it is an int (not a bool) in [0, SEED_LIMIT); else DomainError."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < SEED_LIMIT:
+        raise DomainError(f"seed {seed!r} is not an integer in [0, 2**128)")
+    return seed
+
+
 def _rng(seed: int) -> np.random.Generator:
     """The Philox(seed) generator of every seeded draw in the package."""
-    return np.random.Generator(np.random.Philox(key=seed))
+    return np.random.Generator(np.random.Philox(key=_check_seed(seed)))
 
 
 def xavier_init(H: int, seed: int) -> Params:

@@ -385,6 +385,20 @@ INPUT_ERRORS = {
     "gf-cube-overflow-domain": (["gf", "--target", "far_target.json"], "gf_report.json"),
     "train-cube-overflow-domain": (["train", "--target", "far_target.json", "--runs", "1"],
                                    "ensemble_report.json"),
+    # Philox keys are the integers in [0, 2**128); numpy's own check once
+    # ended in a ValueError traceback
+    "train-seed-negative": (["train", "--seed", "-1", "--runs", "1", "--h", "1"],
+                            "ensemble_report.json"),
+    "train-seed-block-past-limit": (["train", "--seed", str(2 ** 128 - 1), "--runs", "2",
+                                     "--h", "1"], "ensemble_report.json"),
+    "gf-seed-negative": (["gf", "--seed", "-1"], "gf_report.json"),
+    "gf-seed-past-limit": (["gf", "--seed", str(2 ** 128)], "gf_report.json"),
+    "minima-seed-negative": (["minima", "--seed", "-1", "--samples", "1"],
+                             "minima_report.json"),
+    # the gap witness draws from seed + 1
+    "minima-gap-seed-past-limit": (["minima", "--seed", str(2 ** 128 - 1), "--samples", "1",
+                                    "--gap"], "minima_report.json"),
+    "minima-alpha-not-a-number": (["minima", "--alpha", "abc"], "minima_report.json"),
 }
 
 

@@ -423,6 +423,8 @@ def test_hessian_cc_entry_exact():
     p = Params.from_parts([1.0], [0.5], [0.3], 0.1)
     rep = hessian_fd(p, t, coords="restricted4")
     assert rep.matrix[3][3] == pytest.approx(4.0, rel=1e-9)
+    with pytest.raises(DomainError, match="coords"):
+        hessian_fd(p, t, coords="restricted")
 
 
 def test_hessian_nonsmooth_rejected():

@@ -32,6 +32,10 @@ def test_sample_domain_checks(bench):
         sample_M(bench, 1, 0.2, 1.0)
     with pytest.raises(DomainError):
         sample_M(bench, 1, 0.5, -1.0)
+    # the only guard: with H = 0 the family would be one active neuron
+    for H in (0, -2):
+        with pytest.raises(DomainError, match="H must be >= 1"):
+            sample_M(bench, H, 0.5, 1.0)
 
 
 def test_sample_inactive_neurons_strictly_inactive():
@@ -134,6 +138,9 @@ def test_witness_preconditions(bench):
         certify_gap(bench, 1, 0.5, 0.05)
     with pytest.raises(DomainError):
         certify_gap(bench, 2, 0.5, 0.5)
+    for scale in (0.0, -1.0):
+        with pytest.raises(DomainError, match="positive target scale"):
+            certify_gap(BenchmarkTarget(1 / 3, 2 / 3, scale=scale), 2, 0.5, 0.05)
 
 
 def test_gap_certificate_decides_half_width():

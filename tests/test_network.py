@@ -50,6 +50,8 @@ def test_params_validation():
             Params(1, (1.0, bad, 1.0, 0.0))
     with pytest.raises(DomainError):
         params_from_json('{"H": 1, "theta": [NaN, 0.0, 1.0, 0.0]}')
+    with pytest.raises(DomainError, match="equal length"):
+        Params.from_parts([1.0, 2.0], [0.0], [1.0, 1.0], 0.0)
 
 
 @pytest.mark.parametrize("text", ['[]', '{"H": 1, "theta": 5}', '{"theta": [0, 0, 0, 0]}',
@@ -119,6 +121,9 @@ def test_canonical_single_neuron():
     assert r.kinks == (0.5,)
     assert r.slopes == (0.0, 2.0)
     assert r.offset == 1.0
+    for b in (0.0, -1.0):
+        with pytest.raises(DomainError, match="need b > a"):
+            canonical(p, 0.0, b)
 
 
 def test_canonical_split_outer_weight():
@@ -216,6 +221,15 @@ def test_realization_invariants():
         Realization(0.0, 1.0, (0.5, 0.4), (0.0, 1.0, 2.0), 0.0)
     with pytest.raises(ValueError):
         Realization(0.0, 1.0, (1.5,), (0.0, 1.0), 0.0)
+    for b in (0.0, -1.0):
+        with pytest.raises(DomainError, match="need b > a"):
+            Realization(0.0, b, (), (1.0,), 0.0)
+    with pytest.raises(DomainError, match="len"):
+        Realization(0.0, 1.0, (0.5,), (1.0,), 0.0)
+    r = Realization(0.0, 1.0, (), (1.0,), 0.0)
+    for x in (-0.5, math.nextafter(1.0, 2.0)):
+        with pytest.raises(DomainError, match="outside"):
+            r.eval(x)
 
 
 def test_realization_sample_needs_two_points():

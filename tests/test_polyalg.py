@@ -56,6 +56,15 @@ def test_moment_outside_domain():
     pp = PiecewisePolynomial([0.0, 1.0], [Polynomial([1.0])])
     with pytest.raises(DomainError):
         pp.moment(0, -0.5, 0.5)
+    with pytest.raises(DomainError, match="lo > hi"):
+        pp.moment(0, 0.75, 0.25)
+
+
+def test_piece_count_must_match_breakpoints():
+    for bps, pieces in (([0.0, 1.0], []), ([0.0, 1.0], [Polynomial([1.0])] * 2),
+                        ([0.0], [Polynomial([1.0])])):
+        with pytest.raises(DomainError, match="breakpoints"):
+            PiecewisePolynomial(bps, pieces)
 
 
 @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (1.0, 3.0)])
@@ -186,6 +195,12 @@ def test_roots_zero_poly_raises():
         roots_in([0, 0], 0, 1)
 
 
+def test_roots_need_lo_below_hi():
+    for lo, hi in ((1, 1), (2, 1)):
+        with pytest.raises(DomainError, match="lo < hi"):
+            roots_in([-1, 1], lo, hi)
+
+
 def test_roots_never_miss_planted():
     # a double r = n / 2**k in (0, 1) is the integer r * 2**64 on the grid
     rng = rng_for(202)
@@ -308,6 +323,8 @@ def test_reparametrize_reflection():
     out = reparametrize(pp, -1.0, 1.0)
     for u in (0.0, 0.3, 0.6, 1.0):
         assert out.eval(u) == pytest.approx(pp.eval(1.0 - u), abs=1e-12)
+    with pytest.raises(DomainError, match="nonzero"):
+        reparametrize(pp, 0.0, 1.0)
 
 
 def test_reparametrize_drops_pieces_rounded_to_zero_width():

@@ -41,6 +41,10 @@ def test_kinked_integrand_with_breakpoint_hint():
 def test_empty_interval():
     assert adaptive_gauss_kronrod(math.sin, 1.0, 1.0, 1e-12) == 0.0
     assert adaptive_simpson(math.sin, 1.0, 1.0, 1e-12) == 0.0
+    calls = []
+    assert adaptive_simpson_vec(lambda xs: calls.append(xs) or np.ones((len(xs), 3)),
+                                1.0, 1.0, 3, 1e-12) == [0.0, 0.0, 0.0]
+    assert calls == []
 
 
 def estimate_and_error(err: pytest.ExceptionInfo) -> tuple[float, float]:
@@ -227,6 +231,13 @@ def test_scalar_backends_reject_bad_tol(backend, tol):
     with pytest.raises(ValueError):
         backend(lambda x: calls.append(x) or math.sqrt(abs(x - 1.0 / 3.0)), 0.0, 1.0, tol)
     assert calls == []
+
+
+@pytest.mark.parametrize("shape", [lambda n: (n,), lambda n: (n, 1), lambda n: (n - 1, 2),
+                                   lambda n: (2, n)])
+def test_vector_simpson_rejects_wrong_shape(shape):
+    with pytest.raises(DomainError, match="shape"):
+        adaptive_simpson_vec(lambda xs: np.zeros(shape(len(xs))), 0.0, 1.0, 2, 1e-6)
 
 
 def test_vector_simpson_rejects_non_finite_values():

@@ -47,6 +47,12 @@ def test_eval_poly_target():
 def test_eval_outside_domain(bench):
     with pytest.raises(DomainError):
         bench.eval(1.5)
+    t = poly_target([0.0, 1.0], _LINE)
+    for x in (-0.5, math.nextafter(1.0, 2.0)):
+        with pytest.raises(DomainError, match="outside"):
+            t.eval_array(np.array([0.5, x]))
+        with pytest.raises(DomainError, match="outside"):
+            t.cum_int_xint(x)
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -304,6 +310,9 @@ def test_parser_rejects_bad_input():
         parse_target_json('{"kind":"piecewise_poly","breakpoints":[0,0],"pieces":[[1]]}')
     with pytest.raises(DomainError):
         parse_target_json('{"kind":"benchmark","alpha":0.9,"beta":0.1}')
+    for doc in ('[]', '["piecewise_poly"]', '"benchmark"', '3'):
+        with pytest.raises(DomainError, match="object"):
+            parse_target_json(doc)
 
 
 @pytest.mark.parametrize("spec", [

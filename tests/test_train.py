@@ -9,7 +9,7 @@ from reluland import (Params, TrainConfig, enumerate_all, ensemble, gd_run,
                       gf_run, grad, l2_distance, risk, sample_M, xavier_init)
 from reluland.errors import DomainError
 from reluland.landscape import grad_theta, risk_theta
-from reluland.train import DIVERGENCE_NORM, GF_MAX_SAMPLES
+from reluland.train import DIVERGENCE_NORM, GF_MAX_SAMPLES, SEED_LIMIT
 
 from conftest import parts, poly_target, rng_for
 
@@ -38,6 +38,28 @@ def test_xavier_variance():
 def test_xavier_deterministic():
     assert xavier_init(4, seed=99) == xavier_init(4, seed=99)
     assert xavier_init(4, seed=99) != xavier_init(4, seed=100)
+    for H in (0, -1):
+        with pytest.raises(DomainError, match="H must be >= 1"):
+            xavier_init(H, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, SEED_LIMIT, SEED_LIMIT + 5, True, False, 1.0, "1", None])
+def test_seeds_outside_philox_keys_are_domain_errors(bench, seed):
+    # a seed is an int, not a bool, in Philox's key range [0, 2**128)
+    with pytest.raises(DomainError, match="seed"):
+        xavier_init(2, seed)
+    with pytest.raises(DomainError, match="seed"):
+        sample_M(bench, 2, 0.5, 1.0, seed=seed)
+    with pytest.raises(DomainError, match="seed"):
+        TrainConfig(master_seed=seed)
+
+
+def test_seed_range_ends():
+    assert xavier_init(2, SEED_LIMIT - 1) == xavier_init(2, SEED_LIMIT - 1)
+    assert TrainConfig(master_seed=SEED_LIMIT - 2, runs=2).master_seed == SEED_LIMIT - 2
+    # the config refuses a seed block that leaves the range before any run
+    with pytest.raises(DomainError, match=str(SEED_LIMIT)):
+        TrainConfig(master_seed=SEED_LIMIT - 2, runs=3)
 
 
 def test_config_validation():
@@ -58,6 +80,8 @@ def test_gd_zero_start_zero_target():
     run = gd_run(p0, t, cfg)
     assert run.converged and run.iterations == 0
     assert run.grad_max_norm == 0.0
+    with pytest.raises(DomainError, match="width"):
+        gd_run(p0, t, replace(cfg, H=3))
 
 
 def test_gd_family_sample_is_fixed_point(bench):
