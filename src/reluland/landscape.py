@@ -10,9 +10,11 @@ classical gradient wherever the latter exists.
 
 Risk and gradient read the network's geometry, and the gradient each
 neuron's active span, from the one kernel ``network._geometry_nodes``
-(the node list that ``canonical`` uses too).  Each is one pass over its
-segments; the gradient's (``_running_sums``) keeps running integrals at
-every node, the risk's only its cross term.  The running integrals of f
+(the node list that ``canonical`` uses too).  A neuron that
+``network._adds_nothing`` has no span, so its gradient is exactly +0.0,
+and gradient descent freezes it.  Each is one pass over its segments; the
+gradient's (``_running_sums``) keeps running integrals at every node,
+the risk's only its cross term.  The running integrals of f
 and x*f at a and b are the target's ``end_ints``, so an evaluation reads
 the target only at its interior kinks.  ``hessian_fd``
 refuses a kink on a domain endpoint through the kernel's
@@ -84,7 +86,6 @@ def _running_sums(theta: Sequence[float], H: int, t: Target):
     nodes, vals, spans = _geometry_nodes(theta, H, *t.domain)
     cum_int_xint = t.cum_int_xint
     (f, g), ends_b = t.end_ints
-    last = len(nodes) - 2  # the segment that ends at b
     s0 = s1 = 0.0
     net0 = [s0]
     net1 = [s1]
@@ -93,28 +94,30 @@ def _running_sums(theta: Sequence[float], H: int, t: Target):
     x0 = nodes[0]
     try:
         p2, p3 = x0 ** 2, x0 ** 3
-        for i in range(last + 1):
+        for i in range(len(nodes) - 2):
             x1 = nodes[i + 1]
             q2, q3 = x1 ** 2, x1 ** 3
             y0 = vals[i]
-            m = (vals[i + 1] - y0) / (x1 - x0)
+            y1 = vals[i + 1]
+            m = (y1 - y0) / (x1 - x0)
             k = y0 - m * x0
-            # b ends the last segment, where the running integral takes N from
-            # the slope; at an interior node that formula adds exactly +-0.0 to
-            # these prefix sums, so they are its values there
-            if i < last:
-                y1 = vals[i + 1]
-                f, g = cum_int_xint(x1)
-            else:
-                y1 = y0 + m * (x1 - x0)
-                f, g = ends_b
             s0 = s0 + (x1 - x0) * (y0 + y1) * 0.5
             s1 = s1 + m * (q3 - p3) / 3.0 + k * (q2 - p2) * 0.5
             net0.append(s0)
             net1.append(s1)
+            f, g = cum_int_xint(x1)
             F.append(f)
             G.append(g)
             x0, p2, p3 = x1, q2, q3
+        # b ends the last segment, where the running integral takes N from
+        # the slope; at an interior node that formula adds exactly +-0.0 to
+        # these prefix sums, so they are its values there
+        x1, y0 = nodes[-1], vals[-2]
+        m = (vals[-1] - y0) / (x1 - x0)
+        net0.append(s0 + (x1 - x0) * (y0 + (y0 + m * (x1 - x0))) * 0.5)
+        net1.append(s1 + m * (x1 ** 3 - p3) / 3.0 + (y0 - m * x0) * (x1 ** 2 - p2) * 0.5)
+        F.append(ends_b[0])
+        G.append(ends_b[1])
     except OverflowError:  # a node's cube, once |x| passes about 5.6e102
         a, b = t.domain
         raise DomainError(f"the domain [{a!r}, {b!r}] lies too far from 0: "

@@ -9,6 +9,9 @@ the network's kinks, evaluates N_theta at the nodes (a, the distinct
 kinks inside (a, b), b) and, from the same kinks, decides each neuron's
 active span, the nodes that bound its active set I_j.  Risk, gradient
 and ``canonical`` read it; the gradient and ``canonical`` read the spans.
+It sums N_theta only over neurons that can add to it; ``_adds_nothing``
+is the one test of a neuron that cannot, which also gets a gradient of
+exactly 0.0 (gradient descent freezes it out of its iterate).
 ``_pl_sq_integral``, the exact integral of a squared piecewise-linear
 function, serves both the risk and ``l2_distance``.
 ``_kink_near_endpoint`` is the one test for the nonsmooth points the
@@ -130,6 +133,9 @@ class Realization:
             raise DomainError("need b > a")
         if len(self.slopes) != len(self.kinks) + 1:
             raise DomainError("need len(slopes) == len(kinks) + 1")
+        if not all(map(math.isfinite, (self.a, self.b, *self.kinks, *self.slopes,
+                                       self.offset))):
+            raise DomainError("a realization's ends, kinks, slopes and offset must be finite")
         if any(k2 <= k1 for k1, k2 in zip(self.kinks, self.kinks[1:])):
             raise DomainError("kinks must be strictly increasing")
         if self.kinks and (self.kinks[0] <= self.a or self.kinks[-1] >= self.b):
@@ -180,15 +186,19 @@ def _geometry_nodes(theta: Sequence[float], H: int, a: float, b: float
     Neuron j is active on I_j = {x in [a, b] : b_j + w_j x > 0}.  For each
     neuron with a nonempty I_j, in order of j, the spans list (j, lo, hi):
     the node indices with nodes[lo] and nodes[hi] the ends of I_j (a, b or
-    its own kink).
+    its own kink).  The sums for N_theta skip each neuron that
+    ``_adds_nothing``: it has no span and no kink inside (a, b), and its
+    b_j + w_j x rounds to <= 0 at every node, so no sum changes a bit.
     """
     c = theta[3 * H]
-    neurons = list(zip(theta[:H], theta[H:2 * H], theta[2 * H:3 * H]))
     events = []
     # each neuron with a nonempty I_j: (j, its kink if that lies inside
     # (a, b), else None, and whether I_j lies right of the kink)
     active = []
-    for j, (w, bj, _) in enumerate(neurons):
+    terms = []  # (w_j, b_j, v_j) of every neuron but those that add nothing
+    for j in range(H):
+        w, bj = theta[j], theta[H + j]
+        # the two skips are _adds_nothing, inlined
         if w != 0.0:
             q = -bj / w
             right = w > 0.0
@@ -197,8 +207,13 @@ def _geometry_nodes(theta: Sequence[float], H: int, a: float, b: float
                 if inside:
                     events.append(q)
                 active.append((j, q if inside else None, right))
+            elif bj + w * (b if right else a) <= 0.0:
+                continue
         elif bj > 0.0:
             active.append((j, None, False))
+        elif bj <= 0.0:
+            continue
+        terms.append((w, bj, theta[2 * H + j]))
     events.sort()
     nodes = [a]
     for q in events:
@@ -208,7 +223,7 @@ def _geometry_nodes(theta: Sequence[float], H: int, a: float, b: float
     vals = []
     for x in nodes:
         acc = c
-        for w, bj, v in neurons:
+        for w, bj, v in terms:
             z = bj + w * x
             if z > 0.0:
                 acc += v * z
@@ -238,6 +253,19 @@ def _kink_near_endpoint(theta: Sequence[float], H: int, a: float, b: float,
         if abs(w * a + bj) <= margin or abs(w * b + bj) <= margin:
             return True
     return False
+
+
+def _adds_nothing(w: float, bj: float, a: float, b: float) -> bool:
+    """True when neuron j has an empty I_j and b_j + w_j e rounds to <= 0 at
+    the end e of [a, b] where it is largest (e = b if w_j > 0, a if w_j < 0;
+    b_j <= 0 if w_j = +-0).  Correctly rounded * and + are monotone, so
+    then fl(b_j + w_j x) <= 0 on all of [a, b]: the neuron adds nothing to
+    N_theta and gets no gradient.  False for a NaN w_j or b_j."""
+    if w > 0.0:
+        return not -bj / w < b and bj + w * b <= 0.0
+    if w < 0.0:
+        return not -bj / w > a and bj + w * a <= 0.0
+    return w == 0.0 and bj <= 0.0
 
 
 def _pl_sq_integral(nodes: Sequence[float], vals: Sequence[float]) -> float:

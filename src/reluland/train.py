@@ -8,6 +8,8 @@ reproducibility; draw order is documented on ``xavier_init``.
 Iterates with a kink on a domain endpoint are counted with the geometry
 kernel's ``network._kink_near_endpoint`` test, the one ``hessian_fd``
 refuses with; ensemble clusters are the L2 groups of ``network._greedy_groups``.
+Gradient descent freezes the neurons that ``network._adds_nothing`` out
+of its iterate, which changes no bit of a run.
 The gradient flow attempts at most ``GF_MAX_STEPS`` steps.  The CLI only
 writes the verdicts ``EnsembleReport.passed`` and ``GFRun.passed``.
 """
@@ -21,7 +23,8 @@ import numpy as np
 
 from .errors import DomainError
 from .landscape import grad_theta, risk_theta
-from .network import Params, Realization, _greedy_groups, _kink_near_endpoint, canonical
+from .network import (Params, Realization, _adds_nothing, _greedy_groups, _kink_near_endpoint,
+                      canonical)
 from .target import Target
 
 __all__ = [
@@ -121,12 +124,21 @@ def gd_run(p0: Params, t: Target, cfg: TrainConfig, seed: int | None = None) -> 
     neuron j (a kink on a or b, or a dead neuron) are counted in
     ``nonsmooth_hits``, not fatal: the generalized gradient is defined
     everywhere.
+
+    A neuron that ``network._adds_nothing`` has no span, so its gradient is
+    the kernel's +0.0 and x - lr * 0.0 = x: it never moves again.  With its
+    entries within DIVERGENCE_NORM it is frozen out of the iterate:
+    ``grad_theta`` runs at the live width (0 allowed), the frozen neurons'
+    endpoint test is a constant, and no bit of the run moves.
     """
     H = cfg.H
     if p0.H != H:
         raise DomainError("p0 width does not match config")
     a, b = t.domain
-    theta = list(p0.theta)
+    full = theta = list(p0.theta)  # full keeps the frozen neurons' entries
+    mask = [True] * (3 * H + 1)  # the entries of full that theta holds
+    h = H  # theta's width, the live neurons
+    frozen_hit = False  # some frozen neuron has a kink on a domain end
     lr = cfg.lr
     iterations = 0
     nonsmooth = 0
@@ -134,8 +146,10 @@ def gd_run(p0: Params, t: Target, cfg: TrainConfig, seed: int | None = None) -> 
     diverged = False
     gm = math.inf
     while True:
-        g = grad_theta(theta, H, t)
+        g = grad_theta(theta, h, t)
         gm = max(map(abs, g))
+        if gm != gm:  # with a NaN, max depends on the order: take width H's
+            gm = max(map(abs, _widen(g, mask, [0.0] * len(mask))))
         if gm < cfg.grad_tol:
             converged = True
             break
@@ -143,16 +157,40 @@ def gd_run(p0: Params, t: Target, cfg: TrainConfig, seed: int | None = None) -> 
             break
         theta = [x - lr * gx for x, gx in zip(theta, g)]
         iterations += 1
-        if _kink_near_endpoint(theta, H, a, b, NONSMOOTH_EPS):
+        # the neurons to freeze (see above).  One that adds nothing has a
+        # 0.0 gradient from the next step on, and a live one seldom has one:
+        # searching only when 0.0 is in g freezes it at most a step late
+        dead = [k for k in range(h) if _adds_nothing(theta[k], theta[h + k], a, b) and
+                all(abs(x) <= DIVERGENCE_NORM for x in theta[k:3 * h:h])] if 0.0 in g else ()
+        if dead:
+            full = _widen(theta, mask, full)
+            live = [j for j in range(H) if mask[j]]
+            for k in dead:
+                frozen_hit = frozen_hit or _kink_near_endpoint(
+                    (theta[k], theta[h + k]), 1, a, b, NONSMOOTH_EPS)
+                mask[live[k]:3 * H:H] = [False] * 3
+            theta = [x for x, m in zip(full, mask) if m]
+            h -= len(dead)
+        if frozen_hit or _kink_near_endpoint(theta, h, a, b, NONSMOOTH_EPS):
             nonsmooth += 1
-        if max(map(abs, theta)) > DIVERGENCE_NORM:
+        top = max(map(abs, theta))
+        if top != top:
+            top = max(map(abs, _widen(theta, mask, full)))
+        if top > DIVERGENCE_NORM:
             diverged = True
             break
+    theta = _widen(theta, mask, full)
     p = Params(H, tuple(theta))
     return TrainRun(seed=seed, iterations=iterations, theta=p,
                     grad_max_norm=gm, risk=risk_theta(theta, H, t),
                     realization=canonical(p, a, b), converged=converged,
                     diverged=diverged, nonsmooth_hits=nonsmooth)
+
+
+def _widen(x: list[float], mask: list[bool], base: list[float]) -> list[float]:
+    """base with the entries that mask marks taken, in order, from x."""
+    it = iter(x)
+    return [next(it) if m else y for y, m in zip(base, mask)]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import bisect
 import csv
 import json
 import math
@@ -11,7 +12,8 @@ from reluland import (Params, SmoothActivation, canonical, l2_distance,
                       params_from_json, realization_csv, sample_M)
 from reluland.errors import DomainError
 from reluland import network
-from reluland.network import Realization, _geometry_nodes, _greedy_groups, uniform_grid
+from reluland.network import (Realization, _adds_nothing, _geometry_nodes, _greedy_groups,
+                              uniform_grid)
 
 from conftest import parts, realize, realize_smooth, rng_for
 
@@ -214,6 +216,173 @@ def test_geometry_spans_bound_active_sets():
             expected = [span is not None and span[0] <= i < span[1]
                         for i in range(len(active))]
             assert active == expected
+
+
+def _all_neuron_kernel(theta, H, a, b):
+    """The geometry kernel before it skipped neurons that add nothing: N
+    summed over every neuron at every node."""
+    c = theta[3 * H]
+    neurons = list(zip(theta[:H], theta[H:2 * H], theta[2 * H:3 * H]))
+    events = []
+    active = []
+    for j, (w, bj, _) in enumerate(neurons):
+        if w != 0.0:
+            q = -bj / w
+            right = w > 0.0
+            if (q < b) if right else (q > a):
+                inside = a < q < b
+                if inside:
+                    events.append(q)
+                active.append((j, q if inside else None, right))
+        elif bj > 0.0:
+            active.append((j, None, False))
+    events.sort()
+    nodes = [a]
+    for q in events:
+        if q > nodes[-1]:
+            nodes.append(q)
+    nodes.append(b)
+    vals = []
+    for x in nodes:
+        acc = c
+        for w, bj, v in neurons:
+            z = bj + w * x
+            if z > 0.0:
+                acc += v * z
+        vals.append(acc)
+    last = len(nodes) - 1
+    spans = []
+    for j, q, right in active:
+        if q is None:
+            spans.append((j, 0, last))
+        elif right:
+            spans.append((j, bisect.bisect_left(nodes, q), last))
+        else:
+            spans.append((j, 0, bisect.bisect_left(nodes, q)))
+    return nodes, vals, spans
+
+
+class _CountingWeight(float):
+    """A float w_j that counts its products w_j * x: the kernel multiplies
+    once to test a neuron that may add nothing, and once per node (of which
+    there are at least two) for a neuron it sums over."""
+
+    def __mul__(self, x):
+        self.products += 1
+        return float(self) * x
+
+
+_DOMAINS = ((0.0, 1.0), (0.1, 0.7), (-0.5, 1.5), (-3.0, -1.25), (1e3, 1e3 + 0.1),
+            (-7e-6, 3e-5))
+_SPECIALS = (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def _kernel_case(draw):
+    a, b = draw(st.sampled_from(_DOMAINS))
+    H = draw(st.integers(1, 6))
+    w, bias = [], []
+    for _ in range(H):
+        mode = draw(st.sampled_from(("random", "on_end", "zero_w", "outside")))
+        wj = draw(st.one_of(st.floats(0.1, 3.0), st.sampled_from((0.3, 0.7, 1.1, 2.9))))
+        wj *= draw(st.sampled_from((-1.0, 1.0)))
+        if mode == "on_end":
+            # a weight that is not a power of two, and a bias within a few
+            # ulps of -w e: the kink rounds onto e or next to it, and z at
+            # e rounds to > 0, = 0 or < 0
+            e = draw(st.sampled_from((a, b)))
+            bj = -wj * e
+            steps = draw(st.integers(-3, 3))
+            for _ in range(abs(steps)):
+                bj = math.nextafter(bj, math.copysign(math.inf, steps))
+        elif mode == "zero_w":
+            wj = draw(st.sampled_from((0.0, -0.0)))
+            bj = draw(st.sampled_from((-1.0, -0.0, 0.0, 0.5)))
+        elif mode == "outside":  # the kink beyond a or b, either side active
+            e = draw(st.sampled_from((a - 0.3 * (b - a), b + 0.3 * (b - a))))
+            bj = -wj * e
+        else:
+            wj = draw(st.floats(-3.0, 3.0))
+            bj = draw(st.floats(-3.0, 3.0)) * (1.0 + abs(a) + abs(b))
+        w.append(wj)
+        bias.append(bj)
+    v = [draw(st.floats(-2.0, 2.0)) for _ in range(H)]
+    theta = w + bias + v + [draw(st.floats(-1.0, 1.0))]
+    for _ in range(draw(st.integers(0, 2))):
+        theta[draw(st.integers(0, 3 * H))] = draw(st.sampled_from(_SPECIALS))
+    return theta, H, a, b
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(_kernel_case())
+@example(([2.0, 0.0, 1.0, 0.0], 1, 0.0, 1.0))  # kink on a, active on all of [a, b]
+@example(([-0.7, 0.0, 1.0, 0.0], 1, 0.0, 1.0))  # kink on a, adds nothing
+@example(([-0.0, 0.0, 1.0, 0.0], 1, 0.0, 1.0))
+@example(([math.nan, -1.0, 1.0, 0.0], 1, 0.0, 1.0))
+@example(([0.3, -0.20999999999999996, 2.0, 0.0], 1, 0.1, 0.7))  # kink on b, z(b) > 0
+@example(([1.3, -0.91, 2.0, 0.0], 1, 0.1, 0.7))  # kink on b, z(b) < 0
+@example(([-0.7, 0.20999999999999996, 2.0, 0.0], 1, 0.3, 1.0))  # kink on a, z(a) < 0
+@example(([1.5, -1.0499999999999998, 2.0, 0.0], 1, 0.1, 0.7))  # kink just below b, z(b) = 0
+def test_geometry_skip_bit_identical_to_all_neuron_kernel(case):
+    theta, H, a, b = case
+    nodes, vals, spans = _geometry_nodes(theta, H, a, b)
+    ref_nodes, ref_vals, ref_spans = _all_neuron_kernel(theta, H, a, b)
+    assert [x.hex() for x in nodes] == [x.hex() for x in ref_nodes]
+    assert [x.hex() for x in vals] == [x.hex() for x in ref_vals]
+    assert spans == ref_spans
+    # the inlined skip is _adds_nothing, and a neuron it skips adds nothing
+    # at any point of [a, b]
+    counted = [_CountingWeight(x) for x in theta[:H]]
+    for x in counted:
+        x.products = 0
+    counted_vals = _geometry_nodes(counted + theta[H:], H, a, b)[1]
+    assert [x.hex() for x in counted_vals] == [x.hex() for x in vals]
+    spanned = {j for j, _, _ in spans}
+    for j in range(H):
+        w, bj = theta[j], theta[H + j]
+        skipped = counted[j].products < 2
+        assert skipped == _adds_nothing(w, bj, a, b)
+        if skipped:
+            assert j not in spanned
+            assert all(bj + w * x <= 0.0 for x in (a, 0.5 * (a + b), b, *nodes))
+
+
+def test_adds_nothing_edges():
+    # w = +-0 follows the sign of b_j; NaN w_j or b_j never adds nothing
+    assert _adds_nothing(0.0, -0.0, 0.0, 1.0) and _adds_nothing(-0.0, 0.0, 0.0, 1.0)
+    assert not _adds_nothing(0.0, 1e-300, 0.0, 1.0)
+    assert not _adds_nothing(math.nan, -1.0, 0.0, 1.0)
+    assert not _adds_nothing(-1.0, math.nan, 0.0, 1.0)
+    # w = 0.3 and kinks that round onto b: none is active, and z = b_j + w b
+    # rounds to < 0, = 0 and > 0; the last one adds v z at b
+    for bj, b, z in ((-0.030000000000000002, 0.1, -3.469446951953614e-18),
+                     (-0.03, 0.1, 0.0),
+                     (-0.20999999999999996, 0.7, 2.7755575615628914e-17)):
+        assert -bj / 0.3 == b and bj + 0.3 * b == z
+        nodes, vals, spans = _geometry_nodes([0.3, bj, 2.0, 1.0], 1, 0.0, b)
+        assert nodes == [0.0, b] and spans == []
+        assert vals == [1.0, 1.0 + 2.0 * z if z > 0.0 else 1.0]
+        assert _adds_nothing(0.3, bj, 0.0, b) == (z <= 0.0)
+        # mirrored: w = -0.3 with the kink on a = -b
+        assert _adds_nothing(-0.3, bj, -b, 0.0) == (z <= 0.0)
+    # w = 1.5 and a kink that rounds just below b while z at b rounds to 0.0:
+    # the neuron keeps its span (of one ulp), so it does not add nothing
+    bj = -1.0499999999999998
+    assert -bj / 1.5 < 0.7 and bj + 1.5 * 0.7 == 0.0
+    assert _geometry_nodes([1.5, bj, 2.0, 1.0], 1, 0.1, 0.7)[2] == [(0, 1, 2)]
+    assert not _adds_nothing(1.5, bj, 0.1, 0.7) and not _adds_nothing(-1.5, bj, -0.7, -0.1)
+
+
+def test_realization_rejects_non_finite_fields():
+    nan, inf = math.nan, math.inf
+    for args in ((0.0, 1.0, (nan,), (1.0, 2.0), 0.0), (0.0, 1.0, (), (inf,), 0.0),
+                 (0.0, 1.0, (), (1.0,), nan), (-inf, 1.0, (), (1.0,), 0.0),
+                 (0.0, inf, (), (1.0,), 0.0), (0.0, 1.0, (0.5,), (1.0, -inf), 0.0)):
+        with pytest.raises(DomainError, match="finite"):
+            Realization(*args)
+    # v_1 w_1 = 1e400 overflows: the slope of a finite network is inf
+    with pytest.raises(DomainError, match="finite"):
+        canonical(Params(1, (1e200, -5e199, 1e200, 0.0)), 0.0, 1.0)
 
 
 def test_realization_invariants():

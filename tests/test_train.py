@@ -5,11 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reluland import (Params, TrainConfig, enumerate_all, ensemble, gd_run,
-                      gf_run, grad, l2_distance, risk, sample_M, xavier_init)
+from reluland import (BenchmarkTarget, Params, TrainConfig, canonical, enumerate_all,
+                      ensemble, gd_run, gf_run, grad, l2_distance, risk, sample_M,
+                      xavier_init)
+from reluland import train
 from reluland.errors import DomainError
 from reluland.landscape import grad_theta, risk_theta
-from reluland.train import DIVERGENCE_NORM, GF_MAX_SAMPLES, SEED_LIMIT
+from reluland.network import _kink_near_endpoint
+from reluland.train import (DIVERGENCE_NORM, GF_MAX_SAMPLES, NONSMOOTH_EPS, SEED_LIMIT,
+                            TrainRun)
 
 from conftest import parts, poly_target, rng_for
 
@@ -139,6 +143,130 @@ def test_gd_counts_kink_on_domain_endpoint(xsq, bias, hits):
     _, b, v, _ = parts(run.theta)
     assert b[0] == bias and v[0] != 0.0
     assert run.iterations == 1 and run.nonsmooth_hits == hits
+
+
+def _full_width_gd(p0, t, cfg, seed=None, grad=grad_theta):
+    """gd_run before it froze neurons out: every step updates, tests and
+    max-norms all 3H + 1 entries."""
+    H = cfg.H
+    a, b = t.domain
+    theta = list(p0.theta)
+    iterations = nonsmooth = 0
+    converged = diverged = False
+    while True:
+        g = grad(theta, H, t)
+        gm = max(map(abs, g))
+        if gm < cfg.grad_tol:
+            converged = True
+            break
+        if iterations >= cfg.max_iters:
+            break
+        theta = [x - cfg.lr * gx for x, gx in zip(theta, g)]
+        iterations += 1
+        if _kink_near_endpoint(theta, H, a, b, NONSMOOTH_EPS):
+            nonsmooth += 1
+        if max(map(abs, theta)) > DIVERGENCE_NORM:
+            diverged = True
+            break
+    p = Params(H, tuple(theta))
+    return TrainRun(seed=seed, iterations=iterations, theta=p, grad_max_norm=gm,
+                    risk=risk_theta(theta, H, t), realization=canonical(p, a, b),
+                    converged=converged, diverged=diverged, nonsmooth_hits=nonsmooth)
+
+
+def _run_bits(run):
+    """Every field of a TrainRun, floats by float.hex."""
+    r = run.realization
+    hexes = lambda xs: [x.hex() for x in xs]  # noqa: E731
+    return (run.seed, run.iterations, hexes(run.theta.theta), run.grad_max_norm.hex(),
+            run.risk.hex(), hexes((r.a, r.b, r.offset)), hexes(r.kinks), hexes(r.slopes),
+            run.converged, run.diverged, run.nonsmooth_hits)
+
+
+def _live_widths(monkeypatch):
+    """The width of every grad_theta call gd_run makes."""
+    widths = []
+
+    def traced(theta, H, t):
+        widths.append(H)
+        return grad_theta(theta, H, t)
+
+    monkeypatch.setattr(train, "grad_theta", traced)
+    return widths
+
+
+_BENCH = BenchmarkTarget(1 / 3, 2 / 3, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("H, p0, cfg, widths", [
+    # Xavier w < 0 with zero bias: three neurons frozen from the start (the
+    # first run of the benchmark's ensemble block)
+    (4, xavier_init(4, 20260818), {}, {4, 1}),
+    # a neuron dies at step 9, and at step 50
+    (3, xavier_init(3, 32), {"grad_tol": 1e-3}, {3, 2}),
+    (3, xavier_init(3, 6), {"grad_tol": 1e-3}, {3, 2, 1}),
+    # the last live neuron dies at step 15: live width 0
+    (2, xavier_init(2, 11), {"grad_tol": 1e-3}, {2, 1, 0}),
+    # every neuron frozen from the start; one of them 1e-15 from a, within
+    # NONSMOOTH_EPS, so every step counts as nonsmooth
+    (3, Params.from_parts([-0.8, -1.5, 0.0], [0.0, -1e-15, -0.3], [0.4, -0.2, 0.9], 0.1),
+     {}, {3, 0}),
+    # frozen neurons away from a and b: no step counts
+    (2, Params.from_parts([-0.8, 1.0], [-0.5, -0.5], [0.4, 0.5], 0.1), {}, {2, 1}),
+    # divergence with every neuron frozen (the second dies at the first
+    # step), and the max_iters cap after a death
+    (2, Params.from_parts([-0.8, 1.0], [0.0, -0.5], [0.4, 0.5], 0.1), {"lr": 10.0}, {2, 0}),
+    (3, xavier_init(3, 32), {"grad_tol": 1e-3, "max_iters": 20}, {3, 2}),
+    # a neuron that adds nothing with |v| > DIVERGENCE_NORM stays live, and
+    # the run diverges on its first step
+    (2, Params.from_parts([-0.8, 1.0], [0.0, -0.5], [2e8, 0.5], 0.1), {}, {2}),
+], ids=["xavier-dead", "dies-mid-run", "dies-twice", "all-die", "all-frozen-near-a",
+        "frozen-away-from-ends", "diverges", "max-iters", "dead-past-divergence-norm"])
+def test_gd_run_bit_identical_to_full_width_loop(monkeypatch, H, p0, cfg, widths):
+    cfg = TrainConfig(H=H, runs=1, **cfg)
+    want = _run_bits(_full_width_gd(p0, _BENCH, cfg, seed=5))
+    seen = _live_widths(monkeypatch)
+    assert _run_bits(gd_run(p0, _BENCH, cfg, seed=5)) == want
+    # one grad_theta call per step, and one more unless the run diverged
+    assert set(seen) == widths and len(seen) == want[1] + (not want[9])
+
+
+@pytest.mark.parametrize("case", ["gradient", "theta"])
+def test_gd_run_takes_a_nan_max_at_width_h(monkeypatch, case):
+    # neuron 0 adds nothing and is frozen from the first step.  A NaN in the
+    # first nonzero gradient entry is then the first live entry, where
+    # Python's max returns NaN, but not the first entry at width H, where
+    # max passes over it.  "gradient": the NaN comes once the gradient is
+    # below grad_tol, and the run converges.  "theta": from the third call
+    # on, the NaN comes with a step of c past DIVERGENCE_NORM, so the run
+    # diverges at that step, with a NaN theta that Params refuses
+    calls = []
+
+    def spoiled(theta, H, t):
+        calls.append(H)
+        g = grad_theta(theta, H, t)
+        if (max(map(abs, g)) < 1e-2) if case == "gradient" else len(calls) > 2:
+            g[next(i for i, x in enumerate(g) if x != 0.0)] = math.nan
+            if case == "theta":
+                g[-1] = -1e12
+        return g
+
+    def outcome(run):
+        calls.clear()
+        try:
+            return _run_bits(run()), len(calls)
+        except DomainError as exc:
+            return str(exc), len(calls)
+
+    cfg = TrainConfig(H=3, grad_tol=1e-2, max_iters=5000, runs=1)
+    p0 = Params.from_parts([-0.8, 1.0, -1.2], [0.0, -0.3, 0.9], [0.4, 0.5, -0.6], 0.1)
+    want = outcome(lambda: _full_width_gd(p0, _BENCH, cfg, grad=spoiled))
+    monkeypatch.setattr(train, "grad_theta", spoiled)
+    assert outcome(lambda: gd_run(p0, _BENCH, cfg)) == want
+    if case == "gradient":
+        assert want[0][-3]  # converged
+    else:
+        assert want == ("theta must be finite", 3)
 
 
 def test_gd_monotone_descent_small_lr(bench):
