@@ -141,7 +141,8 @@ def grad_theta(theta: Sequence[float], H: int, t: Target) -> list[float]:
         g[j] = 2.0 * v * s1
         g[H + j] = 2.0 * v * s0
         g[2 * H + j] = 2.0 * (theta[H + j] * s0 + theta[j] * s1)
-    g[3 * H] = 2.0 * ((net0[last] - net0[0]) - (F[last] - F[0]))
+    # net0[0] is +0.0; F[0] is not always (-0.0 when the target's scale is < 0)
+    g[3 * H] = 2.0 * (net0[last] - (F[last] - F[0]))
     return g
 
 
@@ -160,16 +161,18 @@ def _unclamped_risk(theta: Sequence[float], H: int, t: Target, method: str) -> f
     the cross term is one pass over the kernel's segments."""
     nodes, vals, _ = _geometry_nodes(theta, H, *t.domain)
     cum_int_xint = t.cum_int_xint
-    (f0, g0), ends_b = t.end_ints
-    last = len(nodes) - 2  # the segment that ends at b
+    (f0, g0), (f1, g1) = t.end_ints
     cross = 0.0
-    for i in range(last + 1):
-        x0, x1 = nodes[i], nodes[i + 1]
-        f1, g1 = cum_int_xint(x1) if i < last else ends_b
+    x0 = nodes[0]
+    for i in range(len(nodes) - 2):
+        x1 = nodes[i + 1]
+        f, g = cum_int_xint(x1)
         m = (vals[i + 1] - vals[i]) / (x1 - x0)
-        k = vals[i] - m * x0
-        cross += m * (g1 - g0) + k * (f1 - f0)
-        f0, g0 = f1, g1
+        cross += m * (g - g0) + (vals[i] - m * x0) * (f - f0)
+        x0, f0, g0 = x1, f, g
+    # the segment that ends at b reads end_ints
+    m = (vals[-1] - vals[-2]) / (nodes[-1] - x0)
+    cross += m * (g1 - g0) + (vals[-2] - m * x0) * (f1 - f0)
     return _pl_sq_integral(nodes, vals) - 2.0 * cross + t.sq_integral(method)
 
 

@@ -7,8 +7,8 @@ polynomial p reads one running-integral table per power k, the single
 implementation of the running integral of x**k * p (``cum_moment``);
 ``cum_moments`` reads the same table at a whole sorted array of points,
 one numpy slice per piece, bit for bit as ``cum_moment`` at each point.
-The table builder ``_running_table`` and the continuity test
-``_discontinuous`` also serve ``target.BenchmarkTarget``.
+The table builder ``_running_table`` also serves ``target.BenchmarkTarget``;
+``target.PolyTarget``, not this module, checks that pieces meet.
 Real-root isolation (``roots_in``) is exact: it takes a polynomial with
 integer coefficients and integer ends, counts roots with an integer Sturm
 chain and bisects on the integers, so it needs no tolerance; ``_gcd``
@@ -111,13 +111,6 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-def _discontinuous(left: float, right: float) -> bool:
-    """Whether two one-sided values at a breakpoint differ by more than
-    1e-12 relative to their size.  A NaN gap is not a discontinuity; the
-    callers' finiteness checks reject it."""
-    return abs(left - right) > 1e-12 * (1.0 + abs(left) + abs(right))
-
-
 def _running_table(antis: Sequence, breakpoints: Sequence[float]) -> tuple:
     """Running-integral table of a piecewise function from each piece's
     antiderivative A_i on [x_i, x_{i+1}]: (A_i, A_i(x_i), the integral over
@@ -133,32 +126,23 @@ class PiecewisePolynomial:
     """Piecewise polynomial on [breakpoints[0], breakpoints[-1]].
 
     ``pieces[i]`` is in effect on ``[breakpoints[i], breakpoints[i+1])``;
-    the last piece also owns the right endpoint.  With ``continuous=True``
-    adjacent pieces must agree at interior breakpoints within 1e-12
-    relative.
+    the last piece also owns the right endpoint.
 
     Integrals read one running-integral table per power k, built on first
     use: for each piece i, the antiderivative A_i of x**k * p_i, A_i at the
     piece's left end x_i, and the integral from ``lo`` up to x_i.
     """
 
-    __slots__ = ("breakpoints", "pieces", "continuous", "_tables")
+    __slots__ = ("breakpoints", "pieces", "_tables")
 
-    def __init__(self, breakpoints: Sequence[float], pieces: Sequence[Polynomial],
-                 continuous: bool = False):
+    def __init__(self, breakpoints: Sequence[float], pieces: Sequence[Polynomial]):
         bps = tuple(float(x) for x in breakpoints)
         if len(bps) < 2 or len(pieces) != len(bps) - 1:
             raise DomainError("need n+1 breakpoints for n pieces, n >= 1")
         if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
             raise DomainError("breakpoints must be strictly increasing")
-        ps = tuple(p if isinstance(p, Polynomial) else Polynomial(p) for p in pieces)
-        if continuous:
-            for i in range(1, len(bps) - 1):
-                if _discontinuous(ps[i - 1](bps[i]), ps[i](bps[i])):
-                    raise DomainError(f"discontinuity at breakpoint {bps[i]!r}")
         self.breakpoints = bps
-        self.pieces = ps
-        self.continuous = continuous
+        self.pieces = tuple(p if isinstance(p, Polynomial) else Polynomial(p) for p in pieces)
         self._tables: dict = {}  # k -> running-integral table, see _table
 
     @property
@@ -237,12 +221,8 @@ def reparametrize(pp: PiecewisePolynomial, s: float, t: float) -> PiecewisePolyn
         new_bps.reverse()
         new_pieces.reverse()
     keep = [i for i in range(len(new_pieces)) if new_bps[i] < new_bps[i + 1]]
-    out = PiecewisePolynomial([new_bps[0]] + [new_bps[i + 1] for i in keep],
-                              [new_pieces[i] for i in keep])
-    # pp(s*u + t) is continuous wherever pp is; re-checking would hold the
-    # rounding of the composed coefficients to the absolute tolerance
-    out.continuous = pp.continuous
-    return out
+    return PiecewisePolynomial([new_bps[0]] + [new_bps[i + 1] for i in keep],
+                               [new_pieces[i] for i in keep])
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ so that risk and gradient evaluations stay closed-form and fast;
 ``end_ints`` holds its values at a and b, computed once by the
 constructor; ``sq_integral(method)`` is the integral of f**2 over the whole
 domain, and both kinds accept exactly the ``QUAD_METHODS`` names.  Each
-constructor rejects non-finite fields and a target whose integral of f**2
-overflows, so the JSON parser inherits the checks.
+constructor rejects non-finite fields, pieces that do not meet and a target
+whose integral of f**2 overflows, so the JSON parser inherits the checks.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, json_number
-from .polyalg import PiecewisePolynomial, Polynomial, _discontinuous, _running_table
+from .polyalg import PiecewisePolynomial, Polynomial, _running_table
 from .quadrature import adaptive_gauss_kronrod, adaptive_simpson
 
 __all__ = [
@@ -51,15 +51,28 @@ def _check_method(method: str) -> None:
         raise DomainError(f"unknown quadrature method {method!r}")
 
 
+def _discontinuous(left: float, right: float, terms: float = 0.0) -> bool:
+    """Whether two one-sided values at a breakpoint differ by more than
+    1e-12 relative to their size plus ``terms``, the absolute size of the
+    terms summed to get them.  A NaN gap is not a discontinuity; the
+    callers' finiteness checks reject it."""
+    return abs(left - right) > 1e-12 * (1.0 + abs(left) + abs(right) + terms)
+
+
 class PolyTarget:
-    """Continuous piecewise-polynomial target."""
+    """Continuous piecewise-polynomial target.  Adjacent pieces must meet at
+    each interior breakpoint, where the rounding of terms that cancel is no
+    jump, so a reflected or rescaled target is accepted with the original."""
 
     def __init__(self, pp: PiecewisePolynomial):
         if not all(map(math.isfinite, (*pp.breakpoints,
                                        *(c for p in pp.pieces for c in p.coeffs)))):
             raise DomainError("breakpoints and coefficients must be finite")
-        if not pp.continuous:
-            pp = PiecewisePolynomial(pp.breakpoints, pp.pieces, continuous=True)
+        for x, p, q in zip(pp.breakpoints[1:-1], pp.pieces, pp.pieces[1:]):
+            # sum of |c_k| |x|**k over both pieces; Horner gives inf, not OverflowError
+            terms = sum(Polynomial([abs(c) for c in r.coeffs])(abs(x)) for r in (p, q))
+            if _discontinuous(p(x), q(x), terms):
+                raise DomainError(f"discontinuity at breakpoint {x!r}")
         self.pp = pp
         # one row (A0, A0 start, F prefix, A1, A1 start, G prefix) per piece
         self._rows = tuple(zip(*pp._table(0), *pp._table(1)))
@@ -291,7 +304,7 @@ def parse_target_json(text: str) -> Target:
             pieces = [Polynomial([json_number(c) for c in cs]) for cs in doc["pieces"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"bad piecewise_poly spec: {exc}") from exc
-        return PolyTarget(PiecewisePolynomial(bps, pieces, continuous=True))
+        return PolyTarget(PiecewisePolynomial(bps, pieces))
     if kind == "benchmark":
         try:
             fields = [json_number(doc["alpha"]), json_number(doc["beta"]),

@@ -17,20 +17,15 @@ def xsq():
 
 
 def poly_target(breakpoints, pieces):
-    return PolyTarget(PiecewisePolynomial(
-        breakpoints, [Polynomial(cs) for cs in pieces], continuous=True))
+    return PolyTarget(PiecewisePolynomial(breakpoints, [Polynomial(cs) for cs in pieces]))
 
 
 def scaled(t, c):
     """The target c f for a target f: a benchmark target's scale times c,
-    or each piece times c.  c f is continuous wherever f is, so the
-    pieces keep f's continuity flag; re-checking would hold the scaled
-    mismatch to the unscaled absolute tolerance."""
+    or each piece times c."""
     if isinstance(t, BenchmarkTarget):
         return BenchmarkTarget(t.alpha, t.beta, t.a, t.b, t.scale * c)
-    pp = PiecewisePolynomial(t.pp.breakpoints, [p.scale(c) for p in t.pp.pieces])
-    pp.continuous = t.pp.continuous
-    return PolyTarget(pp)
+    return PolyTarget(PiecewisePolynomial(t.pp.breakpoints, [p.scale(c) for p in t.pp.pieces]))
 
 
 def parts(p):
@@ -83,7 +78,7 @@ def random_continuous_piecewise(rng, max_pieces=4, max_degree=4, lo=0.0, hi=1.0)
         p = p + Polynomial([level - p(bps[i])])
         level = p(bps[i + 1])
         pieces.append(p)
-    return PiecewisePolynomial(bps, pieces, continuous=True)
+    return PiecewisePolynomial(bps, pieces)
 
 
 _coef = st.floats(-1.0, 1.0, allow_nan=False)
@@ -106,7 +101,7 @@ def piecewise_polys(draw, max_pieces=5, max_degree=6):
         p = p + Polynomial([level - p(x0)])
         level = p(x1)
         pieces.append(p)
-    return PiecewisePolynomial(bps, pieces, continuous=True)
+    return PiecewisePolynomial(bps, pieces)
 
 
 @st.composite

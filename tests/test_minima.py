@@ -93,8 +93,7 @@ def test_single_kink_square_integral_is_one_48th():
         slope = 1.0 / (2.0 * (1.0 - q) ** 1.5 * math.sqrt(1.0 + 3.0 * q))
         pp = PiecewisePolynomial(
             [0.0, q, 1.0],
-            [Polynomial([level]), Polynomial([level - slope * q, slope])],
-            continuous=True)
+            [Polynomial([level]), Polynomial([level - slope * q, slope])])
         sq = PiecewisePolynomial([0.0, q, 1.0], [p * p for p in pp.pieces])
         assert sq.moment(0, 0.0, 1.0) == pytest.approx(1.0 / 48.0, rel=1e-13)
 

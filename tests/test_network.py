@@ -13,7 +13,7 @@ from reluland import (Params, SmoothActivation, canonical, l2_distance,
 from reluland.errors import DomainError
 from reluland import network
 from reluland.network import (Realization, _adds_nothing, _geometry_nodes, _greedy_groups,
-                              uniform_grid)
+                              _kink_near_endpoint, uniform_grid)
 
 from conftest import parts, realize, realize_smooth, rng_for
 
@@ -371,6 +371,23 @@ def test_adds_nothing_edges():
     assert -bj / 1.5 < 0.7 and bj + 1.5 * 0.7 == 0.0
     assert _geometry_nodes([1.5, bj, 2.0, 1.0], 1, 0.1, 0.7)[2] == [(0, 1, 2)]
     assert not _adds_nothing(1.5, bj, 0.1, 0.7) and not _adds_nothing(-1.5, bj, -0.7, -0.1)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["inside", "outside"])
+@pytest.mark.parametrize("w", [2.0, -0.5])
+@pytest.mark.parametrize("end", ["a", "b"])
+def test_kink_near_endpoint_at_exactly_margin(end, w, side):
+    # neuron 1 of 3 has |w a + b_1| or |w b + b_1| exactly margin, its kink
+    # margin / |w| inside or outside [a, b]; every value is a power of two
+    # or a short sum of them, so w e + b_1 is exact.  Neurons 0 and 2 have
+    # their kinks at 3 and 2, far from both ends
+    a, b, margin = 1.0, 5.0, 0.125
+    e, inward = (a, 1.0) if end == "a" else (b, -1.0)
+    q = e + side * inward * margin / abs(w)
+    theta = [1.0, w, -1.0, -3.0, -w * q, 2.0, 0.5, 0.5, 0.5, 0.0]
+    assert abs(w * e - w * q) == margin
+    assert _kink_near_endpoint(theta, 3, a, b, margin)
+    assert not _kink_near_endpoint(theta, 3, a, b, math.nextafter(margin, 0.0))
 
 
 def test_realization_rejects_non_finite_fields():

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from reluland.errors import DomainError
 from reluland.polyalg import (PiecewisePolynomial, Polynomial, _gcd, _prem, reparametrize,
                               roots_in)
+from reluland.target import PolyTarget
 
 from conftest import (domain_points, piecewise_polys, random_continuous_piecewise,
                       rng_for)
@@ -25,8 +26,7 @@ def test_eval_constant():
 
 def test_eval_breakpoint_right_ownership():
     pp = PiecewisePolynomial([0.0, 1.0, 2.0],
-                             [Polynomial([0.0, 1.0]), Polynomial([2.0, -1.0])],
-                             continuous=True)
+                             [Polynomial([0.0, 1.0]), Polynomial([2.0, -1.0])])
     assert pp.eval(1.0) == 1.0
     assert pp.eval(2.0) == 0.0  # last piece owns the right endpoint
 
@@ -38,10 +38,15 @@ def test_eval_outside_domain():
 
 
 def test_discontinuity_rejected():
-    with pytest.raises(ValueError):
-        PiecewisePolynomial([0.0, 1.0, 2.0],
-                            [Polynomial([0.0]), Polynomial([1.0])],
-                            continuous=True)
+    # a piecewise polynomial is plain data; the target checks continuity
+    pp = PiecewisePolynomial([0.0, 1.0, 2.0], [Polynomial([0.0]), Polynomial([1.0])])
+    with pytest.raises(DomainError, match="discontinuity at breakpoint 1.0"):
+        PolyTarget(pp)
+    # no term cancels here, so a jump of 1e-11 is still one
+    pp = PiecewisePolynomial([0.0, 0.5, 1.0],
+                             [Polynomial([1.0, 0.3]), Polynomial([1.15 + 1e-11])])
+    with pytest.raises(DomainError, match="discontinuity at breakpoint 0.5"):
+        PolyTarget(pp)
 
 
 def test_moment_examples():
@@ -331,7 +336,7 @@ def test_reparametrize_drops_pieces_rounded_to_zero_width():
     # 1 - 0.01 and 1 - 0.010000000000000002 round to the same double
     pp = PiecewisePolynomial([0.0, 0.01, 0.010000000000000002, 1.0],
                              [Polynomial([0.0, 1.0]), Polynomial([0.01]),
-                              Polynomial([0.0, 1.0])], continuous=True)
+                              Polynomial([0.0, 1.0])])
     out = reparametrize(pp, -1.0, 1.0)
     assert out.breakpoints == (0.0, 0.99, 1.0)
     for u in (0.0, 0.5, 0.99, 1.0):
@@ -340,11 +345,15 @@ def test_reparametrize_drops_pieces_rounded_to_zero_width():
 
 def test_reparametrize_keeps_continuity_without_recheck():
     # continuous to rounding, but the reflected coefficients miss each other
-    # at 0.78 by more than the absolute 1e-12 tolerance
+    # at 0.78 by more than 1e-12 relative to the values; relative to the
+    # terms summed there, the miss is rounding
     pp = PiecewisePolynomial(
         [0.0, 0.22, 1.0],
         [Polynomial([4.0, -15.0, -16.0, 20.0, 7.0, 6.0, 5.0]),
-         Polynomial([601.9490598512639, -3776.0, 3753.0, 4070.0, 1058.0, 2027.0, 3739.0])],
-        continuous=True)
+         Polynomial([601.9490598512639, -3776.0, 3753.0, 4070.0, 1058.0, 2027.0, 3739.0])])
     out = reparametrize(pp, -1.0, 1.0)
-    assert out.continuous and out.breakpoints == (0.0, 0.78, 1.0)
+    assert out.breakpoints == (0.0, 0.78, 1.0)
+    left, right = out.pieces
+    assert abs(left(0.78) - right(0.78)) > 1e-12 * (1.0 + abs(left(0.78)) + abs(right(0.78)))
+    PolyTarget(pp)
+    PolyTarget(out)

@@ -2,6 +2,7 @@ import decimal
 import json
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from reluland import BenchmarkTarget, PolyTarget, parse_target_json
 from reluland.errors import DomainError
-from reluland.polyalg import PiecewisePolynomial, Polynomial
+from reluland.polyalg import PiecewisePolynomial, Polynomial, reparametrize
 from reluland.landscape import risk_theta
 from reluland.target import QUAD_METHODS, _mid_eval
 
@@ -340,10 +341,62 @@ def test_parser_accepts_json_numbers_only(spec):
     '{"kind":"benchmark","alpha":0.25,"beta":0.5,"a":0,"b":Infinity}',
     # finite coefficients whose integral of f**2 overflows
     '{"kind":"piecewise_poly","breakpoints":[0,1],"pieces":[[0,1e300,1]]}',
+    # and a continuity check at 1e200, where x**2 raises OverflowError
+    '{"kind":"piecewise_poly","breakpoints":[0,1e200,2e200],"pieces":[[1,1,1],[1,1,1]]}',
 ])
 def test_parser_rejects_non_finite(spec):
     with pytest.raises(DomainError, match="finite"):
         parse_target_json(spec)
+
+
+# continuous: its one-sided values at 6.5169 are 5.0 and 5.000000000116,
+# and their gap of 1.2e-10 is the rounding of terms of absolute sum 2.8e6
+CANCELLING_TARGET = (
+    '{"kind": "piecewise_poly", "breakpoints": [0.0, 6.5169, 8.0], "pieces": '
+    '[[-1138546.37448867, 483.5739785214587, 590.3871311313933, 884.9005675541007, '
+    '479.79714947986145], [-236354.16382447336, -941.9895434327706, -68.75469124378935, '
+    '886.7134339966274]]}')
+
+
+def test_parser_accepts_a_continuous_target_whose_terms_cancel():
+    t = parse_target_json(CANCELLING_TARGET)
+    left, right = t.pp.pieces
+    x = 6.5169
+    terms = sum(abs(c) * x ** k for p in (left, right) for k, c in enumerate(p.coeffs))
+    assert 2.7e6 < terms < 2.8e6
+    assert 1e-10 < abs(left(x) - right(x)) < 1e-12 * (1.0 + abs(left(x)) + abs(right(x)) + terms)
+
+
+def _sweep_target(rng):
+    """1-3 pieces of degree 1-6 with coefficients of size 1e-3 to 1e4, each
+    later piece's constant term shifted by the exact rational gap."""
+    n = int(rng.integers(1, 4))
+    lo = float(rng.uniform(-2.0, 2.0))
+    hi = lo + float(rng.uniform(0.5, 4.0))
+    bps = [lo, *sorted(float(x) for x in rng.uniform(lo, hi, n - 1)), hi]
+    pieces = []
+    for x in bps[:-1]:
+        size = 10.0 ** float(rng.uniform(-3.0, 4.0))
+        cs = [float(c) for c in rng.uniform(-size, size, int(rng.integers(2, 8)))]
+        if pieces:
+            q = Fraction(x)
+            gap = sum(Fraction(c) * q ** k for k, c in enumerate(pieces[-1].coeffs))
+            cs[0] = float(gap - sum(Fraction(c) * q ** k for k, c in enumerate(cs[1:], 1)))
+        pieces.append(Polynomial(cs))
+    return PiecewisePolynomial(bps, pieces)
+
+
+def test_continuous_targets_build_in_every_form():
+    # reflecting, normalizing or scaling a continuous target keeps it
+    # continuous; the value-relative test alone refused hundreds of these
+    rng = rng_for(31)
+    for _ in range(3000):
+        pp = _sweep_target(rng)
+        t = PolyTarget(pp)
+        PolyTarget(reparametrize(pp, -1.0, pp.lo + pp.hi))
+        PolyTarget(reparametrize(pp, pp.hi - pp.lo, pp.lo))
+        for c in (-3.0, 1e-6, 1e6):
+            scaled(t, c)
 
 
 class _PrefixListReference:
