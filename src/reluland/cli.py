@@ -250,20 +250,24 @@ def cmd_train(target_file, width, lr, grad_tol, max_iters, seed, runs, dedup,
 
 @main.command("gf")
 @click.option("--target", "target_file", type=click.Path(), default=None)
-@click.option("--h", "--H", "width", type=click.IntRange(min=1), default=1,
-              show_default=True)
+@click.option("--h", "--H", "width", type=click.IntRange(min=1), default=None,
+              show_default="1", help="Width of the Xavier draw.")
 @click.option("--theta0", "theta_file", type=click.Path(), default=None,
               help="Initial Params JSON; defaults to a seeded Xavier draw.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=None, show_default="0",
+              help="Seed of the Xavier draw.")
 @click.option("--t-end", type=RATIONAL, default=50.0, show_default=True)
 @click.option("--rtol", type=RATIONAL, default=1e-8, show_default=True)
 @click.option("--out", "out_dir", default=".", show_default=True)
 @click.option("--force", is_flag=True)
 def cmd_gf(target_file, width, theta_file, seed, t_end, rtol, out_dir, force):
     """Integrate the gradient-flow ODE and report the risk trajectory."""
+    if theta_file and (width, seed) != (None, None):
+        raise click.UsageError("--h and --seed only set the Xavier draw, which --theta0 "
+                               "replaces")
     t = _load_target(target_file)
     p0 = (params_from_json(_read_text(theta_file, "--theta0")) if theta_file
-          else xavier_init(width, seed))
+          else xavier_init(width or 1, seed or 0))
     run = gf_run(p0, t, t_end, rtol)
     doc = {
         "kind": "gf_report",

@@ -11,13 +11,13 @@ classical gradient wherever the latter exists.
 Risk and gradient read the network's geometry, and the gradient each
 neuron's active span, from the one kernel ``network._geometry_nodes``
 (the node list that ``canonical`` uses too).  A neuron that
-``network._adds_nothing`` has no span, so its gradient is exactly +0.0,
-and gradient descent freezes it.  Each is one pass over its segments; the
-gradient's (``_running_sums``) keeps running integrals at every node,
-the risk's only its cross term.  The running integrals of f
-and x*f at a and b are the target's ``end_ints``, so an evaluation reads
-the target only at its interior kinks.  ``hessian_fd``
-refuses a kink on a domain endpoint through the kernel's
+``network._adds_nothing`` has no span, so its gradient is exactly +0.0
+(gradient descent freezes it if it adds nothing at the start).  Each is
+one pass over its segments; the gradient's (``_running_sums``) keeps
+running integrals at every node, the risk's only its cross term.  The
+running integrals of f and x*f at a and b are the target's ``end_ints``,
+so an evaluation reads the target only at its interior kinks.
+``hessian_fd`` refuses a kink on a domain endpoint through the kernel's
 ``_kink_near_endpoint``, the same test that gradient descent counts with.
 """
 

@@ -11,7 +11,7 @@ active span, the nodes that bound its active set I_j.  Risk, gradient
 and ``canonical`` read it; the gradient and ``canonical`` read the spans.
 It sums N_theta only over neurons that can add to it; ``_adds_nothing``
 is the one test of a neuron that cannot, which also gets a gradient of
-exactly 0.0 (gradient descent freezes it out of its iterate).
+exactly 0.0 (gradient descent freezes it if it adds nothing at the start).
 ``_pl_sq_integral``, the exact integral of a squared piecewise-linear
 function, serves both the risk and ``l2_distance``.
 ``_kink_near_endpoint`` is the one test for the nonsmooth points the

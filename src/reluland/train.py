@@ -8,8 +8,8 @@ reproducibility; draw order is documented on ``xavier_init``.
 Iterates with a kink on a domain endpoint are counted with the geometry
 kernel's ``network._kink_near_endpoint`` test, the one ``hessian_fd``
 refuses with; ensemble clusters are the L2 groups of ``network._greedy_groups``.
-Gradient descent freezes the neurons that ``network._adds_nothing`` out
-of its iterate, which changes no bit of a run.
+Gradient descent freezes the neurons that ``network._adds_nothing`` at
+its start point out of its iterate, which changes no bit of a run.
 The gradient flow attempts at most ``GF_MAX_STEPS`` steps.  The CLI only
 writes the verdicts ``EnsembleReport.passed`` and ``GFRun.passed``.
 """
@@ -125,20 +125,28 @@ def gd_run(p0: Params, t: Target, cfg: TrainConfig, seed: int | None = None) -> 
     ``nonsmooth_hits``, not fatal: the generalized gradient is defined
     everywhere.
 
-    A neuron that ``network._adds_nothing`` has no span, so its gradient is
-    the kernel's +0.0 and x - lr * 0.0 = x: it never moves again.  With its
-    entries within DIVERGENCE_NORM it is frozen out of the iterate:
-    ``grad_theta`` runs at the live width (0 allowed), the frozen neurons'
-    endpoint test is a constant, and no bit of the run moves.
+    A neuron that ``network._adds_nothing`` at p0 has no span, so its
+    gradient is the kernel's +0.0 and x - lr * 0.0 = x: it never moves.
+    With its entries within DIVERGENCE_NORM it is frozen out of the
+    iterate before the first gradient: ``grad_theta`` runs at the live
+    width (0 allowed), the frozen neurons' endpoint test is a constant,
+    and no bit of the run moves.  A neuron that dies mid-run stays in the
+    iterate, where the kernel skips it just the same.
     """
     H = cfg.H
     if p0.H != H:
         raise DomainError("p0 width does not match config")
     a, b = t.domain
-    full = theta = list(p0.theta)  # full keeps the frozen neurons' entries
-    mask = [True] * (3 * H + 1)  # the entries of full that theta holds
-    h = H  # theta's width, the live neurons
-    frozen_hit = False  # some frozen neuron has a kink on a domain end
+    full = p0.theta  # keeps the frozen neurons' entries
+    frozen = [j for j in range(H) if _adds_nothing(full[j], full[H + j], a, b) and
+              all(abs(x) <= DIVERGENCE_NORM for x in full[j:3 * H:H])]
+    # the entries of full that theta holds
+    mask = [k == 3 * H or k % H not in frozen for k in range(3 * H + 1)]
+    theta = [x for x, m in zip(full, mask) if m]
+    h = H - len(frozen)  # theta's width, the live neurons
+    # some frozen neuron has a kink on a domain end
+    frozen_hit = any(_kink_near_endpoint((full[j], full[H + j]), 1, a, b, NONSMOOTH_EPS)
+                     for j in frozen)
     lr = cfg.lr
     iterations = 0
     nonsmooth = 0
@@ -157,20 +165,6 @@ def gd_run(p0: Params, t: Target, cfg: TrainConfig, seed: int | None = None) -> 
             break
         theta = [x - lr * gx for x, gx in zip(theta, g)]
         iterations += 1
-        # the neurons to freeze (see above).  One that adds nothing has a
-        # 0.0 gradient from the next step on, and a live one seldom has one:
-        # searching only when 0.0 is in g freezes it at most a step late
-        dead = [k for k in range(h) if _adds_nothing(theta[k], theta[h + k], a, b) and
-                all(abs(x) <= DIVERGENCE_NORM for x in theta[k:3 * h:h])] if 0.0 in g else ()
-        if dead:
-            full = _widen(theta, mask, full)
-            live = [j for j in range(H) if mask[j]]
-            for k in dead:
-                frozen_hit = frozen_hit or _kink_near_endpoint(
-                    (theta[k], theta[h + k]), 1, a, b, NONSMOOTH_EPS)
-                mask[live[k]:3 * H:H] = [False] * 3
-            theta = [x for x, m in zip(full, mask) if m]
-            h -= len(dead)
         if frozen_hit or _kink_near_endpoint(theta, h, a, b, NONSMOOTH_EPS):
             nonsmooth += 1
         top = max(map(abs, theta))

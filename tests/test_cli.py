@@ -325,6 +325,10 @@ INPUT_ERRORS = {
     "gf-t-end-inf": (["gf", "--t-end", "inf"], "gf_report.json"),
     "gf-rtol-nan": (["gf", "--rtol", "nan"], "gf_report.json"),
     "gf-h-0": (["gf", "--h", "0"], "gf_report.json"),
+    # --h and --seed only set the Xavier draw that --theta0 replaces
+    "gf-theta0-with-h": (["gf", "--h", "3", "--theta0", "h1_theta.json"], "gf_report.json"),
+    "gf-theta0-with-seed": (["gf", "--seed", "5", "--theta0", "h1_theta.json"],
+                            "gf_report.json"),
     # the risk at |theta| = 1e300 is NaN, which no JSON report can hold
     "gf-theta0-overflow": (["gf", "--theta0", "huge_theta.json"], "gf_report.json"),
     # the one diverged run's risk overflows to inf
@@ -407,6 +411,7 @@ def test_input_error_exits_2_without_report(tmp_path, case):
     write_xsq(tmp_path)
     (tmp_path / "nan_theta.json").write_text('{"H": 1, "theta": [NaN, 0.0, 1.0, 0.0]}')
     (tmp_path / "bad_theta.json").write_text('{"H": 1, "theta": [1.0]}')
+    (tmp_path / "h1_theta.json").write_text('{"H": 1, "theta": [1.0, -0.3, 0.5, 0.0]}')
     (tmp_path / "huge_theta.json").write_text('{"H": 1, "theta": [1e300, 1e300, 1e300, 0]}')
     (tmp_path / "nan_target.json").write_text(
         '{"kind": "piecewise_poly", "breakpoints": [0, 1], "pieces": [[0, NaN, 1]]}')

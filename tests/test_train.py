@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reluland import (BenchmarkTarget, Params, TrainConfig, canonical, enumerate_all,
                       ensemble, gd_run, gf_run, grad, l2_distance, risk, sample_M,
@@ -11,7 +12,7 @@ from reluland import (BenchmarkTarget, Params, TrainConfig, canonical, enumerate
 from reluland import train
 from reluland.errors import DomainError
 from reluland.landscape import grad_theta, risk_theta
-from reluland.network import _kink_near_endpoint
+from reluland.network import _adds_nothing, _kink_near_endpoint
 from reluland.train import (DIVERGENCE_NORM, GF_MAX_SAMPLES, NONSMOOTH_EPS, SEED_LIMIT,
                             TrainRun)
 
@@ -199,24 +200,27 @@ _BENCH = BenchmarkTarget(1 / 3, 2 / 3, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("H, p0, cfg, widths", [
-    # Xavier w < 0 with zero bias: three neurons frozen from the start (the
-    # first run of the benchmark's ensemble block)
-    (4, xavier_init(4, 20260818), {}, {4, 1}),
-    # a neuron dies at step 9, and at step 50
-    (3, xavier_init(3, 32), {"grad_tol": 1e-3}, {3, 2}),
-    (3, xavier_init(3, 6), {"grad_tol": 1e-3}, {3, 2, 1}),
-    # the last live neuron dies at step 15: live width 0
-    (2, xavier_init(2, 11), {"grad_tol": 1e-3}, {2, 1, 0}),
-    # every neuron frozen from the start; one of them 1e-15 from a, within
-    # NONSMOOTH_EPS, so every step counts as nonsmooth
+    # Xavier w < 0 with zero bias: three neurons frozen at the start point
+    # (the first run of the benchmark's ensemble block)
+    (4, xavier_init(4, 20260818), {}, {1}),
+    # a neuron that dies mid-run stays in the iterate with the bits of the
+    # full-width loop: one dies at step 8; one is frozen at the start point
+    # and another dies at step 49
+    (3, xavier_init(3, 32), {"grad_tol": 1e-3}, {3}),
+    (3, xavier_init(3, 6), {"grad_tol": 1e-3}, {2}),
+    # one neuron frozen at the start point, and the last live one dies at
+    # step 14 and stays in the iterate
+    (2, xavier_init(2, 11), {"grad_tol": 1e-3}, {1}),
+    # every neuron frozen at the start point; one of them 1e-15 from a,
+    # within NONSMOOTH_EPS, so every step counts as nonsmooth
     (3, Params.from_parts([-0.8, -1.5, 0.0], [0.0, -1e-15, -0.3], [0.4, -0.2, 0.9], 0.1),
-     {}, {3, 0}),
+     {}, {0}),
     # frozen neurons away from a and b: no step counts
-    (2, Params.from_parts([-0.8, 1.0], [-0.5, -0.5], [0.4, 0.5], 0.1), {}, {2, 1}),
-    # divergence with every neuron frozen (the second dies at the first
-    # step), and the max_iters cap after a death
-    (2, Params.from_parts([-0.8, 1.0], [0.0, -0.5], [0.4, 0.5], 0.1), {"lr": 10.0}, {2, 0}),
-    (3, xavier_init(3, 32), {"grad_tol": 1e-3, "max_iters": 20}, {3, 2}),
+    (2, Params.from_parts([-0.8, 1.0], [-0.5, -0.5], [0.4, 0.5], 0.1), {}, {1}),
+    # divergence with one neuron frozen and the other dead from the first
+    # step on, and the max_iters cap after a death
+    (2, Params.from_parts([-0.8, 1.0], [0.0, -0.5], [0.4, 0.5], 0.1), {"lr": 10.0}, {1}),
+    (3, xavier_init(3, 32), {"grad_tol": 1e-3, "max_iters": 20}, {3}),
     # a neuron that adds nothing with |v| > DIVERGENCE_NORM stays live, and
     # the run diverges on its first step
     (2, Params.from_parts([-0.8, 1.0], [0.0, -0.5], [2e8, 0.5], 0.1), {}, {2}),
@@ -231,9 +235,54 @@ def test_gd_run_bit_identical_to_full_width_loop(monkeypatch, H, p0, cfg, widths
     assert set(seen) == widths and len(seen) == want[1] + (not want[9])
 
 
+_POLY = poly_target([-1.0, 2.0], [[0.3, -0.5, 0.0, 0.25]])
+_NEAR_NORM = st.sampled_from([DIVERGENCE_NORM, math.nextafter(DIVERGENCE_NORM, math.inf)])
+_SIGNED = lambda s: s.flatmap(lambda x: st.sampled_from([x, -x]))  # noqa: E731
+# a neuron at p0, (kind, x, w, v): ("b", b, +-0.0, v) has w = +-0.0, and
+# ("kink", at, w, v) a kink on, one ulp beside or 0.1 outside a or b, or
+# inside (a, b)
+_NEURONS = st.one_of(
+    st.tuples(st.just("b"), st.sampled_from([0.0, -0.0, -1e-15, -0.4, 0.3]),
+              st.sampled_from([0.0, -0.0]), st.one_of(st.floats(-2.0, 2.0), _SIGNED(_NEAR_NORM))),
+    st.tuples(st.just("kink"),
+              st.sampled_from(["a", "a-", "a+", "b", "b-", "b+", "out-a", "out-b", "mid"]),
+              _SIGNED(st.one_of(st.floats(0.1, 3.0), _NEAR_NORM)), st.floats(-2.0, 2.0)))
+
+
+def _start_point(neurons, a, b):
+    """The (w, b, v) lists of the neurons that _NEURONS draws, on [a, b]."""
+    kinks = {"a": a, "a-": math.nextafter(a, -math.inf), "a+": math.nextafter(a, math.inf),
+             "b": b, "b-": math.nextafter(b, -math.inf), "b+": math.nextafter(b, math.inf),
+             "out-a": a - 0.1, "out-b": b + 0.1, "mid": 0.5 * (a + b)}
+    ws = [w for _, _, w, _ in neurons]
+    bs = [x if kind == "b" else -w * kinks[x] for kind, x, w, _ in neurons]
+    return ws, bs, [v for *_, v in neurons]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(_NEURONS, min_size=1, max_size=5), st.floats(-1.0, 1.0),
+       st.sampled_from([_BENCH, _POLY]), st.integers(1, 40), st.sampled_from([1e-4, 0.5]))
+def test_gd_run_freezes_the_start_points_dead_neurons(neurons, c, t, max_iters, grad_tol):
+    # the frozen set is decided once, at p0: every grad_theta call has the
+    # start point's live width, and a neuron that dies later stays in the
+    # iterate with the full-width loop's bits
+    a, b = t.domain
+    ws, bs, vs = _start_point(neurons, a, b)
+    H = len(ws)
+    p0 = Params.from_parts(ws, bs, vs, c)
+    cfg = TrainConfig(H=H, max_iters=max_iters, grad_tol=grad_tol, runs=1)
+    live = H - sum(_adds_nothing(w, bj, a, b) and max(abs(w), abs(bj), abs(v)) <= DIVERGENCE_NORM
+                   for w, bj, v in zip(ws, bs, vs))
+    want = _run_bits(_full_width_gd(p0, t, cfg))
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _live_widths(mp)
+        assert _run_bits(gd_run(p0, t, cfg)) == want
+    assert set(seen) == {live} and len(seen) == want[1] + (not want[9])
+
+
 @pytest.mark.parametrize("case", ["gradient", "theta"])
 def test_gd_run_takes_a_nan_max_at_width_h(monkeypatch, case):
-    # neuron 0 adds nothing and is frozen from the first step.  A NaN in the
+    # neuron 0 adds nothing and is frozen at the start point.  A NaN in the
     # first nonzero gradient entry is then the first live entry, where
     # Python's max returns NaN, but not the first entry at width H, where
     # max passes over it.  "gradient": the NaN comes once the gradient is
