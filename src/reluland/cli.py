@@ -262,11 +262,11 @@ def cmd_train(target_file, width, lr, grad_tol, max_iters, seed, runs, dedup,
 @click.option("--force", is_flag=True)
 def cmd_gf(target_file, width, theta_file, seed, t_end, rtol, out_dir, force):
     """Integrate the gradient-flow ODE and report the risk trajectory."""
-    if theta_file and (width, seed) != (None, None):
+    if theta_file is not None and (width, seed) != (None, None):
         raise click.UsageError("--h and --seed only set the Xavier draw, which --theta0 "
                                "replaces")
     t = _load_target(target_file)
-    p0 = (params_from_json(_read_text(theta_file, "--theta0")) if theta_file
+    p0 = (params_from_json(_read_text(theta_file, "--theta0")) if theta_file is not None
           else xavier_init(width or 1, seed or 0))
     run = gf_run(p0, t, t_end, rtol)
     doc = {

@@ -8,9 +8,9 @@ right of it).  The lifts ``_lift_constant`` and ``_lift_affine`` fit the
 first two by moments.  The kink cases reduce to real roots of an explicit
 polynomial in the kink position, decided exactly: every double is a
 rational with a power-of-two denominator, so on a fine enough integer grid
-the target's running integrals, and with them each orientation's kink
-equation, have integer coefficients (``_grid_moments``,
-``_kink_equations``), and integer Sturm counts isolate their roots.
+the target's running integrals, and with them the kink equation, have
+integer coefficients (``_grid_moments``, ``_kink_equations``), and integer
+Sturm counts isolate its roots.
 On the same grid a root is excluded by a zero slope when it is a root of
 gcd(D, Z), Z the zero-slope numerator; a root whose q rounds to 0.0 or
 1.0 is a boundary kink; roots with the same q are one.  A kink entry is
@@ -22,8 +22,9 @@ a float scan of D(q) at all grid points from the normalized target's
 running integrals (``cum_moments``) that never expands D in q, and
 ``oracle_check`` matches the scan's brackets against the exact roots,
 which come from the target's own doubles: an error in either route cannot
-hide in both.  A decreasing kink is the reflected target's increasing
-kink, mirrored, so each kink's residuals are checked where it was solved.
+hide in both.  Both decide a decreasing kink as the mirrored target's
+increasing kink: the exact route on the grid of f(-x), which holds f's own
+doubles, and the float route and each kink's residuals on f reflected on [0, 1].
 The catalog is the width-1 certificate: a lift check that misses
 ``RESIDUAL_TOL`` is a recorded failure, not an exception.  It raises
 ``DomainError`` only on the benchmark target and where the input breaks
@@ -150,32 +151,29 @@ def _combine(*terms: tuple[list[int], list[int]]) -> list[int]:
     return out
 
 
-def _kink_equations(g: _GridMoments, decreasing: bool) -> list[list[int]]:
-    """Per piece, a positive multiple of one orientation's D (see
-    ``_kink_residual``) as an integer polynomial in v.  The increasing
-    orientation's q is v / S, the decreasing one's (S - v) / S:
-    D_inc(v) = (S - v)**2 P0 - 2v ((v + 2S)(T0 - P0) - 3 (T1 - P1)),
-    D_dec(v) = v**2 (T0 - P0) - 2 (S - v)(3 P1 - v P0)."""
+def _kink_equations(g: _GridMoments) -> list[list[int]]:
+    """Per piece, a positive multiple of the increasing orientation's D (see
+    ``_kink_residual``) as an integer polynomial in v, q = v / S:
+    D(v) = (S - v)**2 P0 - 2v ((v + 2S)(T0 - P0) - 3 (T1 - P1)).
+    On the mirrored target's grid it is the decreasing orientation's D."""
     S = g.cuts[-1]
     out = []
     for p0, p1 in zip(g.p0, g.p1):
         r0 = [g.t0 - p0[0]] + [-c for c in p0[1:]]
-        if decreasing:
-            out.append(_combine(([0, 0, 1], r0), ([-6 * S, 6], p1), ([0, 2 * S, -2], p0)))
-        else:
-            r1 = [g.t1 - p1[0]] + [-c for c in p1[1:]]
-            out.append(_combine(([S * S, -2 * S, 1], p0), ([0, -4 * S, -2], r0), ([0, 6], r1)))
+        r1 = [g.t1 - p1[0]] + [-c for c in p1[1:]]
+        out.append(_combine(([S * S, -2 * S, 1], p0), ([0, -4 * S, -2], r0), ([0, 6], r1)))
     return out
 
 
-def _kink_roots(g: _GridMoments, decreasing: bool) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Roots of one orientation's kink equation in (0,1), in that
-    orientation's q, decided exactly on g's grid: the admissible kink
-    positions and those excluded by a vanishing slope, each sorted."""
+def _kink_roots(g: _GridMoments) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Roots of the kink equation in (0,1), decided exactly on g's grid:
+    the admissible kink positions and those excluded by a vanishing slope,
+    each sorted.  On the mirrored target's grid they are the decreasing
+    ones, and the piece j named below counts the mirrored target's pieces."""
     S = g.cuts[-1]
     last = len(g.cuts) - 2
     admissible, excluded = set(), set()
-    for j, D in enumerate(_kink_equations(g, decreasing)):
+    for j, D in enumerate(_kink_equations(g)):
         # the zero-slope numerator q T0 - int_0^q f, up to sign and scale
         Z = _combine(([0, g.t0], [1]), ([-S], g.p0[j]))
         if not D:
@@ -187,16 +185,16 @@ def _kink_roots(g: _GridMoments, decreasing: bool) -> tuple[tuple[float, ...], t
         # D always vanishes at q = 0 and doubly at q = 1; those structural
         # roots are the constant/affine cases in disguise
         if j == 0:
-            D = _divexact(D, [0, 0, 1] if decreasing else [0, 1])
+            D = _divexact(D, [0, 1])
         if j == last:
-            D = _divexact(D, [-S, 1] if decreasing else [S * S, -2 * S, 1])
+            D = _divexact(D, [S * S, -2 * S, 1])
         lo, hi = g.cuts[j], g.cuts[j + 1]
         cells = roots_in(D, lo, hi)
         # a zero-slope root is a common root of D and Z
         G = _gcd(D, Z) if cells else []
         zero_slope = roots_in(G, lo, hi) if len(G) > 1 else []
         for a, b in cells:
-            q = (2 * S - a - b if decreasing else a + b) / (2 * S)
+            q = (a + b) / (2 * S)
             if 0.0 < q < 1.0:
                 (excluded if (a, b) in zero_slope else admissible).add(q)
     return tuple(sorted(admissible)), tuple(sorted(excluded))
@@ -334,11 +332,11 @@ def enumerate_all(t: Target) -> CriticalCatalog:
     f01 = _on_unit(t.pp, *t.domain)
     g = _grid_moments(t.pp)
     failures: list[str] = []
-    inc = KinkRoots(f01, *_kink_roots(g, False), grid_oracle(f01))
+    inc = KinkRoots(f01, *_kink_roots(g), grid_oracle(f01))
     kinks = [_increasing_solution(f01, q, failures) for q in inc.admissible]
     r01 = _on_unit(f01, 1.0, 0.0)
-    dec = KinkRoots(r01, *_kink_roots(g, True), grid_oracle(r01))
-    # a decreasing kink is the reflected target's increasing kink, mirrored
+    dec = KinkRoots(r01, *_kink_roots(_grid_moments(reparametrize(t.pp, -1.0, 0.0))),
+                    grid_oracle(r01))
     reflected = [_increasing_solution(r01, q, failures, True) for q in dec.admissible]
     kinks += sorted((replace(s, q=1.0 - s.q, vw=-s.vw, orientation="decreasing")
                      for s in reflected), key=lambda s: s.q)

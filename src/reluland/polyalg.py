@@ -210,6 +210,7 @@ def reparametrize(pp: PiecewisePolynomial, s: float, t: float) -> PiecewisePolyn
 
     Used for the change of variables between [a, b] and [0, 1] and, with
     s = -1, t = 1, for reflecting a target about the midpoint of [0, 1].
+    The mirror x -> -x (s = -1, t = 0) is exact: c_k becomes (-1)**k c_k.
     Rounding can map adjacent breakpoints to one double; the piece between
     them then has zero width and is dropped.
     """

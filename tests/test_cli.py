@@ -378,6 +378,9 @@ INPUT_ERRORS = {
     "minima-negative-float-spacing-domain": (["minima", "--a", "-1e17", "--b", "-5e16",
                                               "--samples", "1"], "minima_report.json"),
     "gf-theta0-fractional-h": (["gf", "--theta0", "fractional_h.json"], "gf_report.json"),
+    # an empty path once ran the Xavier draw as if no file were given
+    "gf-theta0-empty": (["gf", "--theta0", ""], "gf_report.json"),
+    "gf-theta0-empty-with-h": (["gf", "--theta0", "", "--h", "2"], "gf_report.json"),
     "minima-y-tiny": (["minima", "--samples", "1", "--y", "1e-8"], "minima_report.json"),
     "minima-y-subnormal-scale": (["minima", "--samples", "1", "--y", "1e-300"],
                                  "minima_report.json"),

@@ -1,4 +1,5 @@
 import bisect
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from reluland import Params, PolyTarget, enumerate_all, grid_oracle, l2_distance, oracle_check
-from reluland.enumeration import (RESIDUAL_TOL, GridOracleReport, _grid_moments,
+from reluland.enumeration import (RESIDUAL_TOL, GridOracleReport, _combine, _grid_moments,
                                   _kink_equations, _kink_residual, _kink_roots, _on_unit)
 from reluland.errors import DomainError
 from reluland.network import canonical
-from reluland.polyalg import PiecewisePolynomial, Polynomial, reparametrize
+from reluland.polyalg import (PiecewisePolynomial, Polynomial, _divexact, _gcd, reparametrize,
+                              roots_in)
 
 from conftest import piecewise_polys, poly_target, random_continuous_piecewise, rng_for, scaled
 
@@ -330,18 +332,49 @@ def test_grid_oracle_matches_scalar_scan(pp, orientation):
     assert all(type(q) is float for bracket in rep.brackets for q in bracket)
 
 
+def _former_decreasing_roots(g):
+    """The decreasing orientation's (admissible, excluded) by its own
+    integer equation on the unmirrored grid, as the catalog once decided
+    them: D_dec(v) = v**2 (T0 - P0) - 2 (S - v)(3 P1 - v P0), in the
+    decreasing q = (S - v) / S."""
+    S = g.cuts[-1]
+    last = len(g.cuts) - 2
+    admissible, excluded = set(), set()
+    for j, (p0, p1) in enumerate(zip(g.p0, g.p1)):
+        r0 = [g.t0 - p0[0]] + [-c for c in p0[1:]]
+        D = _combine(([0, 0, 1], r0), ([-6 * S, 6], p1), ([0, 2 * S, -2], p0))
+        Z = _combine(([0, g.t0], [1]), ([-S], p0))
+        if not D:
+            assert not Z
+            continue
+        # structural roots: doubly at q = 1 (v = 0), at q = 0 (v = S)
+        if j == 0:
+            D = _divexact(D, [0, 0, 1])
+        if j == last:
+            D = _divexact(D, [-S, 1])
+        cells = roots_in(D, g.cuts[j], g.cuts[j + 1])
+        G = _gcd(D, Z) if cells else []
+        zero_slope = roots_in(G, g.cuts[j], g.cuts[j + 1]) if len(G) > 1 else []
+        for a, b in cells:
+            q = (2 * S - a - b) / (2 * S)
+            if 0.0 < q < 1.0:
+                (excluded if (a, b) in zero_slope else admissible).add(q)
+    return tuple(sorted(admissible)), tuple(sorted(excluded))
+
+
 def _reference_oracle_check(t, resolution=1e-3):
     """The former ``oracle_check(t)``: normalizes and reflects t again,
-    rescans both orientations and re-isolates their roots."""
+    rescans both orientations and re-isolates their roots, the decreasing
+    ones by their own equation."""
     f01 = _normalized01(t)
     g = _grid_moments(t.pp)
-    for decreasing, pp in ((False, f01), (True, _reflect01(f01))):
+    for pp, kink_roots in ((f01, _kink_roots(g)), (_reflect01(f01), _former_decreasing_roots(g))):
         brackets, degenerate = _scalar_scan(pp, resolution)
         if degenerate:
-            if _kink_roots(g, decreasing)[0]:
+            if kink_roots[0]:
                 return False
             continue
-        roots, excluded = map(list, _kink_roots(g, decreasing))
+        roots, excluded = map(list, kink_roots)
         candidates = sorted(roots + excluded)
         used = [False] * len(candidates)
         for lo, hi in brackets:
@@ -566,21 +599,107 @@ def test_single_relu_with_kink_on_breakpoint_passes_oracle():
 @example(_ORACLE_EXAMPLES[2], "increasing")
 @example(_ORACLE_EXAMPLES[2], "decreasing")
 def test_exact_kink_equation_has_the_sign_of_the_residual(pp, orientation):
-    # D_inc and D_dec, exact at the rational grid point v = q S (in the
-    # orientation's own q), against the float residual the oracle scans
-    decreasing = orientation == "decreasing"
+    # D, exact at the rational grid point v = q S of the target's grid (the
+    # mirrored target's for the decreasing orientation, in its own q),
+    # against the float residual the oracle scans
     f01 = _oriented01(pp, orientation)
-    g = _grid_moments(pp)
-    equations = _kink_equations(g, decreasing)
+    g = _grid_moments(pp if orientation == "increasing" else reparametrize(pp, -1.0, 0.0))
+    equations = _kink_equations(g)
     qs = np.arange(1, 1000) / 1000
     tol = 1e-9 * (1.0 + f01.coeff_scale())
     for q, r in zip(qs.tolist(), _kink_residual(f01, qs).tolist()):
         if abs(r) <= tol:
             continue
-        v = (1 - Fraction(q) if decreasing else Fraction(q)) * g.cuts[-1]
+        v = Fraction(q) * g.cuts[-1]
         j = min(bisect.bisect_right(g.cuts, v) - 1, len(equations) - 1)
         D = equations[j]
         # den**deg * D(num / den), with the sign of D(v)
         exact = sum(c * v.numerator ** i * v.denominator ** (len(D) - 1 - i)
                     for i, c in enumerate(D))
         assert (exact > 0) == (r > 0) and exact != 0, (q, r)
+
+
+def _shifted_legendre(k):
+    """P_k on [0, 1] as ascending integers: orthogonal there to every
+    polynomial of lower degree, P_k(1) = 1 and P_k(0) = (-1)**k."""
+    return [(-1) ** (k + i) * math.comb(k, i) * math.comb(k + i, i) for i in range(k + 1)]
+
+
+def _compose(coeffs, s, t):
+    """x -> p(s x + t) for ascending Fraction coefficients."""
+    out = [Fraction(0)] * len(coeffs)
+    for k, c in enumerate(coeffs):
+        for i in range(k + 1):
+            out[i] += c * math.comb(k, i) * s ** i * t ** (k - i)
+    return out
+
+
+def _zero_slope_pp(m, left, right, mean, lo, width):
+    """mean + g on [lo, lo + width] with pieces on either side of q = m/16
+    of it, where g is a sum of shifted Legendre polynomials on each piece:
+    left = (k0, weights) gives sum_i weights[i] P_{k0 + i}(x / q), right
+    likewise in (x - q) / (1 - q), and its first weight is replaced to make
+    g continuous.  Then int_0^q g = 0 if left's k0 >= 1 and g is orthogonal
+    to 1 and x on [q, 1] if right's k0 >= 2: an exact common root of the
+    increasing kink equation and the zero-slope numerator at q; with the
+    sides swapped, of the decreasing ones.  The scale of g clears the odd
+    denominators; None when a coefficient is still not a double."""
+    q = Fraction(m, 16)
+    (kl, wl), (kr, wr) = left, right
+    wr = [(sum(wl) - sum(d * (-1) ** (kr + i) for i, d in enumerate(wr) if i)) * (-1) ** kr,
+          *wr[1:]]
+    odd = [n >> ((n & -n).bit_length() - 1) for n in (m, 16 - m)]
+    scale = odd[0] ** (kl + len(wl) - 1) * odd[1] ** (kr + len(wr) - 1)
+    pieces = []
+    for k0, weights, s, t in ((kl, wl, 1 / q, Fraction(0)), (kr, wr, 1 / (1 - q), -q / (1 - q))):
+        g = [Fraction(0)] * (k0 + len(weights))
+        for i, w in enumerate(weights):
+            for j, c in enumerate(_compose(_shifted_legendre(k0 + i), s, t)):
+                g[j] += scale * w * c
+        p = _compose(g, 1 / Fraction(width), -Fraction(lo) / Fraction(width))
+        p[0] += mean
+        if any(Fraction(float(c)) != c for c in p):
+            return None
+        pieces.append(Polynomial([float(c) for c in p]))
+    return PiecewisePolynomial([lo, lo + float(q) * width, lo + width], pieces)
+
+
+_legendre_terms = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+
+
+@st.composite
+def zero_slope_pps(draw):
+    """``_zero_slope_pp`` with an exact zero-slope kink root in one
+    orientation or both."""
+    kl, kr = draw(st.sampled_from(((1, 2), (2, 1), (2, 2))))
+    pp = _zero_slope_pp(draw(st.integers(1, 15)), (kl, draw(_legendre_terms)),
+                        (kr, draw(_legendre_terms)), draw(st.integers(-4, 4)),
+                        draw(st.sampled_from((-1.0, -0.5, 0.0))),
+                        draw(st.sampled_from((0.5, 1.0, 2.0))))
+    assume(pp is not None)
+    return pp
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(piecewise_polys(), zero_slope_pps()))
+# CI's zero-slope target: excluded at q = 1/2 in both orientations
+@example(PiecewisePolynomial([0.0, 0.5, 1.0], [Polynomial([2, -24, 48]),
+                                               Polynomial([26, -72, 48])]))
+@example(_zero_slope_pp(4, (1, [1, 2]), (2, [0, 1]), 3, 0.0, 1.0))  # increasing only
+@example(_zero_slope_pp(3, (2, [1, -1]), (1, [0, 2]), -1, -0.5, 2.0))  # decreasing only
+# a kink root on the breakpoint
+@example(PiecewisePolynomial([-0.5, 0.0, 0.5], [Polynomial([0.500005, 1e-05]),
+                                                Polynomial([0.500005])]))
+@example(PiecewisePolynomial(DECREASING_LIFT_TARGET[0],
+                             [Polynomial(c) for c in DECREASING_LIFT_TARGET[1]]))
+@example(PiecewisePolynomial(KINK_RESIDUAL_TARGET[0],
+                             [Polynomial(c) for c in KINK_RESIDUAL_TARGET[1]]))
+def test_decreasing_roots_are_the_mirrored_targets_increasing_roots(pp):
+    # the catalog's decreasing roots, from the grid of f(-x), are those of
+    # the decreasing orientation's own equation on f's grid; and the catalog
+    # of f(-x) swaps the two orientations' roots
+    inc, dec = enumerate_all(PolyTarget(pp)).orientations
+    assert (dec.admissible, dec.excluded) == _former_decreasing_roots(_grid_moments(pp))
+    mirror = enumerate_all(PolyTarget(reparametrize(pp, -1.0, 0.0))).orientations
+    assert ([(kr.admissible, kr.excluded) for kr in mirror]
+            == [(dec.admissible, dec.excluded), (inc.admissible, inc.excluded)])
