@@ -13,10 +13,14 @@ neuron's active span, from the one kernel ``network._geometry_nodes``
 (the node list that ``canonical`` uses too).  A neuron that
 ``network._adds_nothing`` has no span, so its gradient is exactly +0.0
 (gradient descent freezes it if it adds nothing at the start).  Each is
-one pass over its segments; the gradient's (``_running_sums``) keeps
-running integrals at every node, the risk's only its cross term.  The
-running integrals of f and x*f at a and b are the target's ``end_ints``,
-so an evaluation reads the target only at its interior kinks.
+one pass over its segments.  The gradient's, ``_running_sums``, goes
+from the nodes to the gradient in one frame: it keeps running integrals
+at every node, then reads each neuron's span from them;
+``minima.verify_zero_integrals`` reads the same pass.  The risk's keeps
+only its cross term.  The running integrals of f and x*f at a and b are
+the target's ``end_ints``, and the gradient's squares and cubes of a and
+b its ``end_powers``, so an evaluation reads the target only at its
+interior kinks, one frame per read (``cum_int_xint``).
 ``hessian_fd`` refuses a kink on a domain endpoint through the kernel's
 ``_kink_near_endpoint``, the same test that gradient descent counts with.
 """
@@ -79,71 +83,69 @@ class GradientVector:
 
 
 def _running_sums(theta: Sequence[float], H: int, t: Target):
-    """The kernel's nodes and spans, and the running integrals from a of N,
-    x*N, f and x*f at every node (``net0``, ``net1``, ``F``, ``G``), in one
-    pass: S0 = int (N - f) and S1 = int x (N - f) between two nodes are
-    differences of node values.  Each node is raised to a power once."""
+    """The generalized gradient, and the running integrals from a of N,
+    x*N, f and x*f at every node of the kernel (``net0``, ``net1``, ``F``,
+    ``G``), in one pass: S0 = int (N - f) and S1 = int x (N - f) over a
+    neuron's active span are differences of node values.  Each node is
+    raised to a power once; a's and b's powers are the target's."""
     nodes, vals, spans = _geometry_nodes(theta, H, *t.domain)
+    powers = t.end_powers
+    if powers is None:
+        a, b = t.domain
+        raise DomainError(f"the domain [{a!r}, {b!r}] lies too far from 0: "
+                          "a node's cube overflows")
+    (p2, p3), (b2, b3) = powers
     cum_int_xint = t.cum_int_xint
-    (f, g), ends_b = t.end_ints
+    (f, g), (fb, gb) = t.end_ints
     s0 = s1 = 0.0
     net0 = [s0]
     net1 = [s1]
     F = [f]
     G = [g]
     x0 = nodes[0]
-    try:
-        p2, p3 = x0 ** 2, x0 ** 3
-        for i in range(len(nodes) - 2):
-            x1 = nodes[i + 1]
-            q2, q3 = x1 ** 2, x1 ** 3
-            y0 = vals[i]
-            y1 = vals[i + 1]
-            m = (y1 - y0) / (x1 - x0)
-            k = y0 - m * x0
-            s0 = s0 + (x1 - x0) * (y0 + y1) * 0.5
-            s1 = s1 + m * (q3 - p3) / 3.0 + k * (q2 - p2) * 0.5
-            net0.append(s0)
-            net1.append(s1)
-            f, g = cum_int_xint(x1)
-            F.append(f)
-            G.append(g)
-            x0, p2, p3 = x1, q2, q3
-        # b ends the last segment, where the running integral takes N from
-        # the slope; at an interior node that formula adds exactly +-0.0 to
-        # these prefix sums, so they are its values there
-        x1, y0 = nodes[-1], vals[-2]
-        m = (vals[-1] - y0) / (x1 - x0)
-        net0.append(s0 + (x1 - x0) * (y0 + (y0 + m * (x1 - x0))) * 0.5)
-        net1.append(s1 + m * (x1 ** 3 - p3) / 3.0 + (y0 - m * x0) * (x1 ** 2 - p2) * 0.5)
-        F.append(ends_b[0])
-        G.append(ends_b[1])
-    except OverflowError:  # a node's cube, once |x| passes about 5.6e102
-        a, b = t.domain
-        raise DomainError(f"the domain [{a!r}, {b!r}] lies too far from 0: "
-                          "a node's cube overflows") from None
-    return nodes, spans, net0, net1, F, G
-
-
-def grad_theta(theta: Sequence[float], H: int, t: Target) -> list[float]:
-    """Generalized gradient as a plain list (hot path for training loops).
-
-    Neuron j contributes over its active span, the geometry nodes that
-    bound I_j = {x in [a, b] : b_j + w_j x > 0}.
-    """
-    nodes, spans, net0, net1, F, G = _running_sums(theta, H, t)
+    for i in range(len(nodes) - 2):
+        x1 = nodes[i + 1]
+        q2, q3 = x1 ** 2, x1 ** 3
+        y0 = vals[i]
+        y1 = vals[i + 1]
+        m = (y1 - y0) / (x1 - x0)
+        k = y0 - m * x0
+        s0 = s0 + (x1 - x0) * (y0 + y1) * 0.5
+        s1 = s1 + m * (q3 - p3) / 3.0 + k * (q2 - p2) * 0.5
+        net0.append(s0)
+        net1.append(s1)
+        f, g = cum_int_xint(x1)
+        F.append(f)
+        G.append(g)
+        x0, p2, p3 = x1, q2, q3
+    # b ends the last segment, where the running integral takes N from
+    # the slope; at an interior node that formula adds exactly +-0.0 to
+    # these prefix sums, so they are its values there
+    x1, y0 = nodes[-1], vals[-2]
+    m = (vals[-1] - y0) / (x1 - x0)
+    net0.append(s0 + (x1 - x0) * (y0 + (y0 + m * (x1 - x0))) * 0.5)
+    net1.append(s1 + m * (b3 - p3) / 3.0 + (y0 - m * x0) * (b2 - p2) * 0.5)
+    F.append(fb)
+    G.append(gb)
+    # neuron j contributes over its active span, the nodes that bound
+    # I_j = {x in [a, b] : b_j + w_j x > 0}
     last = len(nodes) - 1
-    g = [0.0] * (3 * H + 1)
+    out = [0.0] * (3 * H + 1)
     for j, lo, hi in spans:
         s0 = (net0[hi] - net0[lo]) - (F[hi] - F[lo])
         s1 = (net1[hi] - net1[lo]) - (G[hi] - G[lo])
         v = theta[2 * H + j]
-        g[j] = 2.0 * v * s1
-        g[H + j] = 2.0 * v * s0
-        g[2 * H + j] = 2.0 * (theta[H + j] * s0 + theta[j] * s1)
+        out[j] = 2.0 * v * s1
+        out[H + j] = 2.0 * v * s0
+        out[2 * H + j] = 2.0 * (theta[H + j] * s0 + theta[j] * s1)
     # net0[0] is +0.0; F[0] is not always (-0.0 when the target's scale is < 0)
-    g[3 * H] = 2.0 * (net0[last] - (F[last] - F[0]))
-    return g
+    out[3 * H] = 2.0 * (net0[last] - (F[last] - F[0]))
+    return out, net0, net1, F, G
+
+
+def grad_theta(theta: Sequence[float], H: int, t: Target) -> list[float]:
+    """Generalized gradient as a plain list (hot path for training loops)."""
+    return _running_sums(theta, H, t)[0]
 
 
 def grad(p: Params, t: Target) -> GradientVector:

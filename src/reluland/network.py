@@ -148,7 +148,7 @@ class Realization:
         object.__setattr__(self, "_values", tuple(vals))
 
     def eval(self, x: float) -> float:
-        if x < self.a or x > self.b:
+        if not self.a <= x <= self.b:  # NaN fails too
             raise DomainError(f"{x!r} outside [{self.a!r}, {self.b!r}]")
         i = bisect.bisect_right(self.kinks, x)
         return self._values[i] + self.slopes[i] * (x - self._nodes[i])

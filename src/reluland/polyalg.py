@@ -159,7 +159,7 @@ class PiecewisePolynomial:
         return min(max(i, 0), len(self.pieces) - 1)
 
     def eval(self, x: float) -> float:
-        if x < self.lo or x > self.hi:
+        if not self.lo <= x <= self.hi:  # NaN fails too
             raise DomainError(f"{x!r} outside domain [{self.lo!r}, {self.hi!r}]")
         return self.pieces[self._piece_index(x)](x)
 

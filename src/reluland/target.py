@@ -13,18 +13,24 @@ Two kinds are supported and share one duck-typed interface:
   pieces; only the integral of f**2 needs quadrature.
 
 ``cum_int_xint(x)`` returns the running integrals of f and x*f up to x,
-so that risk and gradient evaluations stay closed-form and fast;
-``end_ints`` holds its values at a and b, computed once by the
-constructor; ``sq_integral(method)`` is the integral of f**2 over the whole
-domain, and both kinds accept exactly the ``QUAD_METHODS`` names.  Each
-constructor rejects non-finite fields, pieces that do not meet and a target
-whose integral of f**2 overflows, so the JSON parser inherits the checks.
+so that risk and gradient evaluations stay closed-form and fast.  It is
+the gradient's hot read, so it runs in one frame: the domain check, the
+piece choice and Horner's rule over each antiderivative's coefficients,
+stored from the top, with the operations of ``Polynomial.__call__``.
+``end_ints`` holds its values at a and b, and ``end_powers`` the squares
+and cubes of a and b that every gradient reads, both computed once by
+the constructor; ``sq_integral(method)`` is the integral of f**2 over the
+whole domain, and both kinds accept exactly the ``QUAD_METHODS`` names.
+Each constructor rejects non-finite fields, pieces that do not meet and a
+target whose integral of f**2 overflows, so the JSON parser inherits the
+checks; every read refuses a point outside the domain, NaN included.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from typing import Union
 
 import numpy as np
@@ -74,8 +80,12 @@ class PolyTarget:
             if _discontinuous(p(x), q(x), terms):
                 raise DomainError(f"discontinuity at breakpoint {x!r}")
         self.pp = pp
-        # one row (A0, A0 start, F prefix, A1, A1 start, G prefix) per piece
-        self._rows = tuple(zip(*pp._table(0), *pp._table(1)))
+        self.domain = pp.lo, pp.hi
+        self._cuts = pp.breakpoints[1:-1]
+        # one row per piece: A0's coefficients from the top, A0 at the
+        # piece's start, the F prefix, and the same three for A1 and G
+        self._rows = tuple((a0.coeffs[::-1], s0, f0, a1.coeffs[::-1], s1, g0) for
+                           a0, s0, f0, a1, s1, g0 in zip(*pp._table(0), *pp._table(1)))
         sq = PiecewisePolynomial(pp.breakpoints, [p * p for p in pp.pieces])
         # the running-integral difference can round below 0; the integral cannot
         self._sq_int = max(sq.moment(0, pp.lo, pp.hi), 0.0)
@@ -83,10 +93,7 @@ class PolyTarget:
         if not math.isfinite(self._sq_int):
             raise DomainError("the integral of f**2 over the domain is not finite")
         self.end_ints = (self.cum_int_xint(pp.lo), self.cum_int_xint(pp.hi))
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return self.pp.lo, self.pp.hi
+        self.end_powers = _end_powers(pp.lo, pp.hi)
 
     def breakpoints(self) -> tuple[float, ...]:
         return self.pp.breakpoints
@@ -98,7 +105,7 @@ class PolyTarget:
         """``eval`` at every point of a float64 array, bit for bit: interior
         breakpoints belong to the right piece, b to the last."""
         pp = self.pp
-        if xs.size and (xs.min() < pp.lo or xs.max() > pp.hi):
+        if xs.size and not (pp.lo <= xs.min() and xs.max() <= pp.hi):  # NaN fails too
             raise DomainError("a point lies outside the target domain")
         piece = np.searchsorted(pp.breakpoints[1:-1], xs, side="right")
         out = np.empty(len(xs))
@@ -108,12 +115,20 @@ class PolyTarget:
         return out
 
     def cum_int_xint(self, x: float) -> tuple[float, float]:
-        """(cum_int(x), cum_xint(x)) from one domain check."""
-        if x < self.pp.lo or x > self.pp.hi:
+        """(cum_int(x), cum_xint(x)): pp.cum_moment(0, x) and
+        pp.cum_moment(1, x) from one domain check and one piece lookup
+        (interior breakpoints belong to the right piece, b to the last),
+        each antiderivative by Horner's rule as ``Polynomial`` runs it."""
+        lo, hi = self.domain
+        if not lo <= x <= hi:  # NaN fails too
             raise DomainError(f"{x!r} outside target domain")
-        # pp.cum_moment(0, x) and pp.cum_moment(1, x), one piece lookup
-        a0, s0, f0, a1, s1, g0 = self._rows[self.pp._piece_index(x)]
-        return f0 + a0(x) - s0, g0 + a1(x) - s1
+        c0, s0, f0, c1, s1, g0 = self._rows[bisect_right(self._cuts, x)]
+        A0 = A1 = 0.0
+        for c in c0:
+            A0 = A0 * x + c
+        for c in c1:
+            A1 = A1 * x + c
+        return f0 + A0 - s0, g0 + A1 - s1
 
     def cum_int(self, x: float) -> float:
         return self.cum_int_xint(x)[0]
@@ -135,14 +150,22 @@ def _mid_eval(u: float, sqrt=math.sqrt) -> float:
     return (3.0 * u * u - 1.0) / (4.0 * sqrt(1.0 - u) * (1.0 + 3.0 * u) ** 1.5)
 
 
-def _mid_anti(u: float) -> float:
-    # derivative is _mid_eval
-    return -u * math.sqrt(1.0 - u) / (4.0 * math.sqrt(1.0 + 3.0 * u))
+def _mid_antis(u: float) -> tuple[float, float]:
+    """Antiderivatives of _mid_eval(u) and of u * _mid_eval(u), from one
+    pair of square roots."""
+    r, d = math.sqrt(1.0 - u), math.sqrt(1.0 + 3.0 * u)
+    return -u * r / (4.0 * d), -(3.0 * u * u + 2.0 * u + 1.0) * r / (24.0 * d)
 
 
-def _mid_xanti(u: float) -> float:
-    # derivative is u * _mid_eval(u)
-    return -(3.0 * u * u + 2.0 * u + 1.0) * math.sqrt(1.0 - u) / (24.0 * math.sqrt(1.0 + 3.0 * u))
+def _end_powers(a: float, b: float):
+    """((a**2, a**3), (b**2, b**3)), the powers of the first and last
+    geometry node that every gradient reads; None once a cube overflows,
+    past about 5.6e102 (every node lies in [a, b], so no other node's
+    cube does when these do not)."""
+    try:
+        return (a ** 2, a ** 3), (b ** 2, b ** 3)
+    except OverflowError:
+        return None
 
 
 class BenchmarkTarget:
@@ -184,30 +207,32 @@ class BenchmarkTarget:
             if _discontinuous(lhs, rhs):
                 raise DomainError(f"target discontinuous at u={u0!r}")
 
-        # unscaled running integrals of f and u*f on (0, alpha, beta, 1):
-        # one row (A0, A0 start, F prefix, A1, A1 start, G prefix) per piece
+        # unscaled running integrals of f and u*f on (0, alpha, beta, 1)
         bps = (0.0, al, be, 1.0)
-        f_table = _running_table((self._left.antiderivative(), _mid_anti,
-                                  self._right.antiderivative()), bps)
-        g_table = _running_table((self._left.shift_up(1).antiderivative(), _mid_xanti,
-                                  self._right.shift_up(1).antiderivative()), bps)
-        self._rows = tuple(zip(*f_table, *g_table))
+        left0, left1 = self._left.antiderivative(), self._left.shift_up(1).antiderivative()
+        right0, right1 = self._right.antiderivative(), self._right.shift_up(1).antiderivative()
+        _, f_starts, f_prefix = _running_table((left0, lambda u: _mid_antis(u)[0], right0), bps)
+        _, g_starts, g_prefix = _running_table((left1, lambda u: _mid_antis(u)[1], right1), bps)
+        # one row per piece: A0's coefficients from the top (None on the
+        # middle piece, whose A0 and A1 are _mid_antis), A0 at the piece's
+        # start, the F prefix, and the same three for A1 and G
+        self._rows = tuple(zip((left0.coeffs[::-1], None, right0.coeffs[::-1]), f_starts,
+                               f_prefix, (left1.coeffs[::-1], None, right1.coeffs[::-1]),
+                               g_starts, g_prefix))
         # cum_int_xint's factors; scale * w * F is (scale * w) * F, bit for bit
         w = self.b - self.a
         self._sw, self._aw, self._ww = self.scale * w, self.a * w, w * w
+        self.domain = self.a, self.b
         self.end_ints = (self.cum_int_xint(self.a), self.cum_int_xint(self.b))
+        self.end_powers = _end_powers(self.a, self.b)
         self._sq_cache: dict[str, float] = {}
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return self.a, self.b
 
     def breakpoints(self) -> tuple[float, ...]:
         w = self.b - self.a
         return (self.a, self.a + self.alpha * w, self.a + self.beta * w, self.b)
 
     def _to_u(self, x: float) -> float:
-        if x < self.a or x > self.b:
+        if not self.a <= x <= self.b:  # NaN fails too
             raise DomainError(f"{x!r} outside target domain [{self.a!r}, {self.b!r}]")
         # in [0, 1]: rounding is monotone, and (b - a) / (b - a) is 1
         return (x - self.a) / (self.b - self.a)
@@ -227,7 +252,7 @@ class BenchmarkTarget:
         """``eval`` at every point of a float64 array, with the same pieces
         as ``eval_normalized``; the middle piece only where it is chosen,
         since it divides by zero at u = 1."""
-        if xs.size and (xs.min() < self.a or xs.max() > self.b):
+        if xs.size and not (self.a <= xs.min() and xs.max() <= self.b):  # NaN fails too
             raise DomainError(f"a point lies outside the target domain [{self.a!r}, {self.b!r}]")
         # in [0, 1], as in _to_u
         u = (xs - self.a) / (self.b - self.a)
@@ -236,15 +261,26 @@ class BenchmarkTarget:
         out[mid] = _mid_eval(u[mid], np.sqrt)
         return self.scale * out
 
-    def _cum01(self, u: float) -> tuple[float, float]:
-        """Unscaled running integrals of f and u*f over [0, u]."""
-        a0, s0, f0, a1, s1, g0 = self._rows[
-            0 if u <= self.alpha else 1 if u <= self.beta else 2]
-        return f0 + a0(u) - s0, g0 + a1(u) - s1
-
     def cum_int_xint(self, x: float) -> tuple[float, float]:
-        """(cum_int(x), cum_xint(x)) from one normalization and piece choice."""
-        F, G = self._cum01(self._to_u(x))
+        """(cum_int(x), cum_xint(x)): the unscaled running integrals F and G
+        of f and u*f over [0, u] at u = _to_u(x), from one normalization
+        and piece choice (as eval_normalized's), each polynomial piece by
+        Horner's rule as ``Polynomial`` runs it, then scaled to [a, b]."""
+        a, b = self.domain
+        if not a <= x <= b:  # NaN fails too
+            raise DomainError(f"{x!r} outside target domain [{a!r}, {b!r}]")
+        u = (x - a) / (b - a)  # as _to_u
+        if self.alpha < u <= self.beta:
+            _, s0, f0, _, s1, g0 = self._rows[1]
+            A0, A1 = _mid_antis(u)
+        else:
+            c0, s0, f0, c1, s1, g0 = self._rows[0 if u <= self.alpha else 2]
+            A0 = A1 = 0.0
+            for c in c0:
+                A0 = A0 * u + c
+            for c in c1:
+                A1 = A1 * u + c
+        F, G = f0 + A0 - s0, g0 + A1 - s1
         return self._sw * F, self.scale * (self._aw * F + self._ww * G)
 
     def cum_int(self, x: float) -> float:

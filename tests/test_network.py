@@ -413,7 +413,7 @@ def test_realization_invariants():
     with pytest.raises(DomainError, match="len"):
         Realization(0.0, 1.0, (0.5,), (1.0,), 0.0)
     r = Realization(0.0, 1.0, (), (1.0,), 0.0)
-    for x in (-0.5, math.nextafter(1.0, 2.0)):
+    for x in (-0.5, math.nextafter(1.0, 2.0), math.nan):
         with pytest.raises(DomainError, match="outside"):
             r.eval(x)
 

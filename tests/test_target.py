@@ -157,6 +157,13 @@ def test_benchmark_validation():
         BenchmarkTarget(0.0, 0.5)
     with pytest.raises(DomainError):
         BenchmarkTarget(1 / 3, 2 / 3, 1.0, 0.0)
+    # the limits themselves: beta = 1 and a = b divide by zero past the
+    # checks, and alpha = beta leaves no middle piece
+    for alpha, beta in ((0.25, 1.0), (0.5, 0.5)):
+        with pytest.raises(DomainError, match="need 0 < alpha < beta < 1"):
+            BenchmarkTarget(alpha, beta)
+    with pytest.raises(DomainError, match="need b > a"):
+        BenchmarkTarget(1 / 3, 2 / 3, 1.0, 1.0)
 
 
 _LINE = [[0.0, 1.0]]
@@ -349,6 +356,26 @@ def test_parser_rejects_non_finite(spec):
         parse_target_json(spec)
 
 
+_READS = {
+    "cum_int_xint": lambda t, x: t.cum_int_xint(x),
+    "cum_int": lambda t, x: t.cum_int(x),
+    "cum_xint": lambda t, x: t.cum_xint(x),
+    "eval": lambda t, x: t.eval(x),
+    "eval_array": lambda t, x: t.eval_array(np.array([t.domain[0], x])),
+}
+
+
+@pytest.mark.parametrize("read", sorted(_READS))
+@pytest.mark.parametrize("make", [lambda: BenchmarkTarget(1 / 3, 2 / 3),
+                                  lambda: poly_target([0.0, 0.5, 1.0], [[0.0, 1.0], [0.5]])],
+                         ids=["benchmark", "poly"])
+@pytest.mark.parametrize("x", [math.nan, -math.inf, math.inf], ids=["nan", "-inf", "inf"])
+def test_reads_reject_non_finite(make, read, x):
+    # a NaN fails every comparison, so each domain test is not lo <= x <= hi
+    with pytest.raises(DomainError, match="outside"):
+        _READS[read](make(), x)
+
+
 # continuous: its one-sided values at 6.5169 are 5.0 and 5.000000000116,
 # and their gap of 1.2e-10 is the rounding of terms of absolute sum 2.8e6
 CANCELLING_TARGET = (
@@ -440,13 +467,20 @@ def test_poly_running_integrals_bit_identical_to_prefix_lists(case):
         assert got == [v.hex() for v in ref.cum_int_xint(x)], x
 
 
+def _mid_anti(u):
+    return -u * math.sqrt(1.0 - u) / (4.0 * math.sqrt(1.0 + 3.0 * u))
+
+
+def _mid_xanti(u):
+    return -(3.0 * u * u + 2.0 * u + 1.0) * math.sqrt(1.0 - u) / (24.0 * math.sqrt(1.0 + 3.0 * u))
+
+
 class _FieldReference:
     """The former BenchmarkTarget running integrals: per-piece
     antiderivatives, their values at each piece's left end, and the
     integrals of f and u f up to alpha and beta as separate fields."""
 
     def __init__(self, t):
-        from reluland.target import _mid_anti, _mid_xanti
         self.t = t
         al, be = t.alpha, t.beta
         la0 = t._left.antiderivative()
