@@ -138,8 +138,7 @@ def _running_sums(theta: Sequence[float], H: int, t: Target):
         out[j] = 2.0 * v * s1
         out[H + j] = 2.0 * v * s0
         out[2 * H + j] = 2.0 * (theta[H + j] * s0 + theta[j] * s1)
-    # net0[0] is +0.0; F[0] is not always (-0.0 when the target's scale is < 0)
-    out[3 * H] = 2.0 * (net0[last] - (F[last] - F[0]))
+    out[3 * H] = 2.0 * (net0[last] - F[last])
     return out, net0, net1, F, G
 
 

@@ -112,7 +112,7 @@ def verify_zero_integrals(t: BenchmarkTarget, q: float) -> tuple[float, float, f
     right of the kink and of x(N - f) right of it.  All should vanish."""
     # nodes a, the kink, b
     _, n0, n1, F, G = _running_sums(sample_M(t, 1, q, 1.0, seed=0).theta.theta, 1, t)
-    return ((n0[1] - n0[0]) - (F[1] - F[0]),
+    return (n0[1] - F[1],
             (n0[2] - n0[1]) - (F[2] - F[1]),
             (n1[2] - n1[1]) - (G[2] - G[1]))
 

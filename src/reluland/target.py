@@ -16,7 +16,9 @@ Two kinds are supported and share one duck-typed interface:
 so that risk and gradient evaluations stay closed-form and fast.  It is
 the gradient's hot read, so it runs in one frame: the domain check, the
 piece choice and Horner's rule over each antiderivative's coefficients,
-stored from the top, with the operations of ``Polynomial.__call__``.
+stored from the top, with the operations of ``Polynomial.__call__``
+(calling the stored polynomials after ``_to_u`` instead ran the
+``ensemble`` benchmark 7.6% slower; ``BENCH_34.json``).
 ``end_ints`` holds its values at a and b, and ``end_powers`` the squares
 and cubes of a and b that every gradient reads, both computed once by
 the constructor; ``sq_integral(method)`` is the integral of f**2 over the

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -26,6 +28,36 @@ def scaled(t, c):
     if isinstance(t, BenchmarkTarget):
         return BenchmarkTarget(t.alpha, t.beta, t.a, t.b, t.scale * c)
     return PolyTarget(PiecewisePolynomial(t.pp.breakpoints, [p.scale(c) for p in t.pp.pieces]))
+
+
+def _at_u(t, u):
+    """A point of a benchmark target's domain whose normalized coordinate
+    is exactly u, when one lies within 4 ulps of a + u (b - a); else that
+    point."""
+    x = t.a + u * (t.b - t.a)
+    near = [x]
+    for toward in (math.inf, -math.inf):
+        y = x
+        for _ in range(4):
+            y = math.nextafter(y, toward)
+            near.append(y)
+    return next((y for y in near if t.a <= y <= t.b and (y - t.a) / (t.b - t.a) == u), x)
+
+
+def special_points(t):
+    """The domain ends and the points where a target's piece ends, with
+    their neighbours: u = alpha and u = beta on a benchmark target, the
+    interior breakpoints of a polynomial one.  Piece ownership decides
+    the reads there."""
+    a, b = t.domain
+    if isinstance(t, BenchmarkTarget):
+        inner = [_at_u(t, t.alpha), _at_u(t, t.beta)]
+    else:
+        inner = list(t.breakpoints()[1:-1])
+    pts = {a, b}
+    for x in inner:
+        pts.update((x, math.nextafter(x, a), math.nextafter(x, b)))
+    return sorted(pts)
 
 
 def parts(p):

@@ -10,15 +10,16 @@ from reluland import (BenchmarkTarget, CritClass, Params, PolyTarget, classify,
                       hessian_fd, risk, sample_M, verify_zero_integrals)
 from reluland.errors import DomainError, NonsmoothPointError
 from reluland.landscape import (HessianReport, _coord_indices, _report_from_matrix,
-                                _smooth_breakpoints, _unclamped_risk, grad_theta,
-                                risk_theta)
+                                _running_sums, _smooth_breakpoints, _unclamped_risk,
+                                grad_theta, risk_theta)
 from reluland.minima import CLOSED_HESSIAN_RTOL
 from reluland.network import canonical
 from reluland.polyalg import PiecewisePolynomial, Polynomial
 from reluland import landscape
 from reluland.quadrature import MAX_DEPTH, adaptive_simpson, adaptive_simpson_vec
 
-from conftest import parts, piecewise_polys, poly_target, realize_smooth, rng_for, scaled
+from conftest import (parts, piecewise_polys, poly_target, realize_smooth, rng_for, scaled,
+                      special_points)
 from test_quadrature import recursive_simpson_vec
 from test_target import _FieldReference
 
@@ -639,6 +640,8 @@ BIT_TARGETS = (
     BenchmarkTarget(0.25, 0.6, -0.5, 1.5, scale=1.3),
     poly_target([-1.0, -0.25, 0.5, 1.0],
                 [[0.5, 1.0, -2.0], [0.140625, 0.0, 0.0, 1.0], [0.203125, 0.0, 0.0, 0.0, 1.0]]),
+    # a zero piece: its antiderivatives have no coefficients
+    poly_target([0.0, 0.5, 1.0], [[0.0], [-0.5, 1.0]]),
 )
 # at a negative scale a benchmark target's running integrals at a are -0.0
 NEGATED_TARGETS = tuple(scaled(t, -3.0) for t in BIT_TARGETS)
@@ -649,17 +652,20 @@ _unit = st.floats(-1.0, 1.0, allow_nan=False)
 @st.composite
 def _bit_case(draw):
     t = draw(st.sampled_from(BIT_TARGETS + NEGATED_TARGETS))
-    H = draw(st.sampled_from((1, 2, 4, 7)))
+    H = draw(st.integers(1, 8))
     a, b = t.domain
     w, bias, kinks = [], [], []
     for j in range(H):
         # power-of-two weights make -(-w q) / w == q exactly
-        mode = draw(st.sampled_from(("random", "at_a", "at_b", "shared", "w0",
+        mode = draw(st.sampled_from(("random", "at_a", "at_b", "special", "shared", "w0",
                                      "nowhere")))
         sign = draw(st.sampled_from((-1.0, 1.0)))
         w2 = sign * 2.0 ** draw(st.integers(-3, 3))
-        if mode == "at_a" or mode == "at_b":
-            q = a if mode == "at_a" else b
+        if mode in ("at_a", "at_b", "special"):
+            if mode == "special":  # where a target piece ends, or next to it
+                q = draw(st.sampled_from(special_points(t)))
+            else:
+                q = a if mode == "at_a" else b
             w.append(w2)
             bias.append(-w2 * q)
         elif mode == "shared" and kinks:
@@ -693,11 +699,17 @@ def test_node_kernel_bit_identical_to_per_interval_formula(case):
     got = [x.hex() for x in grad_theta(theta, H, t)]
     assert got == [x.hex() for x in _ref_grad(theta, H, t)]
     assert risk_theta(theta, H, t).hex() == _ref_risk(theta, H, t).hex()
+    # the running integrals that verify_zero_integrals reads, at every node
+    ref = _RefIntegrals(theta, H, t)
+    sums, nodes = _running_sums(theta, H, t), ref.nodes
+    want = ([ref.net_cum0(x) for x in nodes], [ref.net_cum1(x) for x in nodes],
+            [t.cum_int(x) for x in nodes], [t.cum_xint(x) for x in nodes])
+    assert [[x.hex() for x in s] for s in sums] == [got] + [[x.hex() for x in s] for s in want]
 
 
 @pytest.mark.parametrize("t", BIT_TARGETS + NEGATED_TARGETS,
                          ids=[f"{kind}{c}" for c in ("", "-scaled") for kind in
-                              ("benchmark", "benchmark-moved", "poly")])
+                              ("benchmark", "benchmark-moved", "poly", "poly-zero")])
 def test_end_ints_are_the_running_integrals_at_the_ends(t):
     a, b = t.domain
     got = [x.hex() for pair in t.end_ints for x in pair]
@@ -708,8 +720,10 @@ def test_end_ints_are_the_running_integrals_at_the_ends(t):
 @given(st.data())
 def test_zero_integrals_bit_identical_to_per_interval_formula(data):
     # the residuals are S0 on [a, kink] and [kink, b] and S1 on [kink, b]
-    t = data.draw(st.sampled_from(BIT_TARGETS[:2]))
-    q = data.draw(st.floats(t.alpha, t.beta, exclude_min=True, exclude_max=True))
+    t = data.draw(st.sampled_from(BIT_TARGETS[:2] + NEGATED_TARGETS[:2]))
+    inside = st.floats(t.alpha, t.beta, exclude_min=True, exclude_max=True)
+    q = data.draw(st.one_of(inside, st.sampled_from((math.nextafter(t.alpha, 1.0),
+                                                     math.nextafter(t.beta, 0.0)))))
     ref = _RefIntegrals(sample_M(t, 1, q, 1.0, seed=0).theta.theta, 1, t)
     a, kink, b = ref.nodes
     got = [x.hex() for x in verify_zero_integrals(t, q)]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from reluland import BenchmarkTarget, PolyTarget, parse_target_json
 from reluland.errors import DomainError
@@ -14,7 +14,8 @@ from reluland.polyalg import PiecewisePolynomial, Polynomial, reparametrize
 from reluland.landscape import risk_theta
 from reluland.target import QUAD_METHODS, _mid_eval
 
-from conftest import domain_points, piecewise_polys, poly_target, rng_for, scaled
+from conftest import (domain_points, piecewise_polys, poly_target, rng_for, scaled,
+                      special_points)
 
 # pinned by two independent quadratures (adaptive Simpson vs Gauss-Kronrod)
 # and a high-precision cross-check during development
@@ -458,11 +459,14 @@ def _running_integral_case(draw):
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(_running_integral_case())
+# a zero piece, whose antiderivatives have no coefficients
+@example((PiecewisePolynomial([0.0, 0.5, 1.0], [Polynomial([0.0]), Polynomial([-0.5, 1.0])]),
+          [0.25, 0.75]))
 def test_poly_running_integrals_bit_identical_to_prefix_lists(case):
     pp, xs = case
     t = PolyTarget(pp)
     ref = _PrefixListReference(t.pp)
-    for x in xs:
+    for x in xs + special_points(t):
         got = [v.hex() for v in t.cum_int_xint(x)]
         assert got == [v.hex() for v in ref.cum_int_xint(x)], x
 
@@ -527,7 +531,7 @@ def _benchmark_case(draw):
     t = BenchmarkTarget(alpha, beta, a, b, draw(st.floats(-5.0, 5.0)))
     inside = draw(st.lists(st.floats(a, b), max_size=8))
     # a + alpha (b - a) and a + beta (b - a) can round past b
-    return t, [x for x in (*t.breakpoints(), *inside) if a <= x <= b]
+    return t, [x for x in (*t.breakpoints(), *special_points(t), *inside) if a <= x <= b]
 
 
 @settings(max_examples=300, deadline=None, database=None)

@@ -3,8 +3,8 @@
 For each named function the probe makes one mutant per comparison operator
 (< and <=, > and >=, == and != swapped) and per binary + or - (swapped),
 writes the mutated module into a copy of ``src`` and ``tests`` under a
-work directory, and runs the chosen test files there with ``pytest -x``
-and one fixed hypothesis seed, so that a mutant's verdict repeats.
+work directory, and runs ``DEFAULT_TESTS`` there with ``pytest -x`` and
+one fixed hypothesis seed, so that a mutant's verdict repeats.
 A mutant that every test passes *survives*.  Survivors listed in
 ``EQUIVALENT`` are known equivalent mutants (no input tells them apart),
 reported but not counted; any other survivor is a test gap, and the probe
@@ -16,11 +16,11 @@ once, so a probe of a few functions takes minutes.
     python3 tools/mutation_probe.py --work /tmp/probe \\
         --function landscape._running_sums --function target.BenchmarkTarget.cum_int_xint
 
-Without ``--function`` it probes ``DEFAULT_FUNCTIONS``; without ``--test``
-it runs ``DEFAULT_TESTS``.  ``--full`` re-runs each unknown survivor
-against every test file.  Modules are rewritten with ``ast.unparse``, so
-the copy loses comments and formatting, not behaviour; the probe checks
-first that the unmutated rewrite passes.
+Without ``--function`` it probes ``DEFAULT_FUNCTIONS``.  A test run that
+takes longer than ``TIMEOUT`` seconds (a mutant that loops) counts as a
+kill.  Modules are rewritten with ``ast.unparse``, so the copy loses
+comments and formatting, not behaviour; the probe checks first that the
+unmutated rewrite passes.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ DEFAULT_FUNCTIONS = (
     "minima.verify_zero_integrals",
 )
 DEFAULT_TESTS = (
-    "tests/test_kernel_bits.py",
+    "tests/test_frozen_bits.py",
     "tests/test_target.py",
     "tests/test_landscape.py",
     "tests/test_network.py",
@@ -60,6 +60,8 @@ DEFAULT_TESTS = (
     "tests/test_minima.py",
     "tests/test_enumeration.py",
 )
+# seconds per test run
+TIMEOUT = 600.0
 
 # (function, expression, its mutant) -> why no input tells them apart
 EQUIVALENT = {
@@ -69,15 +71,6 @@ EQUIVALENT = {
         "a kink on a is no new node (q > nodes[-1] fails), and bisect_left "
         "still gives its span index 0",
 }
-# F[0] and net0[0] are running integrals over [a, a], +-0.0, and a running
-# sum of N starts at +0.0 and so is never -0.0: x - F[0] and x + F[0] differ
-# only in the sign of a zero x, which the outer subtraction from net0 drops
-_ZERO_START = "adding or subtracting a running integral over [a, a] moves no bit"
-EQUIVALENT.update({
-    ("landscape._running_sums", "F[last] - F[0]", "F[last] + F[0]"): _ZERO_START,
-    ("minima.verify_zero_integrals", "n0[1] - n0[0]", "n0[1] + n0[0]"): _ZERO_START,
-    ("minima.verify_zero_integrals", "F[1] - F[0]", "F[1] + F[0]"): _ZERO_START,
-})
 
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -125,16 +118,16 @@ def mutants(source: str, qualname: str):
         yield node.lineno, before, after, text
 
 
-def _run_tests(work: Path, tests, timeout: float) -> bool:
+def _run_tests(work: Path) -> bool:
     """Whether every test passes in the work copy; a run past the timeout
     (a mutant that loops) counts as a failure."""
     env = dict(os.environ, PYTHONPATH=str(work / "src"))
     # one hypothesis seed for every run, so a mutant's verdict repeats
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-           "--hypothesis-seed=0", *tests]
+           "--hypothesis-seed=0", *DEFAULT_TESTS]
     try:
         res = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL,
-                             stderr=subprocess.DEVNULL, timeout=timeout)
+                             stderr=subprocess.DEVNULL, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return False
     return res.returncode == 0
@@ -146,16 +139,11 @@ def main(argv=None) -> int:
                     help="new or empty directory for the mutated copy, outside the repository")
     ap.add_argument("--function", action="append",
                     help="module.qualname inside the package; repeatable")
-    ap.add_argument("--test", action="append", help="test file to run; repeatable")
-    ap.add_argument("--full", action="store_true",
-                    help="re-run unknown survivors against every test file")
-    ap.add_argument("--timeout", type=float, default=600.0, help="seconds per test run")
     args = ap.parse_args(argv)
     work = args.work.resolve()
     if work == ROOT or ROOT in work.parents:
         ap.error("--work must lie outside the repository")
     functions = args.function or DEFAULT_FUNCTIONS
-    tests = args.test or DEFAULT_TESTS
 
     if work.exists() and any(work.iterdir()):
         ap.error("--work must be a new or empty directory")
@@ -174,7 +162,7 @@ def main(argv=None) -> int:
         if path not in originals:
             originals[path] = path.read_text()
             path.write_text(ast.unparse(ast.parse(originals[path])))
-    if not _run_tests(work, tests, args.timeout):
+    if not _run_tests(work):
         print("the unmutated rewrite fails the tests; no mutant was run")
         return 2
     for path, text in originals.items():
@@ -188,9 +176,7 @@ def main(argv=None) -> int:
         source = path.read_text()
         for line, before, after, text in mutants(source, q):
             path.write_text(text)
-            survived = _run_tests(work, tests, args.timeout)
-            if survived and args.full:
-                survived = _run_tests(work, ["tests"], args.timeout)
+            survived = _run_tests(work)
             path.write_text(source)
             where = f"{q}:{line}: {before}  ->  {after}"
             if not survived:
