@@ -28,8 +28,7 @@ doubles, and the float route and each kink's residuals on f reflected on [0, 1].
 The catalog is the width-1 certificate: a lift check that misses
 ``RESIDUAL_TOL`` is a recorded failure, not an exception.  It raises
 ``DomainError`` only on the benchmark target and where the input breaks
-the hypotheses: a kink equation that vanishes identically without the
-zero-slope degeneracy, or an affine moment determinant that is not negative.
+the hypotheses: an affine moment determinant that is not negative.
 """
 
 from __future__ import annotations
@@ -174,14 +173,8 @@ def _kink_roots(g: _GridMoments) -> tuple[tuple[float, ...], tuple[float, ...]]:
     last = len(g.cuts) - 2
     admissible, excluded = set(), set()
     for j, D in enumerate(_kink_equations(g)):
-        # the zero-slope numerator q T0 - int_0^q f, up to sign and scale
-        Z = _combine(([0, g.t0], [1]), ([-S], g.p0[j]))
-        if not D:
-            if Z:
-                raise DomainError(
-                    f"kink equation vanished identically on piece {j} "
-                    "without the zero-slope degeneracy")
-            continue  # every q on the piece has vw = 0: nothing new
+        if not D:  # only where f is its mean T0: every q there has vw = 0
+            continue
         # D always vanishes at q = 0 and doubly at q = 1; those structural
         # roots are the constant/affine cases in disguise
         if j == 0:
@@ -190,8 +183,9 @@ def _kink_roots(g: _GridMoments) -> tuple[tuple[float, ...], tuple[float, ...]]:
             D = _divexact(D, [S * S, -2 * S, 1])
         lo, hi = g.cuts[j], g.cuts[j + 1]
         cells = roots_in(D, lo, hi)
-        # a zero-slope root is a common root of D and Z
-        G = _gcd(D, Z) if cells else []
+        # a zero-slope root is a common root of D and the zero-slope
+        # numerator q T0 - int_0^q f, up to sign and scale
+        G = _gcd(D, _combine(([0, g.t0], [1]), ([-S], g.p0[j]))) if cells else []
         zero_slope = roots_in(G, lo, hi) if len(G) > 1 else []
         for a, b in cells:
             q = (a + b) / (2 * S)

@@ -118,7 +118,8 @@ class TrainRun:
 
 def gd_run(p0: Params, t: Target, cfg: TrainConfig, seed: int | None = None) -> TrainRun:
     """Plain gradient descent theta <- theta - lr * G(theta) until the
-    gradient max-norm drops below grad_tol or the iteration cap is hit.
+    gradient max-norm drops below grad_tol or the iteration cap is hit;
+    a gradient below grad_tol with a NaN or inf entry is a ``DomainError``.
 
     Iterates with |w_j x + b_j| <= 1e-14 at a domain endpoint x for some
     neuron j (a kink on a or b, or a dead neuron) are counted in
@@ -159,6 +160,8 @@ def gd_run(p0: Params, t: Target, cfg: TrainConfig, seed: int | None = None) -> 
         if gm != gm:  # with a NaN, max depends on the order: take width H's
             gm = max(map(abs, _widen(g, mask, [0.0] * len(mask))))
         if gm < cfg.grad_tol:
+            if not all(map(math.isfinite, g)):  # max passed over a NaN
+                raise DomainError(f"GD met a non-finite gradient after {iterations} steps")
             converged = True
             break
         if iterations >= cfg.max_iters:

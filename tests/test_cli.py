@@ -7,9 +7,12 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from reluland.cli import _finish, main
+from reluland.cli import _finish, main, overlay_svg
 from reluland import errors, quadrature
 from reluland.errors import DomainError
+
+from test_enumeration import (DECREASING_LIFT_TARGET, KINK_RESIDUAL_TARGET,
+                              LARGE_COEFFICIENT_TARGET)
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -22,12 +25,14 @@ def run_cli(args):
     return CliRunner().invoke(main, args, catch_exceptions=False)
 
 
-def write_xsq(tmp_path):
-    path = tmp_path / "xsq.json"
-    path.write_text(json.dumps({"kind": "piecewise_poly",
-                                "breakpoints": [0, 1],
-                                "pieces": [[0, 0, 1]]}))
+def write_target(path, breakpoints, pieces):
+    path.write_text(json.dumps({"kind": "piecewise_poly", "breakpoints": breakpoints,
+                                "pieces": pieces}))
     return path
+
+
+def write_xsq(tmp_path):
+    return write_target(tmp_path / "xsq.json", [0, 1], [[0, 0, 1]])
 
 
 def test_minima_ok(tmp_path):
@@ -101,6 +106,49 @@ def test_enumerate_split_double_root_passes_oracle(tmp_path):
     assert "oracle PASS" in res.output
 
 
+# kink roots on a breakpoint, the same at 1e-6 of its size, its mirror
+# f(-x), and a dyadic target with an exact zero-slope kink root at 1/2
+WIDTH1_TARGETS = {
+    "breakpoint-root": ([-0.5, 0, 0.5], [[0.500005, 1e-05], [0.500005]]),
+    "small-breakpoint-root": ([-0.5, 0, 0.5], [[5.00005e-07, 1e-11], [5.00005e-07]]),
+    "breakpoint-root-mirror": ([-0.5, 0, 0.5], [[0.500005], [0.500005, -1e-05]]),
+    "zero-slope-root": ([0, 0.5, 1], [[2, -24, 48], [26, -72, 48]]),
+}
+
+
+def test_enumerate_width1_regression_targets(tmp_path):
+    # each exits 0 with oracle PASS.  At 1e-6 an absolute floor in the
+    # oracle's degenerate test once failed the breakpoint-root target, and
+    # an L2 grouping of the catalog once listed only its constant entry.
+    # The mirror lists the same kinds with the kink orientations swapped
+    kinds = {}
+    for name, (breakpoints, pieces) in WIDTH1_TARGETS.items():
+        target = write_target(tmp_path / f"{name}.json", breakpoints, pieces)
+        res = run_cli(["enumerate", "--target", str(target), "--out", str(tmp_path / name)])
+        assert res.exit_code == 0, (name, res.output)
+        assert "oracle PASS" in res.output
+        doc = json.loads((tmp_path / name / "catalog.json").read_text())
+        kinds[name] = [e["kind"] for e in doc["entries"]]
+    assert kinds["breakpoint-root"] == ["kink_decreasing", "affine", "constant"]
+    assert kinds["small-breakpoint-root"] == kinds["breakpoint-root"]
+    assert kinds["breakpoint-root-mirror"] == ["kink_increasing", "affine", "constant"]
+
+
+def test_enumerate_cancelling_terms_target_writes_its_report(tmp_path):
+    # continuous, but its one-sided values at 6.5169 differ by 1.2e-10, the
+    # rounding of terms that sum to 2.8e6 in absolute value; a continuity
+    # test relative to the values alone refused it (exit 2).  Its lift
+    # checks may miss the absolute tolerance (exit 1)
+    target = write_target(tmp_path / "cancelling_terms.json", [0.0, 6.5169, 8.0], [
+        [-1138546.37448867, 483.5739785214587, 590.3871311313933, 884.9005675541007,
+         479.79714947986145],
+        [-236354.16382447336, -941.9895434327706, -68.75469124378935, 886.7134339966274]])
+    res = run_cli(["enumerate", "--target", str(target), "--out", str(tmp_path / "out")])
+    assert res.exit_code in (0, 1), res.output
+    doc = json.loads((tmp_path / "out" / "catalog.json").read_text())
+    jsonschema.validate(doc, load_schema("catalog.schema.json"))
+
+
 def test_enumerate_normalizes_and_isolates_roots_once_per_orientation(tmp_path, monkeypatch):
     from reluland import enumeration
     calls = {"_on_unit": 0, "_kink_roots": 0}
@@ -121,16 +169,10 @@ def test_enumerate_normalizes_and_isolates_roots_once_per_orientation(tmp_path, 
     assert calls == {"_on_unit": 2, "_kink_roots": 2}
 
 
-# reflecting it once raised "discontinuity at breakpoint 0.78"; its
-# affine and kink lifts miss the absolute criticality tolerance
-LOSSY_TARGET = ('{"kind": "piecewise_poly", "breakpoints": [0.0, 0.22, 1.0], "pieces": '
-                '[[4.0, -15.0, -16.0, 20.0, 7.0, 6.0, 5.0], [601.9490598512639, -3776.0, '
-                '3753.0, 4070.0, 1058.0, 2027.0, 3739.0]]}')
-
-
 def test_enumerate_failed_lift_check_exits_1_with_its_report(tmp_path):
-    target = tmp_path / "lossy_target.json"
-    target.write_text(LOSSY_TARGET)
+    # reflecting it once raised "discontinuity at breakpoint 0.78"; its
+    # affine and kink lifts miss the absolute criticality tolerance
+    target = write_target(tmp_path / "lossy_target.json", *LARGE_COEFFICIENT_TARGET)
     res = run_cli(["enumerate", "--target", str(target), "--out", str(tmp_path / "out")])
     assert res.exit_code == 1, res.output
     assert "oracle PASS, FAIL: affine catalog lift is not critical" in res.output
@@ -139,6 +181,24 @@ def test_enumerate_failed_lift_check_exits_1_with_its_report(tmp_path):
     assert doc["pass"] is False and doc["oracle_check"] is True
     assert sorted(f.name for f in (tmp_path / "out").glob("*.csv")) == [
         f"catalog_entry_{i}.csv" for i in range(len(doc["entries"]))]
+
+
+@pytest.mark.parametrize("target, named, unnamed", [
+    # the reflected-target check of the decreasing kink once named the
+    # reflected q, 0.3113
+    (KINK_RESIDUAL_TARGET, ("kink_decreasing", "q=0.68869904447958"), "0.31130095552042003"),
+    # a decreasing kink is checked once, where it was solved: its lift's miss
+    # is the whole summary, with no second residual check beside it
+    (DECREASING_LIFT_TARGET, ("kink_decreasing catalog lift at q=0.18016128789989572",),
+     "has residual"),
+], ids=["kink-residual", "decreasing-lift"])
+def test_enumerate_failed_kink_check_names_its_entry(tmp_path, target, named, unnamed):
+    res = run_cli(["enumerate", "--target", str(write_target(tmp_path / "t.json", *target)),
+                   "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1, res.output
+    (summary,) = [line for line in res.output.splitlines() if line.startswith("catalog:")]
+    assert all(s in summary for s in named) and unnamed not in summary
+    assert (tmp_path / "out" / "catalog.json").exists()
 
 
 def test_enumerate_benchmark_rejected(tmp_path):
@@ -357,6 +417,8 @@ INPUT_ERRORS = {
     "minima-beta-near-one": (["minima", "--beta", "0.999"], "minima_report.json"),
     "minima-x-outside": (["minima", "--x", "0.9"], "minima_report.json"),
     "gf-t-end-0": (["gf", "--t-end", "0"], "gf_report.json"),
+    # gf once ran without a step bound; GF_MAX_STEPS ends this one
+    "gf-step-cap": (["gf", "--t-end", "1e300", "--rtol", "1e-2"], "gf_report.json"),
     "train-h-0": (["train", "--h", "0"], "ensemble_report.json"),
     # far or wide domains and tiny y put a kink too near a domain end for
     # the finite-difference Hessian (NonsmoothPointError)
@@ -394,8 +456,7 @@ INPUT_ERRORS = {
                                    "ensemble_report.json"),
     # Philox keys are the integers in [0, 2**128); numpy's own check once
     # ended in a ValueError traceback
-    "train-seed-negative": (["train", "--seed", "-1", "--runs", "1", "--h", "1"],
-                            "ensemble_report.json"),
+    "train-seed-negative": (["train", "--seed", "-1", "--runs", "1"], "ensemble_report.json"),
     "train-seed-block-past-limit": (["train", "--seed", str(2 ** 128 - 1), "--runs", "2",
                                      "--h", "1"], "ensemble_report.json"),
     "gf-seed-negative": (["gf", "--seed", "-1"], "gf_report.json"),
@@ -448,7 +509,7 @@ def test_every_error_class_is_a_domain_error():
 
 def test_enumerate_degenerate_input_exits_2(tmp_path, monkeypatch):
     def degenerate(t):
-        raise DomainError("kink equation vanished identically")
+        raise DomainError("affine catalog lift is degenerate (moment determinant 0)")
 
     monkeypatch.setattr("reluland.cli.enumerate_all", degenerate)
     res = run_cli(["enumerate", "--target", str(write_xsq(tmp_path)),
@@ -468,6 +529,15 @@ def test_accuracy_error_exit_2_prints_estimate_and_error(tmp_path, monkeypatch):
     assert [line for line in res.output.splitlines() if line.startswith("Error:")] == [
         "Error: Simpson recursion depth exhausted (estimate 0.125, error 3e-09)"]
     assert not (tmp_path / "out" / "minima_report.json").exists()
+
+
+def test_overlay_svg_draws_a_flat_range_at_mid_height():
+    # every y equal: the y axis spans y - 1 to y + 1, not a zero range
+    root = ET.fromstring(overlay_svg([[(0.0, 0.25), (1.0, 0.25)]], ["flat"]))
+    (line,) = [el for el in root.iter() if el.tag.endswith("polyline")]
+    assert line.get("points") == "50.00,200.00 590.00,200.00"
+    labels = {el.text for el in root.iter() if el.tag.endswith("text")}
+    assert {"-0.75", "0.25", "1.25"} <= labels
 
 
 def test_reports_refuse_nan(tmp_path):

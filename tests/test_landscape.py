@@ -520,6 +520,13 @@ def test_classify_synthetic():
                     expected_corank=2) is CritClass.DEGENERATE
 
 
+def test_classify_rank_tol_of_one_is_degenerate():
+    # no eigenvalue lies beyond rank_tol * lam_max, so none has a sign
+    rep = synthetic_report([2.0, -1.0, 0.5])
+    rep = HessianReport(rep.matrix, rep.eigenvalues, rep.numerical_rank, rank_tol=1.0)
+    assert classify(rep, 0.0) is CritClass.DEGENERATE
+
+
 def test_classify_requires_critical():
     with pytest.raises(DomainError, match="not critical"):
         classify(synthetic_report([1.0]), 0.5)

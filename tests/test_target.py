@@ -151,6 +151,13 @@ def test_benchmark_rejects_beta_near_one(beta):
         BenchmarkTarget(1 / 3, beta)
 
 
+def test_benchmark_repr_round_trips():
+    t = BenchmarkTarget(1 / 3, 2 / 3, -0.5, 2.0, scale=2.5)
+    assert repr(t) == ("BenchmarkTarget(alpha=0.3333333333333333, beta=0.6666666666666666, "
+                       "a=-0.5, b=2.0, scale=2.5)")
+    assert repr(eval(repr(t), {"BenchmarkTarget": BenchmarkTarget})) == repr(t)
+
+
 def test_benchmark_validation():
     with pytest.raises(DomainError):
         BenchmarkTarget(0.7, 0.3)

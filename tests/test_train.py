@@ -158,6 +158,8 @@ def _full_width_gd(p0, t, cfg, seed=None, grad=grad_theta):
         g = grad(theta, H, t)
         gm = max(map(abs, g))
         if gm < cfg.grad_tol:
+            if not all(map(math.isfinite, g)):
+                raise DomainError(f"GD met a non-finite gradient after {iterations} steps")
             converged = True
             break
         if iterations >= cfg.max_iters:
@@ -286,9 +288,10 @@ def test_gd_run_takes_a_nan_max_at_width_h(monkeypatch, case):
     # first nonzero gradient entry is then the first live entry, where
     # Python's max returns NaN, but not the first entry at width H, where
     # max passes over it.  "gradient": the NaN comes once the gradient is
-    # below grad_tol, and the run converges.  "theta": from the third call
-    # on, the NaN comes with a step of c past DIVERGENCE_NORM, so the run
-    # diverges at that step, with a NaN theta that Params refuses
+    # below grad_tol, and the run raises DomainError (it once converged,
+    # and its ensemble read PASS).  "theta": from the third call on, the
+    # NaN comes with a step of c past DIVERGENCE_NORM, so the run diverges
+    # at that step, with a NaN theta that Params refuses
     calls = []
 
     def spoiled(theta, H, t):
@@ -313,7 +316,7 @@ def test_gd_run_takes_a_nan_max_at_width_h(monkeypatch, case):
     monkeypatch.setattr(train, "grad_theta", spoiled)
     assert outcome(lambda: gd_run(p0, _BENCH, cfg)) == want
     if case == "gradient":
-        assert want[0][-3]  # converged
+        assert want == ("GD met a non-finite gradient after 136 steps", 137)
     else:
         assert want == ("theta must be finite", 3)
 
